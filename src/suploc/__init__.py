@@ -10,9 +10,7 @@ from .automata import (
     EventTable,
     FormatError,
     apply_state_order,
-    language_upto,
     load_automaton,
-    marked_language_upto,
     parse_automaton,
     project_state_names,
     reachable_trim,
@@ -41,9 +39,7 @@ from .localization import (
     CoverVerdict,
     InvalidCoverError,
     LocalSupervisor,
-    WaitList,
     build_local_supervisor,
-    check_merge,
     control_consistent,
     is_control_congruence,
     is_maximally_reduced,
@@ -56,10 +52,8 @@ from .localization import (
 from .rng import SplitMix64
 from .transform import (
     AgentMapping,
-    StateCorrespondence,
     carry_over_cover,
     isolate,
-    state_correspondence,
     tsl,
 )
 
@@ -82,27 +76,22 @@ __all__ = [
     "InvalidCoverError",
     "LocalSupervisor",
     "SplitMix64",
-    "StateCorrespondence",
     "SynthesisEmptyError",
-    "WaitList",
     "agents_from_table",
     "apply_state_order",
     "build_context",
     "build_local_supervisor",
     "carry_over_cover",
     "check_control_equivalence",
-    "check_merge",
     "control_consistent",
     "controlled_behavior",
     "gen_cmt",
     "is_control_congruence",
     "is_maximally_reduced",
     "isolate",
-    "language_upto",
     "load_automaton",
     "load_cover",
     "localize",
-    "marked_language_upto",
     "parse_automaton",
     "parse_cover",
     "project_state_names",
@@ -111,7 +100,6 @@ __all__ = [
     "run_bench",
     "save_automaton",
     "save_cover",
-    "state_correspondence",
     "sync_product",
     "synthesize_cmt",
     "synthesize_monolithic",

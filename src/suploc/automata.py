@@ -337,16 +337,13 @@ def save_automaton(a: Automaton, path) -> None:
 # Operations
 
 
-def sync_product(automata: Sequence[Automaton]) -> Automaton:
-    """Reachable synchronous product over one shared alphabet.
+def _product(automata: Sequence[Automaton]):
+    """Breadth-first reachable synchronous product over one shared alphabet.
 
-    An event is enabled in a product state iff it is enabled in every
-    component; a product state is marked iff every component state is marked.
-    Product states are named by joining component state names with ``|`` and
-    are ordered by breadth-first discovery from the initial tuple.
+    Returns the component-state tuples in discovery order (index 0 is the
+    initial tuple) and, per tuple, its ``{event: target index}`` row. An
+    event is enabled in a product state iff it is enabled in every component.
     """
-    if not automata:
-        raise ValueError("sync_product needs at least one automaton")
     first = automata[0]
     for a in automata[1:]:
         if a.alphabet != first.alphabet:
@@ -355,11 +352,11 @@ def sync_product(automata: Sequence[Automaton]) -> Automaton:
     init = tuple(a.initial for a in automata)
     index: dict[tuple[int, ...], int] = {init: 0}
     order: list[tuple[int, ...]] = [init]
-    triples: list[tuple[int, int, int]] = []
+    rows: list[dict[int, int]] = []
     queue = deque((init,))
     while queue:
         t = queue.popleft()
-        src = index[t]
+        row: dict[int, int] = {}
         for ev, d0 in first.out(t[0]):
             dst = [d0]
             for a, comp in zip(rest, t[1:]):
@@ -375,14 +372,30 @@ def sync_product(automata: Sequence[Automaton]) -> Automaton:
                     index[tt] = tgt
                     order.append(tt)
                     queue.append(tt)
-                triples.append((src, ev, tgt))
+                row[ev] = tgt
+        rows.append(row)
+    return order, rows
+
+
+def sync_product(automata: Sequence[Automaton]) -> Automaton:
+    """Reachable synchronous product over one shared alphabet.
+
+    An event is enabled in a product state iff it is enabled in every
+    component; a product state is marked iff every component state is marked.
+    Product states are named by joining component state names with ``|`` and
+    are ordered by breadth-first discovery from the initial tuple.
+    """
+    if not automata:
+        raise ValueError("sync_product needs at least one automaton")
+    order, rows = _product(automata)
+    triples = ((src, ev, tgt) for src, row in enumerate(rows) for ev, tgt in row.items())
     names = ["|".join(a.states[c] for a, c in zip(automata, t)) for t in order]
     marked = [
         i
         for i, t in enumerate(order)
         if all(c in a.marked for a, c in zip(automata, t))
     ]
-    return Automaton(names, first.alphabet, triples, 0, marked)
+    return Automaton(names, automata[0].alphabet, triples, 0, marked)
 
 
 def reachable_trim(a: Automaton) -> Automaton:
@@ -436,39 +449,6 @@ def apply_state_order(a: Automaton, order: Sequence[int]) -> Automaton:
         pos[a.initial],
         [pos[x] for x in a.marked],
     )
-
-
-def language_upto(a: Automaton, max_len: int) -> set[tuple[str, ...]]:
-    """All event-name traces of length at most ``max_len`` accepted by ``a``."""
-    words: set[tuple[str, ...]] = set()
-    events = a.alphabet.events
-
-    def walk(x: int, prefix: tuple[str, ...]) -> None:
-        words.add(prefix)
-        if len(prefix) == max_len:
-            return
-        for ev, y in a.out(x):
-            walk(y, prefix + (events[ev],))
-
-    walk(a.initial, ())
-    return words
-
-
-def marked_language_upto(a: Automaton, max_len: int) -> set[tuple[str, ...]]:
-    """Traces of length at most ``max_len`` that end in a marked state."""
-    words: set[tuple[str, ...]] = set()
-    events = a.alphabet.events
-
-    def walk(x: int, prefix: tuple[str, ...]) -> None:
-        if x in a.marked:
-            words.add(prefix)
-        if len(prefix) == max_len:
-            return
-        for ev, y in a.out(x):
-            walk(y, prefix + (events[ev],))
-
-    walk(a.initial, ())
-    return words
 
 
 def project_state_names(a: Automaton, keep: int, sep: str = "|") -> Automaton:

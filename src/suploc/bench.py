@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .automata import Automaton, apply_state_order, reachable_trim, sync_product
@@ -159,19 +158,15 @@ def run_bench(
     animals: int = 1,
     runs: int = 10,
     seed: int = 1,
-    timing: str = "strict",
     log=None,
 ) -> BenchReport:
     """Run the full protocol and aggregate means per (variant, agent).
 
-    ``timing="strict"`` (the default) runs agent pipelines sequentially so
-    wall-clock numbers are uncontaminated; ``"concurrent"`` runs them in a
-    thread pool, which only makes the cell counts trustworthy.
+    Agent pipelines run one after another so wall-clock numbers are
+    uncontaminated.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    if timing not in ("strict", "concurrent"):
-        raise ValueError("timing must be 'strict' or 'concurrent'")
 
     def say(msg: str) -> None:
         if log is not None:
@@ -203,7 +198,9 @@ def run_bench(
             )
             ctx = build_context(item.plant, variant_sup, item.system.agents)
 
-            def agent_pipeline(k: int) -> tuple[BenchRow, Cover, Cover]:
+            covers_sl: list[Cover] = []
+            covers_tsl: list[Cover] = []
+            for k in range(1, n_agents + 1):
                 t0 = time.perf_counter()
                 cover_sl = localize(variant_sup, ctx, k)
                 t1 = time.perf_counter()
@@ -214,35 +211,31 @@ def run_bench(
                 t2 = time.perf_counter()
                 cover_tsl = localize(variant_sup, ctx, k, cover_iso)
                 t3 = time.perf_counter()
-                row = BenchRow(
-                    variant=item.name,
-                    agent=k,
-                    run=run,
-                    sl_seconds=t1 - t0,
-                    isolate_seconds=t2 - t1,
-                    init_localize_seconds=t3 - t2,
-                    tsl_seconds=(t2 - t1) + (t3 - t2),
-                    cells_sl=cover_sl.n_cells,
-                    cells_initial_guess=carried.n_cells,
-                    cells_isolated=cover_iso.n_cells,
-                    cells_tsl=cover_tsl.n_cells,
+                rows.append(
+                    BenchRow(
+                        variant=item.name,
+                        agent=k,
+                        run=run,
+                        sl_seconds=t1 - t0,
+                        isolate_seconds=t2 - t1,
+                        init_localize_seconds=t3 - t2,
+                        tsl_seconds=(t2 - t1) + (t3 - t2),
+                        cells_sl=cover_sl.n_cells,
+                        cells_initial_guess=carried.n_cells,
+                        cells_isolated=cover_iso.n_cells,
+                        cells_tsl=cover_tsl.n_cells,
+                    )
                 )
-                return row, cover_sl, cover_tsl
-
-            agents = range(1, n_agents + 1)
-            if timing == "strict":
-                results = [agent_pipeline(k) for k in agents]
-            else:
-                with ThreadPoolExecutor(max_workers=n_agents) as pool:
-                    results = list(pool.map(agent_pipeline, agents))
+                covers_sl.append(cover_sl)
+                covers_tsl.append(cover_tsl)
 
             for side, covers in (
-                ("from-scratch", [r[1] for r in results]),
-                ("transformational", [r[2] for r in results]),
+                ("from-scratch", covers_sl),
+                ("transformational", covers_tsl),
             ):
                 locs = [
                     build_local_supervisor(variant_sup, cover, k)
-                    for k, cover in zip(agents, covers)
+                    for k, cover in enumerate(covers, start=1)
                 ]
                 verdict = check_control_equivalence(item.plant, variant_sup, locs)
                 if not verdict:
@@ -250,7 +243,6 @@ def run_bench(
                         f"{side} supervisors for {item.name} run {run} are not control "
                         f"equivalent: {verdict.direction}; trace {verdict.counterexample}"
                     )
-            rows.extend(r[0] for r in results)
             say(f"run {run}/{runs} {item.name}: ok")
 
     aggregates = []

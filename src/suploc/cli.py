@@ -80,6 +80,14 @@ def _agent_range(args, table):
     return list(range(1, table.n_agents + 1))
 
 
+def _save_agent(prefix, sup, k, cover, loc) -> None:
+    cover_path = f"{prefix}.agent{k}.cover"
+    loc_path = f"{prefix}.agent{k}.loc.aut"
+    save_cover(cover, sup, cover_path)
+    save_automaton(loc.automaton, loc_path)
+    print(f"agent {k}: {cover.n_cells} cells -> {cover_path}, {loc_path}")
+
+
 def _cmd_localize(args) -> int:
     plant = _load_plant(args.plant)
     sup = load_automaton(args.sup)
@@ -88,29 +96,25 @@ def _cmd_localize(args) -> int:
     prefix = args.out_prefix or Path(args.sup).stem
     for k in _agent_range(args, sup.alphabet):
         cover = localize(sup, ctx, k)
-        loc = build_local_supervisor(sup, cover, k)
-        cover_path = f"{prefix}.agent{k}.cover"
-        loc_path = f"{prefix}.agent{k}.loc.aut"
-        save_cover(cover, sup, cover_path)
-        save_automaton(loc.automaton, loc_path)
-        print(f"agent {k}: {cover.n_cells} cells -> {cover_path}, {loc_path}")
+        _save_agent(prefix, sup, k, cover, build_local_supervisor(sup, cover, k))
     return 0
 
 
 def _cmd_isolate(args) -> int:
     base_sup = load_automaton(args.base_sup)
     sup = load_automaton(args.sup)
+    (agent,) = _agent_range(args, sup.alphabet)
     plant = _load_plant(args.plant)
     base_cover = load_cover(args.base_cover, base_sup)
     agents = agents_from_table(sup.alphabet)
     ctx = build_context(plant, sup, agents)
-    cover = isolate(base_cover, base_sup, sup, ctx, args.agent)
+    cover = isolate(base_cover, base_sup, sup, ctx, agent)
     save_cover(cover, sup, args.out)
-    print(f"agent {args.agent}: {cover.n_cells} cells -> {args.out}")
+    print(f"agent {agent}: {cover.n_cells} cells -> {args.out}")
     return 0
 
 
-def _parse_mapping(path, n_variant: int) -> AgentMapping:
+def _parse_mapping(path, n_variant: int, n_base: int) -> AgentMapping:
     entries = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -120,9 +124,16 @@ def _parse_mapping(path, n_variant: int) -> AgentMapping:
         if len(tokens) != 2:
             raise FormatError("mapping line needs: <variant-agent> <base-agent-or-0>", lineno)
         try:
-            entries[int(tokens[0])] = int(tokens[1])
+            k, b = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise FormatError("mapping entries must be integers", lineno) from None
+        if not 1 <= k <= n_variant:
+            raise FormatError(f"variant agent {k} not in 1..{n_variant}", lineno)
+        if k in entries:
+            raise FormatError(f"variant agent {k} mapped twice", lineno)
+        if not 0 <= b <= n_base:
+            raise FormatError(f"base agent {b} not in 0..{n_base}", lineno)
+        entries[k] = b
     return AgentMapping(tuple(entries.get(k, 0) for k in range(1, n_variant + 1)))
 
 
@@ -133,18 +144,13 @@ def _cmd_tsl(args) -> int:
     base_covers = [load_cover(p, base_sup) for p in args.base_cover]
     agents = agents_from_table(sup.alphabet)
     if args.mapping:
-        mapping = _parse_mapping(args.mapping, len(agents))
+        mapping = _parse_mapping(args.mapping, len(agents), len(base_covers))
     else:
         mapping = AgentMapping.identity(len(agents), len(base_covers))
     supervisors, covers = tsl(base_covers, base_sup, plant, sup, agents, mapping)
     prefix = args.out_prefix or Path(args.sup).stem
     for spec, loc, cover in zip(agents, supervisors, covers):
-        k = spec.agent_index
-        cover_path = f"{prefix}.agent{k}.cover"
-        loc_path = f"{prefix}.agent{k}.loc.aut"
-        save_cover(cover, sup, cover_path)
-        save_automaton(loc.automaton, loc_path)
-        print(f"agent {k}: {cover.n_cells} cells -> {cover_path}, {loc_path}")
+        _save_agent(prefix, sup, spec.agent_index, cover, loc)
     return 0
 
 
@@ -152,7 +158,7 @@ def _cmd_check_equiv(args) -> int:
     plant = _load_plant(args.plant)
     sup = load_automaton(args.sup)
     locs = [
-        LocalSupervisor(load_automaton(p), None, i + 1)
+        LocalSupervisor(load_automaton(p), i + 1)
         for i, p in enumerate(args.loc)
     ]
     verdict = check_control_equivalence(plant, sup, locs)
@@ -181,7 +187,6 @@ def _cmd_bench(args) -> int:
         animals=args.animals,
         runs=args.runs,
         seed=seed,
-        timing=args.timing,
         log=lambda msg: print(msg, file=sys.stderr),
     )
     print(report.to_markdown())
@@ -254,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--animals", type=int, default=1)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1, help="overridden by env var DES_SEED")
-    p.add_argument("--timing", choices=("strict", "concurrent"), default="strict")
     p.add_argument("--csv", default=None, help="write per-run rows to this CSV file")
     p.add_argument("--md", default=None, help="write the aggregate table to this file")
     p.set_defaults(func=_cmd_bench)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Automaton, EventTable
+from .automata import Automaton, EventTable, _product
 
 #: Reserved state name marking a forbidden sink in requirement automata.
 FORBIDDEN_STATE = "bad"
@@ -62,13 +62,10 @@ class ControlContext:
     keep their enabled sets, have empty disabled sets and plant_marked False.
     """
 
-    __slots__ = ("n_states", "agents", "enabled", "enabled_sorted", "disabled", "marked", "plant_marked")
+    __slots__ = ("enabled", "disabled", "marked", "plant_marked")
 
-    def __init__(self, n_states, agents, enabled, enabled_sorted, disabled, marked, plant_marked):
-        self.n_states = n_states
-        self.agents = agents
+    def __init__(self, enabled, disabled, marked, plant_marked):
         self.enabled = enabled
-        self.enabled_sorted = enabled_sorted
         self.disabled = disabled
         self.marked = marked
         self.plant_marked = plant_marked
@@ -77,16 +74,15 @@ class ControlContext:
 def build_context(plant: Automaton, sup: Automaton, agents) -> ControlContext:
     """Compute control-information tables by joint forward reachability.
 
-    ``sup`` is assumed to be a sub-behavior of ``plant`` (every trace of the
-    supervisor is executable in the plant); this is a documented assumption,
-    not verified here.
+    ``sup`` must be a sub-behavior of ``plant``: every trace of the
+    supervisor is executable in the plant. A supervisor transition that the
+    plant cannot take at a jointly reached state pair raises ``ValueError``
+    naming the supervisor state, the plant state and the event.
     """
     if plant.alphabet != sup.alphabet:
         raise ValueError("plant and supervisor must share one event table")
-    agents = tuple(agents)
     n = sup.n_states
     enabled = tuple(frozenset(sup.succ_maps[x]) for x in range(n))
-    enabled_sorted = tuple(sup.enabled(x) for x in range(n))
 
     plant_can: list[set] = [set() for _ in range(n)]
     plant_marked = [False] * n
@@ -103,7 +99,11 @@ def build_context(plant: Automaton, sup: Automaton, agents) -> ControlContext:
         for ev, y in sup_succ[x].items():
             p = row_q.get(ev)
             if p is None:
-                continue
+                raise ValueError(
+                    f"supervisor is not a sub-behavior of the plant: supervisor state "
+                    f"{sup.states[x]!r} takes {sup.alphabet.events[ev]!r}, which plant "
+                    f"state {plant.states[q]!r} lacks"
+                )
             pair = (y, p)
             if pair not in seen:
                 seen.add(pair)
@@ -116,10 +116,7 @@ def build_context(plant: Automaton, sup: Automaton, agents) -> ControlContext:
             frozenset((plant_can[x] - enabled[x]) & ctrl) for x in range(n)
         )
     return ControlContext(
-        n_states=n,
-        agents=agents,
         enabled=enabled,
-        enabled_sorted=enabled_sorted,
         disabled=disabled,
         marked=tuple(x in sup.marked for x in range(n)),
         plant_marked=tuple(plant_marked),
@@ -148,51 +145,22 @@ def synthesize_monolithic(plants, requirements=()) -> Automaton:
         raise ValueError("at least one plant automaton is required")
     table = plants[0].alphabet
     comps = plants + requirements
-    for a in comps[1:]:
-        if a.alphabet != table:
-            raise ValueError("alphabet mismatch between synthesis components")
+    order, succ = _product(comps)
     n_plants = len(plants)
     unc_events = tuple(e for e in range(table.n_events) if not table.controllable[e])
-
-    init = tuple(a.initial for a in comps)
-    index: dict[tuple[int, ...], int] = {init: 0}
-    order: list[tuple[int, ...]] = [init]
-    succ: list[dict[int, int]] = []
-    plant_unc: list[tuple[int, ...]] = []
-    forbidden: list[bool] = []
-    all_marked: list[bool] = []
-    queue = deque((init,))
-    while queue:
-        t = queue.popleft()
-        row: dict[int, int] = {}
-        for ev, d0 in comps[0].out(t[0]):
-            dst = [d0]
-            for a, c in zip(comps[1:], t[1:]):
-                nxt = a.step(c, ev)
-                if nxt is None:
-                    break
-                dst.append(nxt)
-            else:
-                tt = tuple(dst)
-                tgt = index.get(tt)
-                if tgt is None:
-                    tgt = len(order)
-                    index[tt] = tgt
-                    order.append(tt)
-                    queue.append(tt)
-                row[ev] = tgt
-        succ.append(row)
-        plant_unc.append(
-            tuple(
-                e
-                for e in unc_events
-                if all(comps[i].step(t[i], e) is not None for i in range(n_plants))
-            )
+    plant_unc = [
+        tuple(
+            e
+            for e in unc_events
+            if all(comps[i].step(t[i], e) is not None for i in range(n_plants))
         )
-        forbidden.append(
-            any(comps[i].states[t[i]] == FORBIDDEN_STATE for i in range(n_plants, len(comps)))
-        )
-        all_marked.append(all(c in a.marked for a, c in zip(comps, t)))
+        for t in order
+    ]
+    forbidden = [
+        any(comps[i].states[t[i]] == FORBIDDEN_STATE for i in range(n_plants, len(comps)))
+        for t in order
+    ]
+    all_marked = [all(c in a.marked for a, c in zip(comps, t)) for t in order]
 
     preds: list[list[int]] = [[] for _ in order]
     for src, row in enumerate(succ):

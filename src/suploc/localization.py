@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 from .automata import Automaton, FormatError
@@ -30,8 +31,8 @@ class Cover:
     """Partition of supervisor states into cells.
 
     ``cell_of[x]`` is the cell identifier of state x. Identifiers are
-    arbitrary ints; :meth:`canonical` renumbers them 0..C-1 ordered by least
-    member index. Equality compares the induced partitions, not identifiers.
+    arbitrary ints. Equality compares the induced partitions, not
+    identifiers.
     """
 
     __slots__ = ("cell_of",)
@@ -72,13 +73,6 @@ class Cover:
         for x, ident in enumerate(self.cell_of):
             groups.setdefault(ident, []).append(x)
         return sorted(groups.values(), key=lambda cell: cell[0])
-
-    def canonical(self) -> "Cover":
-        cell_of = [0] * self.n_states
-        for ident, cell in enumerate(self.cells()):
-            for x in cell:
-                cell_of[x] = ident
-        return Cover(cell_of)
 
     def cell_sets(self) -> frozenset:
         return frozenset(frozenset(cell) for cell in self.cells())
@@ -132,36 +126,6 @@ def save_cover(cover: Cover, automaton: Automaton, path) -> None:
     Path(path).write_text(write_cover(cover, automaton), encoding="utf-8")
 
 
-class WaitList:
-    """Set of state pairs whose merge is pending; all queries are symmetric."""
-
-    __slots__ = ("_pairs", "_adj")
-
-    def __init__(self):
-        self._pairs: set[tuple[int, int]] = set()
-        self._adj: dict[int, set[int]] = {}
-
-    def add(self, p: int, q: int) -> None:
-        key = (p, q) if p <= q else (q, p)
-        if key in self._pairs:
-            return
-        self._pairs.add(key)
-        self._adj.setdefault(p, set()).add(q)
-        self._adj.setdefault(q, set()).add(p)
-
-    def contains(self, p: int, q: int) -> bool:
-        return ((p, q) if p <= q else (q, p)) in self._pairs
-
-    def neighbors(self, x: int):
-        return self._adj.get(x, ())
-
-    def pairs(self):
-        return iter(self._pairs)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-
 class _Cells:
     """Union-find over the cells of a cover.
 
@@ -170,7 +134,7 @@ class _Cells:
     near-constant amortized.
     """
 
-    __slots__ = ("_slot_of_state", "_parent", "_min", "_members", "_n_cells")
+    __slots__ = ("_slot_of_state", "_parent", "_min", "_members")
 
     def __init__(self, cover: Cover):
         ids = sorted(set(cover.cell_of))
@@ -184,7 +148,6 @@ class _Cells:
             self._members[slot].append(x)
             if x < self._min[slot]:
                 self._min[slot] = x
-        self._n_cells = n_cells
 
     def _find(self, slot: int) -> int:
         parent = self._parent
@@ -192,19 +155,6 @@ class _Cells:
             parent[slot] = parent[parent[slot]]
             slot = parent[slot]
         return slot
-
-    def cell_id(self, x: int) -> int:
-        return self._find(self._slot_of_state[x])
-
-    def same(self, x: int, y: int) -> bool:
-        return self._find(self._slot_of_state[x]) == self._find(self._slot_of_state[y])
-
-    def min_of(self, x: int) -> int:
-        return self._min[self._find(self._slot_of_state[x])]
-
-    def members(self, x: int) -> list[int]:
-        """Member list of x's cell; callers must not mutate it."""
-        return self._members[self._find(self._slot_of_state[x])]
 
     def union_states(self, x: int, y: int) -> None:
         a = self._find(self._slot_of_state[x])
@@ -218,11 +168,6 @@ class _Cells:
         self._members[b] = []
         if self._min[b] < self._min[a]:
             self._min[a] = self._min[b]
-        self._n_cells -= 1
-
-    @property
-    def n_cells(self) -> int:
-        return self._n_cells
 
     def to_cover(self) -> Cover:
         return Cover(self._find(slot) for slot in self._slot_of_state)
@@ -243,6 +188,33 @@ def control_consistent(ctx: ControlContext, agent: int, x: int, y: int) -> bool:
     return True
 
 
+def _pair_clash(
+    sup: Automaton, ctx: ControlContext, agent: int, cell_of, x: int, y: int
+) -> str | None:
+    """Why states x and y may not share a cell of ``cell_of`` for ``agent``.
+
+    They may iff they are control consistent and, on every event both
+    enable, their successors lie in one cell. Returns None when they may,
+    otherwise a witness naming both states and the reason. A partition is a
+    control congruence iff every pair of cellmates passes this test.
+    """
+    names = sup.states
+    if not control_consistent(ctx, agent, x, y):
+        return (
+            f"states {names[x]!r} and {names[y]!r} share a cell but are "
+            f"not control consistent for agent {agent}"
+        )
+    succ_y = sup.succ_maps[y]
+    for ev, tx in sup.out(x):
+        ty = succ_y.get(ev)
+        if ty is not None and cell_of[tx] != cell_of[ty]:
+            return (
+                f"states {names[x]!r} and {names[y]!r} share a cell but step "
+                f"to two cells on {sup.alphabet.events[ev]!r}"
+            )
+    return None
+
+
 class _Frame:
     """One suspended merge-exploration call: snapshots of the two extended
     member lists plus the progress through their cross product."""
@@ -260,7 +232,7 @@ class _Frame:
         self.xq = -1
 
 
-def _extended_members(cells: _Cells, wait: WaitList, x: int) -> list[int]:
+def _extended_members(cells: _Cells, adj: dict[int, set[int]], x: int) -> list[int]:
     # The cell of x plus every cell linked to one of its members through the
     # wait list, ascending by state index.
     find = cells._find
@@ -268,7 +240,6 @@ def _extended_members(cells: _Cells, wait: WaitList, x: int) -> list[int]:
     members = cells._members
     home = find(slot_of[x])
     base = members[home]
-    adj = wait._adj
     linked: set[int] = set()
     for m in base:
         s = adj.get(m)
@@ -290,14 +261,21 @@ def _extended_members(cells: _Cells, wait: WaitList, x: int) -> list[int]:
 def _check_merge(
     x_i: int,
     x_j: int,
-    wait: WaitList,
     floor: int,
     sup: Automaton,
     ctx: ControlContext,
     cells: _Cells,
     agent: int,
-) -> bool:
-    """Merge-exploration engine; see :func:`check_merge` for the contract.
+) -> set[tuple[int, int]] | None:
+    """Decide whether the cells of ``x_i`` and ``x_j`` can merge.
+
+    Examines every state pair drawn from the two cells and the cells already
+    linked to them through the wait list, fails on the first control-
+    consistency violation or when a shared-event successor pair would drag
+    in a cell whose least member index is below ``floor``, and otherwise
+    follows such successor pairs. Returns None on failure, and on success the
+    wait list: every state pair (smaller index first) whose merge the
+    candidate merge entails. ``cells`` is never changed.
 
     The recursion of the textbook formulation is run on an explicit stack so
     call depth cannot overflow on large supervisors; frames snapshot their
@@ -312,12 +290,11 @@ def _check_merge(
     find = cells._find
     slot_of = cells._slot_of_state
     cell_min = cells._min
-    pair_set = wait._pairs
+    pairs: set[tuple[int, int]] = set()
+    adj: dict[int, set[int]] = {}
 
     def make_frame(a: int, b: int) -> _Frame:
-        return _Frame(
-            _extended_members(cells, wait, a), _extended_members(cells, wait, b)
-        )
+        return _Frame(_extended_members(cells, adj, a), _extended_members(cells, adj, b))
 
     stack = [make_frame(x_i, x_j)]
     while stack:
@@ -335,10 +312,10 @@ def _check_merge(
                 sq = sy[ev]
                 ra = find(slot_of[sp])
                 rb = find(slot_of[sq])
-                if ra == rb or ((sp, sq) if sp <= sq else (sq, sp)) in pair_set:
+                if ra == rb or ((sp, sq) if sp <= sq else (sq, sp)) in pairs:
                     continue
                 if cell_min[ra] < floor or cell_min[rb] < floor:
-                    return False
+                    return None
                 stack.append(make_frame(sp, sq))
                 pushed = True
                 break
@@ -358,13 +335,16 @@ def _check_merge(
                 fr.li += 1
             # Self-pairs arise only when the two extended member sets overlap
             # through wait-list links; they are trivially consistent no-ops.
-            if xp == xq or ((xp, xq) if xp <= xq else (xq, xp)) in pair_set:
+            key = (xp, xq) if xp <= xq else (xq, xp)
+            if xp == xq or key in pairs:
                 continue
             if enabled[xp] & dis[xq] or enabled[xq] & dis[xp]:
-                return False
+                return None
             if plant_marked[xp] == plant_marked[xq] and marked[xp] != marked[xq]:
-                return False
-            wait.add(xp, xq)
+                return None
+            pairs.add(key)
+            adj.setdefault(xp, set()).add(xq)
+            adj.setdefault(xq, set()).add(xp)
             fr.xp = xp
             fr.xq = xq
             fr.sigmas = sorted(enabled[xp] & enabled[xq])
@@ -373,31 +353,7 @@ def _check_merge(
             break
         if not advanced:
             stack.pop()
-    return True
-
-
-def check_merge(
-    x_i: int,
-    x_j: int,
-    wait: WaitList,
-    floor: int,
-    sup: Automaton,
-    ctx: ControlContext,
-    cover: Cover,
-    agent: int,
-) -> tuple[bool, WaitList]:
-    """Decide whether the cells of ``x_i`` and ``x_j`` can merge.
-
-    Examines every state pair drawn from the two cells and the cells already
-    linked to them through ``wait``, fails on the first control-consistency
-    violation or when a shared-event successor pair would drag in a cell
-    whose least member index is below ``floor``, and otherwise follows such
-    successor pairs recursively. On success ``wait`` holds every state pair
-    whose merge the candidate merge entails; on failure the cover must be
-    left unchanged by the caller. ``wait`` is mutated in place and returned.
-    """
-    flag = _check_merge(x_i, x_j, wait, floor, sup, ctx, _Cells(cover), agent)
-    return flag, wait
+    return pairs
 
 
 def localize(
@@ -405,8 +361,6 @@ def localize(
     ctx: ControlContext,
     agent: int,
     init: Cover | None = None,
-    *,
-    check_init: bool = False,
 ) -> Cover:
     """Merge cells of ``init`` into a maximally reduced control congruence.
 
@@ -414,18 +368,13 @@ def localize(
     singleton partition, the default, always is). The loop scans candidate
     state pairs in ascending index order, skipping states that are not the
     least member of their cell, and commits a merge by uniting every cell
-    linked through the wait list returned by :func:`check_merge`. With
-    ``check_init`` the precondition is verified first (debug aid).
+    linked through the wait list returned by the merge-exploration engine.
     """
     n = sup.n_states
     if init is None:
         init = Cover.singleton(n)
     if len(init.cell_of) != n:
         raise ValueError("init cover size does not match the supervisor")
-    if check_init:
-        verdict = is_control_congruence(sup, ctx, agent, init)
-        if not verdict:
-            raise InvalidCoverError(f"init cover is not a control congruence: {verdict.witness}")
     cells = _Cells(init)
     enabled = ctx.enabled
     dis = ctx.disabled[agent]
@@ -447,9 +396,9 @@ def localize(
                 continue
             if plant_marked[i] == plant_marked[j] and marked[i] != marked[j]:
                 continue
-            wait = WaitList()
-            if _check_merge(i, j, wait, i, sup, ctx, cells, agent):
-                for p, q in wait.pairs():
+            pairs = _check_merge(i, j, i, sup, ctx, cells, agent)
+            if pairs is not None:
+                for p, q in pairs:
                     cells.union_states(p, q)
     return cells.to_cover()
 
@@ -458,13 +407,11 @@ def localize(
 class LocalSupervisor:
     """Quotient automaton of a control congruence for one agent.
 
-    States correspond one to one with the cells of ``source_cover``; each is
-    named after its cell's least-indexed member state. ``source_cover`` is
-    None for local supervisors loaded from files.
+    Each state stands for one cell of the congruence and is named after the
+    cell's least-indexed member state.
     """
 
     automaton: Automaton
-    source_cover: Cover | None
     agent: int
 
 
@@ -506,7 +453,7 @@ def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> LocalSup
         cell_pos[sup.initial],
         marked,
     )
-    return LocalSupervisor(automaton=aut, source_cover=cover.canonical(), agent=agent)
+    return LocalSupervisor(automaton=aut, agent=agent)
 
 
 @dataclass(frozen=True)
@@ -525,35 +472,17 @@ def is_control_congruence(
 ) -> CoverVerdict:
     """Check both congruence conditions directly.
 
-    Every intra-cell state pair must be control consistent, and for every
-    cell and event, all members' defined successors must land in one cell.
-    The first violation found is reported as the witness.
+    Every intra-cell state pair must be control consistent, and on every
+    event both states enable, their successors must lie in one cell. The
+    first violating pair found is reported as the witness.
     """
     if len(cover.cell_of) != sup.n_states:
         return CoverVerdict(False, "cover size does not match the supervisor")
-    names = sup.states
-    events = sup.alphabet.events
     for cell in cover.cells():
-        for a_pos, x in enumerate(cell):
-            for y in cell[a_pos + 1 :]:
-                if not control_consistent(ctx, agent, x, y):
-                    return CoverVerdict(
-                        False,
-                        f"states {names[x]!r} and {names[y]!r} share a cell but are "
-                        f"not control consistent for agent {agent}",
-                    )
-        cell_of = cover.cell_of
-        targets: dict[int, int] = {}
-        for x in cell:
-            for ev, y in sup.out(x):
-                prev = targets.get(ev)
-                if prev is None:
-                    targets[ev] = cell_of[y]
-                elif prev != cell_of[y]:
-                    return CoverVerdict(
-                        False,
-                        f"cell of {names[cell[0]]!r} steps to two cells on {events[ev]!r}",
-                    )
+        for x, y in combinations(cell, 2):
+            witness = _pair_clash(sup, ctx, agent, cover.cell_of, x, y)
+            if witness is not None:
+                return CoverVerdict(False, witness)
     return CoverVerdict(True)
 
 
@@ -568,30 +497,16 @@ def is_maximally_reduced(
     the union cell needs revalidation against the merged partition).
     """
     cells = cover.cells()
-    cell_of = list(cover.cell_of)
     for a_pos in range(len(cells)):
         for b_pos in range(a_pos + 1, len(cells)):
-            union = cells[a_pos] + cells[b_pos]
-            merged = cell_of[:]
-            ident = merged[union[0]]
+            merged = list(cover.cell_of)
+            ident = merged[cells[a_pos][0]]
             for x in cells[b_pos]:
                 merged[x] = ident
-            if _cell_is_consistent(sup, ctx, agent, sorted(union), merged):
-                return False
-    return True
-
-
-def _cell_is_consistent(sup, ctx, agent, cell, cell_of) -> bool:
-    for a_pos, x in enumerate(cell):
-        for y in cell[a_pos + 1 :]:
-            if not control_consistent(ctx, agent, x, y):
-                return False
-    targets: dict[int, int] = {}
-    for x in cell:
-        for ev, y in sup.out(x):
-            prev = targets.get(ev)
-            if prev is None:
-                targets[ev] = cell_of[y]
-            elif prev != cell_of[y]:
+            union = sorted(cells[a_pos] + cells[b_pos])
+            if not any(
+                _pair_clash(sup, ctx, agent, merged, x, y)
+                for x, y in combinations(union, 2)
+            ):
                 return False
     return True

@@ -44,9 +44,6 @@ class SplitMix64:
         """True with probability num/den."""
         return self.below(den) < num
 
-    def choice(self, items):
-        return items[self.below(len(items))]
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by below()."""
         for i in range(len(items) - 1, 0, -1):

@@ -19,29 +19,10 @@ from .context import ControlContext, build_context
 from .localization import (
     Cover,
     LocalSupervisor,
+    _pair_clash,
     build_local_supervisor,
-    control_consistent,
     localize,
 )
-
-
-@dataclass(frozen=True)
-class StateCorrespondence:
-    """Name-based state correspondence between a base and a variant automaton."""
-
-    retained: frozenset
-    removed: frozenset
-    added: frozenset
-
-
-def state_correspondence(base: Automaton, variant: Automaton) -> StateCorrespondence:
-    base_names = set(base.states)
-    variant_names = set(variant.states)
-    return StateCorrespondence(
-        retained=frozenset(base_names & variant_names),
-        removed=frozenset(base_names - variant_names),
-        added=frozenset(variant_names - base_names),
-    )
 
 
 def carry_over_cover(base_cover: Cover, base: Automaton, variant: Automaton) -> Cover:
@@ -98,8 +79,6 @@ def isolate(
 
     base_names = set(base.states)
     retained = [x for x in range(variant.n_states) if variant.states[x] in base_names]
-    enabled = ctx.enabled
-    succ = variant.succ_maps
 
     changed = True
     while changed:
@@ -108,23 +87,11 @@ def isolate(
             cell = members[cell_of[x]]
             if len(cell) == 1:
                 continue
-            sx = succ[x]
-            ex = enabled[x]
-            conflict = False
-            for y in sorted(cell):
-                if y == x:
-                    continue
-                if not control_consistent(ctx, agent, x, y):
-                    conflict = True
-                    break
-                sy = succ[y]
-                for ev in ex & enabled[y]:
-                    if cell_of[sx[ev]] != cell_of[sy[ev]]:
-                        conflict = True
-                        break
-                if conflict:
-                    break
-            if conflict:
+            if any(
+                _pair_clash(variant, ctx, agent, cell_of, x, y)
+                for y in cell
+                if y != x
+            ):
                 cell.remove(x)
                 cell_of[x] = next_id
                 members[next_id] = [x]

@@ -200,3 +200,36 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
                 pair_of[nx] = ny
                 queue.append(nx)
     return len(pair_of) == a.n_states and len(set(pair_of.values())) == a.n_states
+
+
+def language_upto(a: Automaton, max_len: int) -> set[tuple[str, ...]]:
+    """All event-name traces of length at most ``max_len`` accepted by ``a``."""
+    words: set[tuple[str, ...]] = set()
+    events = a.alphabet.events
+
+    def walk(x: int, prefix: tuple[str, ...]) -> None:
+        words.add(prefix)
+        if len(prefix) == max_len:
+            return
+        for ev, y in a.out(x):
+            walk(y, prefix + (events[ev],))
+
+    walk(a.initial, ())
+    return words
+
+
+def marked_language_upto(a: Automaton, max_len: int) -> set[tuple[str, ...]]:
+    """Traces of length at most ``max_len`` that end in a marked state."""
+    words: set[tuple[str, ...]] = set()
+    events = a.alphabet.events
+
+    def walk(x: int, prefix: tuple[str, ...]) -> None:
+        if x in a.marked:
+            words.add(prefix)
+        if len(prefix) == max_len:
+            return
+        for ev, y in a.out(x):
+            walk(y, prefix + (events[ev],))
+
+    walk(a.initial, ())
+    return words

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from suploc.automata import language_upto, marked_language_upto, sync_product
+from suploc.automata import sync_product
 from suploc.bench import run_bench
 from suploc.context import build_context
 from suploc.equivalence import check_control_equivalence, controlled_behavior
@@ -38,7 +38,7 @@ from suploc.localization import (
 from suploc.rng import SplitMix64
 from suploc.transform import AgentMapping, carry_over_cover, isolate, tsl
 
-from .instances import mutate_system, systems_corpus
+from .instances import language_upto, marked_language_upto, mutate_system, systems_corpus
 
 BENCH_SEED = 7
 BENCH_RUNS = 10

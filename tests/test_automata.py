@@ -11,7 +11,6 @@ from suploc.automata import (
     EventTable,
     FormatError,
     apply_state_order,
-    language_upto,
     parse_automaton,
     project_state_names,
     reachable_trim,
@@ -20,7 +19,7 @@ from suploc.automata import (
 )
 from suploc.rng import SplitMix64
 
-from .instances import isomorphic, random_plant, random_table
+from .instances import isomorphic, language_upto, random_plant, random_table
 
 MINIMAL = """
 [EVENTS]

@@ -66,20 +66,11 @@ def test_bench_deterministic_cells_given_seed():
         )
 
 
-def test_bench_concurrent_timing_same_cells():
-    a = run_bench(variants=("v1",), levels=2, runs=1, seed=5)
-    b = run_bench(variants=("v1",), levels=2, runs=1, seed=5, timing="concurrent")
-    cells = lambda rep: [
-        (r.variant, r.agent, r.cells_sl, r.cells_tsl) for r in rep.rows
-    ]
-    assert cells(a) == cells(b)
-
-
 def test_bench_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run_bench(runs=0)
-    with pytest.raises(ValueError):
-        run_bench(timing="fast")
+    with pytest.raises(ValueError, match="unknown variant"):
+        run_bench(variants=("v9",), levels=2)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +191,80 @@ def test_cli_usage_error_exit_code(tmp_path):
     bad.write_text("[EVENTS]\nnot enough tokens\n", encoding="utf-8")
     code = run_cli("localize", "--plant", str(bad), "--sup", str(bad))
     assert code == 2
+
+
+def test_cli_isolate_rejects_agent_out_of_range(tmp_path, capsys):
+    for agent in ("0", "3"):
+        code = run_cli(
+            "isolate",
+            "--base-cover", str(tmp_path / "never-read.cover"),
+            "--base-sup", str(DATA / "example1.aut"),
+            "--plant", str(DATA / "example1_variant_plant.aut"),
+            "--sup", str(DATA / "example1.aut"),
+            "--agent", agent,
+            "--out", str(tmp_path / "iso.cover"),
+        )
+        assert code == 2
+        assert f"agent {agent} not in 1..1" in capsys.readouterr().err
+    assert not (tmp_path / "iso.cover").exists()
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("1 1\n5 1\n", "line 2: variant agent 5 not in 1..1"),
+        ("0 1\n", "line 1: variant agent 0 not in 1..1"),
+        ("1 1\n1 0\n", "line 2: variant agent 1 mapped twice"),
+        ("# base agents\n1 2\n", "line 2: base agent 2 not in 0..1"),
+        ("1 -1\n", "line 1: base agent -1 not in 0..1"),
+    ],
+)
+def test_cli_tsl_rejects_bad_mapping(tmp_path, capsys, lines, message):
+    base = tmp_path / "base"
+    assert run_cli(
+        "localize",
+        "--plant", str(DATA / "example1_plant.aut"),
+        "--sup", str(DATA / "example1.aut"),
+        "--out-prefix", str(base),
+    ) == 0
+    mapping = tmp_path / "mapping.txt"
+    mapping.write_text(lines, encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli(
+        "tsl",
+        "--base-cover", str(tmp_path / "base.agent1.cover"),
+        "--base-sup", str(DATA / "example1.aut"),
+        "--plant", str(DATA / "example1_variant_plant.aut"),
+        "--sup", str(DATA / "example1.aut"),
+        "--mapping", str(mapping),
+        "--out-prefix", str(tmp_path / "variant"),
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "variant.agent1.cover").exists()
+
+
+def test_cli_rejects_supervisor_outside_plant(tmp_path, capsys):
+    # one transition more than example1_plant.aut has: a at x3
+    text = (DATA / "example1.aut").read_text(encoding="utf-8") + "x3 a x0\n"
+    sup = tmp_path / "sup.aut"
+    sup.write_text(text, encoding="utf-8")
+    plant = str(DATA / "example1_plant.aut")
+    base_cover = tmp_path / "base.cover"
+    base_cover.write_text("cell 0: x0 x3 x4\ncell 1: x1 x2\n", encoding="utf-8")
+    commands = [
+        ("localize", "--plant", plant, "--sup", str(sup), "--out-prefix", str(tmp_path / "l")),
+        ("isolate", "--base-cover", str(base_cover), "--base-sup", str(sup),
+         "--plant", plant, "--sup", str(sup), "--agent", "1", "--out", str(tmp_path / "i.cover")),
+        ("tsl", "--base-cover", str(base_cover), "--base-sup", str(sup),
+         "--plant", plant, "--sup", str(sup), "--out-prefix", str(tmp_path / "t")),
+    ]
+    for argv in commands:
+        assert run_cli(*argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert "not a sub-behavior of the plant" in err
+        assert "supervisor state 'x3' takes 'a'" in err
+    assert set(tmp_path.iterdir()) == {base_cover, sup}
 
 
 def test_cli_bench_writes_reports(tmp_path, capsys, monkeypatch):

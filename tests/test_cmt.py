@@ -1,9 +1,11 @@
 """Tower generator: topology, variants, supervisor sizes, safety invariants."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
+from suploc.automata import write_automaton
 from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
 
 DATA = Path(__file__).parent / "data"
@@ -15,6 +17,20 @@ PUBLISHED_SIZES = {
     "v3": (270, 853),
     "v4": (309, 986),
     "v5": (403, 1304),
+}
+
+
+# Leading sha256 hex digits of write_automaton for the four-level systems.
+# State order is part of the golden bytes: it seeds the bench's random
+# permutations, so a product or synthesis change that reorders states
+# changes every seeded result even when the sizes stay the same.
+GOLDEN_SHA256 = {
+    "base": ("694960af8dd593a4", "cb6c67ee2dadddc0"),
+    "v1": ("26e4bd1a9c27e891", "45025652e544d209"),
+    "v2": ("8309125fe7f55f07", "7b6ad08930307365"),
+    "v3": ("fe276a66cbf9cfd0", "cb6c67ee2dadddc0"),
+    "v4": ("a7a442c28a344e1b", "49c0a88a163eaaab"),
+    "v5": ("4c0d1afee86f102c", "661bf536c15427f8"),
 }
 
 
@@ -102,6 +118,16 @@ def test_initial_state_encodes_start_configuration(cmt_supervisors):
 def test_supervisor_sizes_match_published(cmt_supervisors, variant):
     sup = cmt_supervisors[variant]
     assert (sup.n_states, sup.n_transitions) == PUBLISHED_SIZES[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_SHA256))
+def test_supervisor_and_plant_bytes_match_golden(cmt_supervisors, cmt_plants, variant):
+    def digest(aut):
+        return hashlib.sha256(write_automaton(aut).encode("utf-8")).hexdigest()[:16]
+
+    assert (digest(cmt_supervisors[variant]), digest(cmt_plants[variant])) == (
+        GOLDEN_SHA256[variant]
+    )
 
 
 def test_supervisor_never_colocates(cmt_supervisors):

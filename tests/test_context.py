@@ -84,6 +84,23 @@ def test_alphabet_mismatch_rejected(corpus_sup, corpus_agents):
         build_context(plant, corpus_sup, corpus_agents)
 
 
+def test_supervisor_outside_plant_rejected(corpus_plant, corpus_sup, corpus_agents):
+    # the plant lacks a at x3; a supervisor taking it there is not a
+    # sub-behavior of the plant
+    extra = (corpus_sup.index_of("x3"), corpus_sup.alphabet.index("a"), 0)
+    sup = Automaton(
+        corpus_sup.states,
+        corpus_sup.alphabet,
+        [*corpus_sup.iter_transitions(), extra],
+        corpus_sup.initial,
+        corpus_sup.marked,
+    )
+    with pytest.raises(ValueError, match="sub-behavior") as info:
+        build_context(corpus_plant, sup, corpus_agents)
+    assert "supervisor state 'x3' takes 'a'" in str(info.value)
+    assert "plant state 'x3'" in str(info.value)
+
+
 def _oracle_disabled(plant, sup, agent_spec, depth):
     """Withheld events per supervisor state by brute-force enumeration of all
     joint traces up to the given length (no visited-set shortcuts)."""

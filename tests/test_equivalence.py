@@ -1,12 +1,6 @@
 """Control equivalence: closed-loop comparison and counterexamples."""
 
-from suploc.automata import (
-    Automaton,
-    language_upto,
-    marked_language_upto,
-    reachable_trim,
-    sync_product,
-)
+from suploc.automata import Automaton, reachable_trim, sync_product
 from suploc.context import build_context
 from suploc.equivalence import (
     check_control_equivalence,
@@ -16,11 +10,11 @@ from suploc.equivalence import (
 from suploc.localization import LocalSupervisor, build_local_supervisor, localize
 from suploc.rng import SplitMix64
 
-from .instances import isomorphic, systems_corpus
+from .instances import isomorphic, language_upto, marked_language_upto, systems_corpus
 
 
 def as_loc(aut, agent=1):
-    return LocalSupervisor(aut, None, agent)
+    return LocalSupervisor(aut, agent)
 
 
 def test_controlled_behavior_empty_supervisor_list(corpus_plant):

@@ -7,9 +7,9 @@ from suploc.context import build_context
 from suploc.localization import (
     Cover,
     InvalidCoverError,
-    WaitList,
+    _Cells,
+    _check_merge,
     build_local_supervisor,
-    check_merge,
     control_consistent,
     is_control_congruence,
     is_maximally_reduced,
@@ -36,7 +36,8 @@ def test_cover_from_cells_and_equality():
     assert a == b
     assert a.n_cells == 2
     assert a.cells() == [[0, 3, 4], [1, 2]]
-    assert a.canonical().cell_of == (0, 1, 1, 0, 0)
+    # cells are ordered by least member whatever the identifiers
+    assert Cover([9, 7, 7, 9, 9]).cells() == a.cells()
 
 
 def test_cover_from_cells_rejects_bad_partitions():
@@ -53,14 +54,12 @@ def test_cover_serialization_roundtrip(corpus_sup):
     assert parse_cover(text, corpus_sup) == cover
 
 
-def test_wait_list_is_symmetric():
-    w = WaitList()
-    w.add(3, 1)
-    assert w.contains(1, 3) and w.contains(3, 1)
-    assert set(w.neighbors(1)) == {3}
-    assert set(w.neighbors(3)) == {1}
-    w.add(1, 3)
-    assert len(w) == 1
+def test_wait_list_is_symmetric(corpus_sup, corpus_ctx):
+    # the wait list holds each pair once, smaller index first, whichever way
+    # round the merge is asked for
+    cells = _Cells(Cover.singleton(5))
+    assert _check_merge(0, 3, 0, corpus_sup, corpus_ctx, cells, 1) == {(0, 3)}
+    assert _check_merge(3, 0, 0, corpus_sup, corpus_ctx, cells, 1) == {(0, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -94,30 +93,30 @@ def test_consistency_marking_condition():
 
 
 # ---------------------------------------------------------------------------
-# check_merge
+# merge-exploration engine
 
 
-def test_check_merge_skips_pair_already_linked(corpus_sup, corpus_ctx):
-    w = WaitList()
-    w.add(0, 3)
-    cover = Cover.singleton(5)
-    flag, w2 = check_merge(0, 3, w, 0, corpus_sup, corpus_ctx, cover, 1)
-    assert flag
-    assert len(w2) == 1
+def test_check_merge_skips_pair_already_linked():
+    from suploc.automata import Automaton, EventTable
+    from suploc.context import agents_from_table
+
+    # both states loop on a, so exploring (p, q) leads back to (p, q); the
+    # engine must skip the linked pair instead of exploring it again
+    table = EventTable(("a", "b"), (True, True), (1, 1))
+    sup = Automaton(["p", "q"], table, [(0, 0, 0), (0, 1, 1), (1, 0, 1)], 0)
+    ctx = build_context(sup, sup, agents_from_table(table))
+    assert _check_merge(0, 1, 0, sup, ctx, _Cells(Cover.singleton(2)), 1) == {(0, 1)}
 
 
 def test_check_merge_corpus_outcomes(corpus_sup, corpus_ctx):
-    cover = Cover.singleton(5)
-    flag, _ = check_merge(0, 1, WaitList(), 0, corpus_sup, corpus_ctx, cover, 1)
-    assert not flag
-    flag, w = check_merge(0, 3, WaitList(), 0, corpus_sup, corpus_ctx, cover, 1)
-    assert flag
-    assert w.contains(0, 3)
+    cells = _Cells(Cover.singleton(5))
+    assert _check_merge(0, 1, 0, corpus_sup, corpus_ctx, cells, 1) is None
+    assert _check_merge(0, 3, 0, corpus_sup, corpus_ctx, cells, 1) == {(0, 3)}
+    # {x1,x2} entails {x3,x4} through their c-successors
+    assert _check_merge(1, 2, 0, corpus_sup, corpus_ctx, cells, 1) == {(1, 2), (3, 4)}
     # after committing {x0,x3}, x4 joins to form one cell of three states
-    cover2 = Cover.from_cells([[0, 3], [1], [2], [4]], 5)
-    flag, w = check_merge(0, 4, WaitList(), 0, corpus_sup, corpus_ctx, cover2, 1)
-    assert flag
-    assert w.contains(0, 4) and w.contains(3, 4)
+    cells2 = _Cells(Cover.from_cells([[0, 3], [1], [2], [4]], 5))
+    assert _check_merge(0, 4, 0, corpus_sup, corpus_ctx, cells2, 1) == {(0, 4), (3, 4)}
 
 
 def test_check_merge_symmetric_on_random_instances():
@@ -130,10 +129,10 @@ def test_check_merge_symmetric_on_random_instances():
         i = rng.below(n - 1)
         j = i + 1 + rng.below(n - i - 1)
         for spec in agents:
-            cover = Cover.singleton(n)
-            f1, _ = check_merge(i, j, WaitList(), i, sup, ctx, cover, spec.agent_index)
-            f2, _ = check_merge(j, i, WaitList(), i, sup, ctx, cover, spec.agent_index)
-            assert f1 == f2
+            cells = _Cells(Cover.singleton(n))
+            p1 = _check_merge(i, j, i, sup, ctx, cells, spec.agent_index)
+            p2 = _check_merge(j, i, i, sup, ctx, cells, spec.agent_index)
+            assert (p1 is None) == (p2 is None)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +154,6 @@ def test_localize_variant_from_isolated_cover(corpus_sup, corpus_variant_ctx):
     init = Cover.from_cells([[0], [1, 2], [3, 4]], 5)
     cover = localize(corpus_sup, corpus_variant_ctx, 1, init)
     assert named_cells(cover, corpus_sup) == [["x0"], ["x1", "x2", "x3", "x4"]]
-
-
-def test_localize_checks_init_when_asked(corpus_sup, corpus_variant_ctx):
-    bad_init = Cover.from_cells([[0, 3, 4], [1, 2]], 5)
-    with pytest.raises(InvalidCoverError):
-        localize(corpus_sup, corpus_variant_ctx, 1, bad_init, check_init=True)
 
 
 def test_localize_outputs_valid_and_maximally_reduced():

@@ -15,7 +15,6 @@ from suploc.transform import (
     AgentMapping,
     carry_over_cover,
     isolate,
-    state_correspondence,
     tsl,
 )
 
@@ -24,18 +23,6 @@ from .instances import mutate_system, systems_corpus
 
 def named_cells(cover, aut):
     return [[aut.states[x] for x in cell] for cell in cover.cells()]
-
-
-def test_state_correspondence_by_name(corpus_sup):
-    from suploc.automata import Automaton
-
-    variant = Automaton(
-        ["x0", "x2", "x9"], corpus_sup.alphabet, [], 0
-    )
-    corr = state_correspondence(corpus_sup, variant)
-    assert corr.retained == {"x0", "x2"}
-    assert corr.removed == {"x1", "x3", "x4"}
-    assert corr.added == {"x9"}
 
 
 def test_carry_over_unchanged_states(corpus_sup):
