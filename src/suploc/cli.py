@@ -28,6 +28,7 @@ from .localization import (
     InvalidCoverError,
     LocalSupervisor,
     build_local_supervisor,
+    is_control_congruence,
     load_cover,
     localize,
     save_cover,
@@ -94,8 +95,13 @@ def _cmd_localize(args) -> int:
     agents = agents_from_table(sup.alphabet)
     ctx = build_context(plant, sup, agents)
     prefix = args.out_prefix or Path(args.sup).stem
-    for k in _agent_range(args, sup.alphabet):
-        cover = localize(sup, ctx, k)
+    covers = {k: localize(sup, ctx, k) for k in _agent_range(args, sup.alphabet)}
+    for k, cover in covers.items():
+        verdict = is_control_congruence(sup, ctx, k, cover)
+        if not verdict:
+            print(f"verification failure: agent {k}: {verdict.witness}", file=sys.stderr)
+            return 1
+    for k, cover in covers.items():
         _save_agent(prefix, sup, k, cover, build_local_supervisor(sup, cover, k))
     return 0
 
@@ -155,12 +161,15 @@ def _cmd_tsl(args) -> int:
 
 
 def _cmd_check_equiv(args) -> int:
-    plant = _load_plant(args.plant)
+    plants = [load_automaton(p) for p in args.plant]
     sup = load_automaton(args.sup)
-    locs = [
-        LocalSupervisor(load_automaton(p), i + 1)
-        for i, p in enumerate(args.loc)
-    ]
+    locs = []
+    for i, path in enumerate(args.loc):
+        loc = load_automaton(path)
+        if loc.alphabet != plants[0].alphabet:
+            raise FormatError(f"--loc {path}: event table differs from the plant's")
+        locs.append(LocalSupervisor(loc, i + 1))
+    plant = reachable_trim(sync_product(plants))
     verdict = check_control_equivalence(plant, sup, locs)
     if verdict:
         print("EQUIVALENT")
@@ -176,7 +185,10 @@ def _cmd_bench(args) -> int:
     seed = args.seed
     env_seed = os.environ.get("DES_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise FormatError(f"DES_SEED must be an integer, got {env_seed!r}") from None
     variants = BENCH_VARIANTS if args.variant == "all" else tuple(args.variant.split(","))
     for v in variants:
         if v not in VARIANTS:

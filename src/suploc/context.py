@@ -13,8 +13,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, getitem
 
-from .automata import Automaton, EventTable, _product
+from .automata import (
+    Automaton,
+    EventTable,
+    _event_mask,
+    _mask_events,
+    _product,
+    _tuple_marked,
+    _tuple_names,
+)
 
 #: Reserved state name marking a forbidden sink in requirement automata.
 FORBIDDEN_STATE = "bad"
@@ -146,21 +156,13 @@ def synthesize_monolithic(plants, requirements=()) -> Automaton:
     table = plants[0].alphabet
     comps = plants + requirements
     order, succ = _product(comps)
+    unc = _event_mask(e for e in range(table.n_events) if not table.controllable[e])
+    plant_masks = [[_event_mask(row) for row in a.succ_maps] for a in plants]
+    plant_unc = [_mask_events(reduce(and_, map(getitem, plant_masks, t), unc)) for t in order]
+    bad = [[name == FORBIDDEN_STATE for name in a.states] for a in requirements]
     n_plants = len(plants)
-    unc_events = tuple(e for e in range(table.n_events) if not table.controllable[e])
-    plant_unc = [
-        tuple(
-            e
-            for e in unc_events
-            if all(comps[i].step(t[i], e) is not None for i in range(n_plants))
-        )
-        for t in order
-    ]
-    forbidden = [
-        any(comps[i].states[t[i]] == FORBIDDEN_STATE for i in range(n_plants, len(comps)))
-        for t in order
-    ]
-    all_marked = [all(c in a.marked for a, c in zip(comps, t)) for t in order]
+    forbidden = [any(map(getitem, bad, t[n_plants:])) for t in order]
+    all_marked = _tuple_marked(comps, order)
 
     preds: list[list[int]] = [[] for _ in order]
     for src, row in enumerate(succ):
@@ -212,9 +214,6 @@ def synthesize_monolithic(plants, requirements=()) -> Automaton:
         for ev, tgt in succ[src].items()
         if tgt in reach
     ]
-    names = [
-        "|".join(a.states[c] for a, c in zip(comps, order[i]))
-        for i in keep
-    ]
+    names = _tuple_names(comps, [order[i] for i in keep])
     marked = [remap[i] for i in keep if all_marked[i]]
     return Automaton(names, table, triples, remap[0], marked)

@@ -202,6 +202,40 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
     return len(pair_of) == a.n_states and len(set(pair_of.values())) == a.n_states
 
 
+def reference_product(automata):
+    """Step-based synchronous product: the components' tuples in breadth-first
+    discovery order and a ``{event: target index}`` row per tuple. Events
+    are tried in component 0's ascending order; every other component is
+    stepped on each."""
+    first, rest = automata[0], automata[1:]
+    init = tuple(a.initial for a in automata)
+    index = {init: 0}
+    order = [init]
+    rows = []
+    queue = deque((init,))
+    while queue:
+        t = queue.popleft()
+        row = {}
+        for ev, d0 in first.out(t[0]):
+            dst = [d0]
+            for a, comp in zip(rest, t[1:]):
+                nxt = a.step(comp, ev)
+                if nxt is None:
+                    break
+                dst.append(nxt)
+            else:
+                tt = tuple(dst)
+                tgt = index.get(tt)
+                if tgt is None:
+                    tgt = len(order)
+                    index[tt] = tgt
+                    order.append(tt)
+                    queue.append(tt)
+                row[ev] = tgt
+        rows.append(row)
+    return order, rows
+
+
 def language_upto(a: Automaton, max_len: int) -> set[tuple[str, ...]]:
     """All event-name traces of length at most ``max_len`` accepted by ``a``."""
     words: set[tuple[str, ...]] = set()

@@ -10,6 +10,7 @@ from suploc.automata import (
     Automaton,
     EventTable,
     FormatError,
+    _product,
     apply_state_order,
     parse_automaton,
     project_state_names,
@@ -19,7 +20,13 @@ from suploc.automata import (
 )
 from suploc.rng import SplitMix64
 
-from .instances import isomorphic, language_upto, random_plant, random_table
+from .instances import (
+    isomorphic,
+    language_upto,
+    random_plant,
+    random_table,
+    reference_product,
+)
 
 MINIMAL = """
 [EVENTS]
@@ -96,6 +103,42 @@ def test_event_table_validation():
         EventTable(("a", "b"), (True, True), (1, 3))
     with pytest.raises(ValueError, match="start at 1"):
         EventTable(("a",), (True,), (0,))
+
+
+@pytest.mark.parametrize(
+    "name", ["a b", "a\tb", " a", "a\n", "a#b", "[a", "a\xa0b", "a\x1cb", "a\u2028b"]
+)
+def test_state_and_event_names_rejected(name):
+    with pytest.raises(ValueError, match="invalid state name"):
+        Automaton([name], table_abc((1,)), [], 0)
+    with pytest.raises(ValueError, match="invalid event name"):
+        EventTable((name,), (True,), (1,))
+
+
+def test_product_matches_step_oracle():
+    # Components are random plants, a two-state automaton whose second
+    # state (reached on e0) is dead, and a one-state automaton that
+    # self-loops on every event; the kernel must give the oracle's tuples,
+    # order and rows.
+    rng = SplitMix64(20261018)
+    kinds_seen = set()
+    for _ in range(300):
+        table = random_table(rng)
+        n_ev = table.n_events
+        dead = Automaton(
+            ["d0", "d1"], table, [(0, e, 1 if e == 0 else rng.below(2)) for e in range(n_ev)], 0
+        )
+        loops = Automaton(["u"], table, [(0, e, 0) for e in range(n_ev)], 0, [0])
+        comps = []
+        for _ in range(1 + rng.below(4)):
+            kind = rng.below(4)
+            kinds_seen.add(min(kind, 2))
+            comps.append(dead if kind == 0 else loops if kind == 1 else random_plant(rng, table, 8))
+        order, rows = _product(comps)
+        ref_order, ref_rows = reference_product(comps)
+        assert order == ref_order
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
+    assert kinds_seen == {0, 1, 2}
 
 
 def test_sync_product_neutral_element(corpus_sup):

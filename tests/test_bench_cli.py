@@ -159,6 +159,44 @@ def test_cli_check_equiv_detects_mutant(tmp_path, capsys):
     assert "trace:" in out
 
 
+def test_cli_check_equiv_rejects_loc_over_other_events(tmp_path, capsys, monkeypatch):
+    from suploc import cli
+    from suploc.automata import Automaton, EventTable, save_automaton
+
+    def no_product(automata):
+        raise AssertionError("a product was built before the --loc files were checked")
+
+    monkeypatch.setattr(cli, "sync_product", no_product)
+    one_event = Automaton(["q"], EventTable(("z",), (True,), (1,)), [(0, 0, 0)], 0, [0])
+    loc = tmp_path / "one_event.aut"
+    save_automaton(one_event, loc)
+    code = run_cli(
+        "check-equiv",
+        "--plant", str(DATA / "example1_plant.aut"),
+        "--sup", str(DATA / "example1.aut"),
+        "--loc", str(loc),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --loc {loc}: event table differs from the plant's\n"
+
+
+def test_cli_localize_refuses_non_congruence(tmp_path, capsys, monkeypatch):
+    from suploc import cli
+    from suploc.localization import Cover
+
+    # one cell for every state: example1's agent 1 needs two cells
+    monkeypatch.setattr(cli, "localize", lambda sup, ctx, k: Cover([0] * sup.n_states))
+    code = run_cli(
+        "localize",
+        "--plant", str(DATA / "example1_plant.aut"),
+        "--sup", str(DATA / "example1.aut"),
+        "--out-prefix", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("verification failure: agent 1: states ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_gen_cmt_files_parse_and_synthesize(tmp_path):
     out = tmp_path / "cmt"
     assert run_cli(
@@ -291,6 +329,18 @@ def test_cli_bench_writes_reports(tmp_path, capsys, monkeypatch):
     for a, b in zip(rows, rows2):
         assert a["cells_sl"] == b["cells_sl"]
         assert a["cells_tsl"] == b["cells_tsl"]
+
+
+def test_cli_bench_rejects_non_integer_des_seed(capsys, monkeypatch):
+    from suploc import cli
+
+    def no_bench(**kwargs):
+        raise AssertionError("bench work started")
+
+    monkeypatch.setattr(cli, "run_bench", no_bench)
+    monkeypatch.setenv("DES_SEED", "abc")
+    assert run_cli("bench", "--variant", "v1", "--levels", "2", "--runs", "1") == 2
+    assert capsys.readouterr().err == "error: DES_SEED must be an integer, got 'abc'\n"
 
 
 def test_console_script_help():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from suploc.automata import write_automaton
+from suploc.automata import reachable_trim, sync_product, write_automaton
 from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
 
 DATA = Path(__file__).parent / "data"
@@ -32,6 +32,14 @@ GOLDEN_SHA256 = {
     "v4": ("a7a442c28a344e1b", "49c0a88a163eaaab"),
     "v5": ("4c0d1afee86f102c", "661bf536c15427f8"),
 }
+
+# The same digits for the three-level, two-animal supervisor (29,159 states)
+# and reachable plant product (50,625 states).
+GOLDEN_SHA256_3X2 = ("468e46771aeff76e", "922a02a42fa39776")
+
+
+def digest(aut):
+    return hashlib.sha256(write_automaton(aut).encode("utf-8")).hexdigest()[:16]
 
 
 def split_config(name):
@@ -122,12 +130,16 @@ def test_supervisor_sizes_match_published(cmt_supervisors, variant):
 
 @pytest.mark.parametrize("variant", sorted(GOLDEN_SHA256))
 def test_supervisor_and_plant_bytes_match_golden(cmt_supervisors, cmt_plants, variant):
-    def digest(aut):
-        return hashlib.sha256(write_automaton(aut).encode("utf-8")).hexdigest()[:16]
-
     assert (digest(cmt_supervisors[variant]), digest(cmt_plants[variant])) == (
         GOLDEN_SHA256[variant]
     )
+
+
+def test_two_animal_bytes_match_golden():
+    system = gen_cmt(CmtConfig(3, 2))
+    sup = synthesize_cmt(system)
+    plant = reachable_trim(sync_product(system.plants))
+    assert (digest(sup), digest(plant)) == GOLDEN_SHA256_3X2
 
 
 def test_supervisor_never_colocates(cmt_supervisors):

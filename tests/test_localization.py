@@ -167,6 +167,21 @@ def test_localize_outputs_valid_and_maximally_reduced():
             assert is_maximally_reduced(sup, ctx, k, cover)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: one _check_merge wait list's closure merges states "
+    "whose pair the engine never examined",
+)
+@pytest.mark.parametrize("seed, position", [(2, 94), (3, 175)])
+def test_localize_agent1_congruence_on_corpus_defects(seed, position):
+    plant, sup, agents = next(
+        system for i, system in enumerate(systems_corpus(seed, 200)) if i == position
+    )
+    ctx = build_context(plant, sup, agents)
+    verdict = is_control_congruence(sup, ctx, 1, localize(sup, ctx, 1))
+    assert verdict, verdict.witness
+
+
 def test_localize_only_merges():
     rng = SplitMix64(99)
     for plant, sup, agents in systems_corpus(43, 30):
