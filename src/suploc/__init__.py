@@ -32,7 +32,6 @@ from .equivalence import (
     EquivalenceVerdict,
     check_control_equivalence,
     controlled_behavior,
-    replay_counterexample,
 )
 from .localization import (
     Cover,
@@ -96,7 +95,6 @@ __all__ = [
     "parse_cover",
     "project_state_names",
     "reachable_trim",
-    "replay_counterexample",
     "run_bench",
     "save_automaton",
     "save_cover",

@@ -36,9 +36,23 @@ from .localization import (
 from .transform import AgentMapping, isolate, tsl
 
 
-def _load_plant(paths):
+def _load_plants(paths):
     plants = [load_automaton(p) for p in paths]
-    return reachable_trim(sync_product(plants))
+    for path, plant in zip(paths[1:], plants[1:]):
+        if plant.alphabet != plants[0].alphabet:
+            raise FormatError(f"--plant {path}: event table differs from the first plant's")
+    return plants
+
+
+def _load_plant(paths):
+    return reachable_trim(sync_product(_load_plants(paths)))
+
+
+def _load_over(table, flag, path):
+    aut = load_automaton(path)
+    if aut.alphabet != table:
+        raise FormatError(f"{flag} {path}: event table differs from the plant's")
+    return aut
 
 
 def _cmd_gen_cmt(args) -> int:
@@ -63,7 +77,9 @@ def _cmd_gen_cmt(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    plants = [load_automaton(p) for p in args.plant]
+    if args.name_components < 0:
+        raise FormatError("--name-components must be at least 0")
+    plants = _load_plants(args.plant)
     requirements = [load_automaton(p) for p in args.req]
     sup = synthesize_monolithic(plants, requirements)
     if args.name_components:
@@ -161,14 +177,13 @@ def _cmd_tsl(args) -> int:
 
 
 def _cmd_check_equiv(args) -> int:
-    plants = [load_automaton(p) for p in args.plant]
-    sup = load_automaton(args.sup)
-    locs = []
-    for i, path in enumerate(args.loc):
-        loc = load_automaton(path)
-        if loc.alphabet != plants[0].alphabet:
-            raise FormatError(f"--loc {path}: event table differs from the plant's")
-        locs.append(LocalSupervisor(loc, i + 1))
+    plants = _load_plants(args.plant)
+    table = plants[0].alphabet
+    sup = _load_over(table, "--sup", args.sup)
+    locs = [
+        LocalSupervisor(_load_over(table, "--loc", path), i + 1)
+        for i, path in enumerate(args.loc)
+    ]
     plant = reachable_trim(sync_product(plants))
     verdict = check_control_equivalence(plant, sup, locs)
     if verdict:

@@ -108,41 +108,3 @@ def check_control_equivalence(plant: Automaton, sup: Automaton, locs) -> Equival
                 queue.append(nxt)
     return EquivalenceVerdict(equivalent=True)
 
-
-def replay_counterexample(plant: Automaton, sup: Automaton, locs, verdict: EquivalenceVerdict) -> bool:
-    """Confirm that a negative verdict's trace exhibits a real discrepancy.
-
-    Simulates the trace on both closed loops component by component. For a
-    language discrepancy the final event must be executable on exactly one
-    side; for a marking discrepancy the whole trace must run on both sides
-    and end with differing conjunctive markings.
-    """
-    if verdict.equivalent or verdict.counterexample is None:
-        return False
-    side_locs = [plant] + [loc.automaton for loc in locs]
-    side_mono = [sup, plant]
-
-    def run(components, trace):
-        cursor = [a.initial for a in components]
-        for name in trace:
-            ev = plant.alphabet.index(name)
-            nxt = [a.step(c, ev) for a, c in zip(components, cursor)]
-            if any(n is None for n in nxt):
-                return None
-            cursor = nxt
-        return cursor
-
-    if verdict.failed == "language":
-        prefix = verdict.counterexample[:-1]
-        if run(side_locs, prefix) is None or run(side_mono, prefix) is None:
-            return False
-        full_locs = run(side_locs, verdict.counterexample)
-        full_mono = run(side_mono, verdict.counterexample)
-        return (full_locs is None) != (full_mono is None)
-    cur_locs = run(side_locs, verdict.counterexample)
-    cur_mono = run(side_mono, verdict.counterexample)
-    if cur_locs is None or cur_mono is None:
-        return False
-    marked_locs = all(a.is_marked(c) for a, c in zip(side_locs, cur_locs))
-    marked_mono = all(a.is_marked(c) for a, c in zip(side_mono, cur_mono))
-    return marked_locs != marked_mono

@@ -74,13 +74,10 @@ class Cover:
             groups.setdefault(ident, []).append(x)
         return sorted(groups.values(), key=lambda cell: cell[0])
 
-    def cell_sets(self) -> frozenset:
-        return frozenset(frozenset(cell) for cell in self.cells())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cover):
             return NotImplemented
-        return self.n_states == other.n_states and self.cell_sets() == other.cell_sets()
+        return self.cells() == other.cells()
 
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, cell)) + "}" for cell in self.cells())
@@ -98,6 +95,7 @@ def write_cover(cover: Cover, automaton: Automaton) -> str:
 
 def parse_cover(text: str, automaton: Automaton) -> Cover:
     cells: list[list[int]] = []
+    line_of: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,6 +109,11 @@ def parse_cover(text: str, automaton: Automaton) -> Cover:
             raise FormatError(str(exc), lineno) from None
         if not members:
             raise FormatError("empty cell", lineno)
+        for x in members:
+            if x in line_of:
+                where = "twice in one cell" if line_of[x] == lineno else "in two cells"
+                raise FormatError(f"state {automaton.states[x]!r} appears {where}", lineno)
+            line_of[x] = lineno
         cells.append(members)
     try:
         return Cover.from_cells(cells, automaton.n_states)
@@ -215,23 +218,6 @@ def _pair_clash(
     return None
 
 
-class _Frame:
-    """One suspended merge-exploration call: snapshots of the two extended
-    member lists plus the progress through their cross product."""
-
-    __slots__ = ("left", "right", "li", "ri", "sigmas", "si", "xp", "xq")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self.li = 0
-        self.ri = 0
-        self.sigmas = None
-        self.si = 0
-        self.xp = -1
-        self.xq = -1
-
-
 def _extended_members(cells: _Cells, adj: dict[int, set[int]], x: int) -> list[int]:
     # The cell of x plus every cell linked to one of its members through the
     # wait list, ascending by state index.
@@ -277,15 +263,12 @@ def _check_merge(
     wait list: every state pair (smaller index first) whose merge the
     candidate merge entails. ``cells`` is never changed.
 
-    The recursion of the textbook formulation is run on an explicit stack so
-    call depth cannot overflow on large supervisors; frames snapshot their
-    candidate member lists at entry and conditions are evaluated lazily,
-    which makes the visit order identical to the recursive version.
+    Each call of the textbook recursion is a generator ``explore(a, b)`` on
+    an explicit stack, so call depth cannot overflow on large supervisors. It
+    snapshots its two member lists when it starts and yields None on failure
+    or the next successor pair to explore, in the recursion's visit order.
     """
     enabled = ctx.enabled
-    dis = ctx.disabled[agent]
-    marked = ctx.marked
-    plant_marked = ctx.plant_marked
     succ = sup.succ_maps
     find = cells._find
     slot_of = cells._slot_of_state
@@ -293,66 +276,43 @@ def _check_merge(
     pairs: set[tuple[int, int]] = set()
     adj: dict[int, set[int]] = {}
 
-    def make_frame(a: int, b: int) -> _Frame:
-        return _Frame(_extended_members(cells, adj, a), _extended_members(cells, adj, b))
-
-    stack = [make_frame(x_i, x_j)]
-    while stack:
-        fr = stack[-1]
-        if fr.sigmas is not None:
-            pushed = False
-            sx = succ[fr.xp]
-            sy = succ[fr.xq]
-            sigmas = fr.sigmas
-            n_sig = len(sigmas)
-            while fr.si < n_sig:
-                ev = sigmas[fr.si]
-                fr.si += 1
-                sp = sx[ev]
-                sq = sy[ev]
-                ra = find(slot_of[sp])
-                rb = find(slot_of[sq])
-                if ra == rb or ((sp, sq) if sp <= sq else (sq, sp)) in pairs:
+    def explore(a: int, b: int):
+        left = _extended_members(cells, adj, a)
+        right = _extended_members(cells, adj, b)
+        for xp in left:
+            for xq in right:
+                # Self-pairs arise only when the extended member sets overlap
+                # through wait-list links; they are consistent no-ops.
+                key = (xp, xq) if xp <= xq else (xq, xp)
+                if xp == xq or key in pairs:
                     continue
-                if cell_min[ra] < floor or cell_min[rb] < floor:
-                    return None
-                stack.append(make_frame(sp, sq))
-                pushed = True
-                break
-            if pushed:
-                continue
-            fr.sigmas = None
-        advanced = False
-        left = fr.left
-        right = fr.right
-        n_right = len(right)
-        while fr.li < len(left):
-            xp = left[fr.li]
-            xq = right[fr.ri]
-            fr.ri += 1
-            if fr.ri >= n_right:
-                fr.ri = 0
-                fr.li += 1
-            # Self-pairs arise only when the two extended member sets overlap
-            # through wait-list links; they are trivially consistent no-ops.
-            key = (xp, xq) if xp <= xq else (xq, xp)
-            if xp == xq or key in pairs:
-                continue
-            if enabled[xp] & dis[xq] or enabled[xq] & dis[xp]:
-                return None
-            if plant_marked[xp] == plant_marked[xq] and marked[xp] != marked[xq]:
-                return None
-            pairs.add(key)
-            adj.setdefault(xp, set()).add(xq)
-            adj.setdefault(xq, set()).add(xp)
-            fr.xp = xp
-            fr.xq = xq
-            fr.sigmas = sorted(enabled[xp] & enabled[xq])
-            fr.si = 0
-            advanced = True
-            break
-        if not advanced:
+                if not control_consistent(ctx, agent, xp, xq):
+                    yield None
+                pairs.add(key)
+                adj.setdefault(xp, set()).add(xq)
+                adj.setdefault(xq, set()).add(xp)
+                sx = succ[xp]
+                sy = succ[xq]
+                for ev in sorted(enabled[xp] & enabled[xq]):
+                    sp = sx[ev]
+                    sq = sy[ev]
+                    ra = find(slot_of[sp])
+                    rb = find(slot_of[sq])
+                    if ra == rb or ((sp, sq) if sp <= sq else (sq, sp)) in pairs:
+                        continue
+                    if cell_min[ra] < floor or cell_min[rb] < floor:
+                        yield None
+                    yield sp, sq
+
+    stack = [explore(x_i, x_j)]
+    while stack:
+        step = next(stack[-1], False)
+        if step is False:
             stack.pop()
+        elif step is None:
+            return None
+        else:
+            stack.append(explore(*step))
     return pairs
 
 
@@ -376,10 +336,6 @@ def localize(
     if len(init.cell_of) != n:
         raise ValueError("init cover size does not match the supervisor")
     cells = _Cells(init)
-    enabled = ctx.enabled
-    dis = ctx.disabled[agent]
-    marked = ctx.marked
-    plant_marked = ctx.plant_marked
     find = cells._find
     slot_of = cells._slot_of_state
     cell_min = cells._min
@@ -392,9 +348,7 @@ def localize(
             # The first pair the engine would examine is exactly (i, j), so a
             # direct consistency violation can be rejected without setting up
             # a wait list.
-            if enabled[i] & dis[j] or enabled[j] & dis[i]:
-                continue
-            if plant_marked[i] == plant_marked[j] and marked[i] != marked[j]:
+            if not control_consistent(ctx, agent, i, j):
                 continue
             pairs = _check_merge(i, j, i, sup, ctx, cells, agent)
             if pairs is not None:

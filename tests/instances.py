@@ -1,5 +1,6 @@
-"""Seeded random system generators and small independent oracles shared by
-the test modules.
+"""Seeded random system generators, small independent oracles and the
+reference implementations the library is compared against, shared by the
+test modules.
 
 A "system" is a (plant, supervisor) pair over one event table plus the agent
 partition. Supervisors are built by withholding random controllable
@@ -14,6 +15,8 @@ from collections import deque
 
 from suploc.automata import Automaton, EventTable, reachable_trim
 from suploc.context import agents_from_table
+from suploc.equivalence import EquivalenceVerdict
+from suploc.localization import _extended_members
 from suploc.rng import SplitMix64
 
 
@@ -267,3 +270,138 @@ def marked_language_upto(a: Automaton, max_len: int) -> set[tuple[str, ...]]:
 
     walk(a.initial, ())
     return words
+
+
+def replay_counterexample(plant: Automaton, sup: Automaton, locs, verdict: EquivalenceVerdict) -> bool:
+    """Confirm that a negative verdict's trace exhibits a real discrepancy.
+
+    Simulates the trace on both closed loops component by component. For a
+    language discrepancy the final event must be executable on exactly one
+    side; for a marking discrepancy the whole trace must run on both sides
+    and end with differing conjunctive markings.
+    """
+    if verdict.equivalent or verdict.counterexample is None:
+        return False
+    side_locs = [plant] + [loc.automaton for loc in locs]
+    side_mono = [sup, plant]
+
+    def run(components, trace):
+        cursor = [a.initial for a in components]
+        for name in trace:
+            ev = plant.alphabet.index(name)
+            nxt = [a.step(c, ev) for a, c in zip(components, cursor)]
+            if any(n is None for n in nxt):
+                return None
+            cursor = nxt
+        return cursor
+
+    if verdict.failed == "language":
+        prefix = verdict.counterexample[:-1]
+        if run(side_locs, prefix) is None or run(side_mono, prefix) is None:
+            return False
+        full_locs = run(side_locs, verdict.counterexample)
+        full_mono = run(side_mono, verdict.counterexample)
+        return (full_locs is None) != (full_mono is None)
+    cur_locs = run(side_locs, verdict.counterexample)
+    cur_mono = run(side_mono, verdict.counterexample)
+    if cur_locs is None or cur_mono is None:
+        return False
+    marked_locs = all(a.is_marked(c) for a, c in zip(side_locs, cur_locs))
+    marked_mono = all(a.is_marked(c) for a, c in zip(side_mono, cur_mono))
+    return marked_locs != marked_mono
+
+
+class _MergeFrame:
+    """One suspended call of :func:`reference_check_merge`: snapshots of the
+    two extended member lists plus the progress through their cross product."""
+
+    __slots__ = ("left", "right", "li", "ri", "sigmas", "si", "xp", "xq")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+        self.li = 0
+        self.ri = 0
+        self.sigmas = None
+        self.si = 0
+        self.xp = -1
+        self.xq = -1
+
+
+def reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent):
+    """Merge exploration run as a hand-kept state machine: the same contract
+    as ``suploc.localization._check_merge``, kept as its oracle. Each frame
+    records how far it got through its cross product and through the shared
+    events of its current pair, and resumes there when its child returns."""
+    enabled = ctx.enabled
+    dis = ctx.disabled[agent]
+    marked = ctx.marked
+    plant_marked = ctx.plant_marked
+    succ = sup.succ_maps
+    find = cells._find
+    slot_of = cells._slot_of_state
+    cell_min = cells._min
+    pairs = set()
+    adj = {}
+
+    def make_frame(a, b):
+        return _MergeFrame(
+            _extended_members(cells, adj, a), _extended_members(cells, adj, b)
+        )
+
+    stack = [make_frame(x_i, x_j)]
+    while stack:
+        fr = stack[-1]
+        if fr.sigmas is not None:
+            pushed = False
+            sx = succ[fr.xp]
+            sy = succ[fr.xq]
+            sigmas = fr.sigmas
+            n_sig = len(sigmas)
+            while fr.si < n_sig:
+                ev = sigmas[fr.si]
+                fr.si += 1
+                sp = sx[ev]
+                sq = sy[ev]
+                ra = find(slot_of[sp])
+                rb = find(slot_of[sq])
+                if ra == rb or ((sp, sq) if sp <= sq else (sq, sp)) in pairs:
+                    continue
+                if cell_min[ra] < floor or cell_min[rb] < floor:
+                    return None
+                stack.append(make_frame(sp, sq))
+                pushed = True
+                break
+            if pushed:
+                continue
+            fr.sigmas = None
+        advanced = False
+        left = fr.left
+        right = fr.right
+        n_right = len(right)
+        while fr.li < len(left):
+            xp = left[fr.li]
+            xq = right[fr.ri]
+            fr.ri += 1
+            if fr.ri >= n_right:
+                fr.ri = 0
+                fr.li += 1
+            key = (xp, xq) if xp <= xq else (xq, xp)
+            if xp == xq or key in pairs:
+                continue
+            if enabled[xp] & dis[xq] or enabled[xq] & dis[xp]:
+                return None
+            if plant_marked[xp] == plant_marked[xq] and marked[xp] != marked[xq]:
+                return None
+            pairs.add(key)
+            adj.setdefault(xp, set()).add(xq)
+            adj.setdefault(xq, set()).add(xp)
+            fr.xp = xp
+            fr.xq = xq
+            fr.sigmas = sorted(enabled[xp] & enabled[xq])
+            fr.si = 0
+            advanced = True
+            break
+        if not advanced:
+            stack.pop()
+    return pairs

@@ -180,6 +180,36 @@ def test_cli_check_equiv_rejects_loc_over_other_events(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err == f"error: --loc {loc}: event table differs from the plant's\n"
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("check-equiv", "--sup"), ("localize", "--plant")],
+)
+def test_cli_names_file_over_other_events(tmp_path, capsys, monkeypatch, command, flag):
+    from suploc import cli
+    from suploc.automata import Automaton, EventTable, save_automaton
+
+    def no_product(automata):
+        raise AssertionError("a product was built before the event tables were checked")
+
+    monkeypatch.setattr(cli, "sync_product", no_product)
+    one_event = Automaton(["q"], EventTable(("z",), (True,), (1,)), [(0, 0, 0)], 0, [0])
+    other = tmp_path / "one_event.aut"
+    save_automaton(one_event, other)
+    plant, sup = str(DATA / "example1_plant.aut"), str(DATA / "example1.aut")
+    if command == "check-equiv":
+        argv = ("--plant", plant, "--sup", str(other), "--loc", sup)
+        reference = "the plant's"
+    else:
+        argv = ("--plant", plant, "--plant", str(other), "--sup", sup,
+                "--out-prefix", str(tmp_path / "out"))
+        reference = "the first plant's"
+    assert run_cli(command, *argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} {other}: event table differs from {reference}\n"
+    )
+    assert list(tmp_path.iterdir()) == [other]
+
+
 def test_cli_localize_refuses_non_congruence(tmp_path, capsys, monkeypatch):
     from suploc import cli
     from suploc.localization import Cover
@@ -222,6 +252,20 @@ def test_cli_gen_cmt_files_parse_and_synthesize(tmp_path):
 
     sup = load_automaton(sup_path)
     assert sup.states[sup.initial] == "L1R1|L2R5"
+
+
+@pytest.mark.parametrize("count", ["-1", "-12"])
+def test_cli_synthesize_rejects_negative_name_components(tmp_path, capsys, count):
+    out = tmp_path / "sup.aut"
+    code = run_cli(
+        "synthesize",
+        "--plant", str(DATA / "example1_plant.aut"),
+        "--name-components", count,
+        "--out", str(out),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: --name-components must be at least 0\n"
+    assert not out.exists()
 
 
 def test_cli_usage_error_exit_code(tmp_path):

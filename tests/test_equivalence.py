@@ -2,15 +2,17 @@
 
 from suploc.automata import Automaton, reachable_trim, sync_product
 from suploc.context import build_context
-from suploc.equivalence import (
-    check_control_equivalence,
-    controlled_behavior,
-    replay_counterexample,
-)
+from suploc.equivalence import check_control_equivalence, controlled_behavior
 from suploc.localization import LocalSupervisor, build_local_supervisor, localize
 from suploc.rng import SplitMix64
 
-from .instances import isomorphic, language_upto, marked_language_upto, systems_corpus
+from .instances import (
+    isomorphic,
+    language_upto,
+    marked_language_upto,
+    replay_counterexample,
+    systems_corpus,
+)
 
 
 def as_loc(aut, agent=1):

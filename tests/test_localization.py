@@ -2,7 +2,8 @@
 
 import pytest
 
-from suploc.automata import apply_state_order
+from suploc import localization
+from suploc.automata import FormatError, apply_state_order
 from suploc.context import build_context
 from suploc.localization import (
     Cover,
@@ -18,8 +19,9 @@ from suploc.localization import (
     write_cover,
 )
 from suploc.rng import SplitMix64
+from suploc.transform import AgentMapping, tsl
 
-from .instances import isomorphic, systems_corpus
+from .instances import isomorphic, mutate_system, reference_check_merge, systems_corpus
 
 
 def named_cells(cover, aut):
@@ -52,6 +54,22 @@ def test_cover_serialization_roundtrip(corpus_sup):
     text = write_cover(cover, corpus_sup)
     assert text == "cell 0: x0 x3 x4\ncell 1: x1 x2\n"
     assert parse_cover(text, corpus_sup) == cover
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("cell 0: x0 x3\ncell 1: x1 x2\ncell 2: x3 x4\n", 3,
+         "line 3: state 'x3' appears in two cells"),
+        ("cell 0: x0 x3 x4 x0\ncell 1: x1 x2\n", 1,
+         "line 1: state 'x0' appears twice in one cell"),
+    ],
+)
+def test_parse_cover_names_repeated_state_and_line(corpus_sup, text, line, message):
+    with pytest.raises(FormatError) as info:
+        parse_cover(text, corpus_sup)
+    assert str(info.value) == message
+    assert info.value.line == line
 
 
 def test_wait_list_is_symmetric(corpus_sup, corpus_ctx):
@@ -133,6 +151,35 @@ def test_check_merge_symmetric_on_random_instances():
             p1 = _check_merge(i, j, i, sup, ctx, cells, spec.agent_index)
             p2 = _check_merge(j, i, i, sup, ctx, cells, spec.agent_index)
             assert (p1 is None) == (p2 is None)
+
+
+def test_check_merge_matches_reference_engine(monkeypatch):
+    # every engine call made by localize and tsl returns exactly what the
+    # frame-by-frame state machine returns for the same cells
+    engine = localization._check_merge
+    outcomes = {"accepted": 0, "rejected": 0}
+
+    def checked(x_i, x_j, floor, sup, ctx, cells, agent):
+        got = engine(x_i, x_j, floor, sup, ctx, cells, agent)
+        assert got == reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent)
+        outcomes["rejected" if got is None else "accepted"] += 1
+        return got
+
+    monkeypatch.setattr(localization, "_check_merge", checked)
+    rng = SplitMix64(20250810)
+    for plant, sup, agents in systems_corpus(424242, 200):
+        variant_plant, variant_sup = mutate_system(rng, plant, sup)
+        ctx = build_context(plant, sup, agents)
+        covers = [localize(sup, ctx, s.agent_index) for s in agents]
+        tsl(covers, sup, variant_plant, variant_sup, agents, AgentMapping.identity(len(agents)))
+    for seed, position in [(2, 94), (3, 175)]:
+        plant, sup, agents = next(
+            system for i, system in enumerate(systems_corpus(seed, 200)) if i == position
+        )
+        ctx = build_context(plant, sup, agents)
+        for spec in agents:
+            localize(sup, ctx, spec.agent_index)
+    assert outcomes["accepted"] > 500 and outcomes["rejected"] > 500, outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Carry-over, conflict isolation, and the transformational pipeline."""
 
+import hashlib
+
 import pytest
 
-from suploc.context import build_context
+from suploc.automata import reachable_trim, sync_product
+from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
+from suploc.context import agents_from_table, build_context
 from suploc.equivalence import check_control_equivalence
 from suploc.localization import (
     Cover,
     is_control_congruence,
     is_maximally_reduced,
     localize,
+    write_cover,
 )
 from suploc.rng import SplitMix64
 from suploc.transform import (
@@ -176,3 +181,46 @@ def test_tsl_outputs_reduced_and_equivalent_on_random_edits():
         assert verdict, verdict.counterexample
         done += 1
     assert done == 40
+
+
+# sha256 of the concatenated write_cover texts, in agent order, for the
+# unshuffled three-level tower: the from-scratch covers of the base system
+# and the identity-mapped tsl covers of each variant built from them.
+TOWER3_COVER_SHA256 = {
+    "base": "0400816cf9757754520b31d54c6c179737941f50876303cb320ce7e9d1ed63ce",
+    "v1": "c66daed1c8efd4b801201b659b9274ced0bcce71f3a864b5fea204734450acb5",
+    "v2": "139beafb20d41dcde647ccb237e03b02e2821e029d46219b540aa27a041a4e48",
+    "v3": "976073d8a4b4b62becdd93987468a03df5c0b20b5157c289bc2a30bf84440337",
+    "v4": "3953700cb5c41a5a94e1f3747381d406e4e3f2bd619e10c5dfa0934d9725b739",
+    "v5": "f33e5d236f805f22f94e5c10ed274a846cc5487880364922c6b6beda19f00bbe",
+}
+
+
+def tower3(variant):
+    system = gen_cmt(CmtConfig(3, 1, variant=variant))
+    sup = synthesize_cmt(system)
+    return reachable_trim(sync_product(system.plants)), sup, agents_from_table(sup.alphabet)
+
+
+def covers_digest(covers, sup):
+    text = "".join(write_cover(cover, sup) for cover in covers)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def tower3_base():
+    plant, sup, agents = tower3("base")
+    ctx = build_context(plant, sup, agents)
+    return sup, [localize(sup, ctx, spec.agent_index) for spec in agents]
+
+
+@pytest.mark.parametrize("variant", sorted(TOWER3_COVER_SHA256))
+def test_tower_covers_match_golden(tower3_base, variant):
+    base_sup, base_covers = tower3_base
+    if variant == "base":
+        assert covers_digest(base_covers, base_sup) == TOWER3_COVER_SHA256["base"]
+        return
+    plant, sup, agents = tower3(variant)
+    mapping = AgentMapping.identity(len(agents), len(base_covers))
+    _, covers = tsl(base_covers, base_sup, plant, sup, agents, mapping)
+    assert covers_digest(covers, sup) == TOWER3_COVER_SHA256[variant]
