@@ -44,15 +44,19 @@ def _load_plants(paths):
     return plants
 
 
-def _load_plant(paths):
-    return reachable_trim(sync_product(_load_plants(paths)))
-
-
 def _load_over(table, flag, path):
     aut = load_automaton(path)
     if aut.alphabet != table:
         raise FormatError(f"{flag} {path}: event table differs from the plant's")
     return aut
+
+
+def _load_plant_and_sup(args):
+    """The trimmed plant product and the supervisor, whose event table is
+    checked against the plants' before any product is built."""
+    plants = _load_plants(args.plant)
+    sup = _load_over(plants[0].alphabet, "--sup", args.sup)
+    return reachable_trim(sync_product(plants)), sup
 
 
 def _cmd_gen_cmt(args) -> int:
@@ -80,7 +84,7 @@ def _cmd_synthesize(args) -> int:
     if args.name_components < 0:
         raise FormatError("--name-components must be at least 0")
     plants = _load_plants(args.plant)
-    requirements = [load_automaton(p) for p in args.req]
+    requirements = [_load_over(plants[0].alphabet, "--req", p) for p in args.req]
     sup = synthesize_monolithic(plants, requirements)
     if args.name_components:
         sup = project_state_names(sup, args.name_components)
@@ -106,8 +110,7 @@ def _save_agent(prefix, sup, k, cover, loc) -> None:
 
 
 def _cmd_localize(args) -> int:
-    plant = _load_plant(args.plant)
-    sup = load_automaton(args.sup)
+    plant, sup = _load_plant_and_sup(args)
     agents = agents_from_table(sup.alphabet)
     ctx = build_context(plant, sup, agents)
     prefix = args.out_prefix or Path(args.sup).stem
@@ -124,9 +127,8 @@ def _cmd_localize(args) -> int:
 
 def _cmd_isolate(args) -> int:
     base_sup = load_automaton(args.base_sup)
-    sup = load_automaton(args.sup)
+    plant, sup = _load_plant_and_sup(args)
     (agent,) = _agent_range(args, sup.alphabet)
-    plant = _load_plant(args.plant)
     base_cover = load_cover(args.base_cover, base_sup)
     agents = agents_from_table(sup.alphabet)
     ctx = build_context(plant, sup, agents)
@@ -161,8 +163,7 @@ def _parse_mapping(path, n_variant: int, n_base: int) -> AgentMapping:
 
 def _cmd_tsl(args) -> int:
     base_sup = load_automaton(args.base_sup)
-    sup = load_automaton(args.sup)
-    plant = _load_plant(args.plant)
+    plant, sup = _load_plant_and_sup(args)
     base_covers = [load_cover(p, base_sup) for p in args.base_cover]
     agents = agents_from_table(sup.alphabet)
     if args.mapping:

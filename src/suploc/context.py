@@ -62,14 +62,16 @@ def agents_from_table(table: EventTable) -> tuple[AgentSpec, ...]:
 class ControlContext:
     """Immutable control-information tables for a supervisor against a plant.
 
-    ``enabled[x]`` is the set of events the supervisor defines at state x.
-    ``disabled[k][x]`` is the set of agent k's controllable events that the
+    Event sets are int bitmasks, bit ``e`` standing for event index ``e``.
+    ``enabled[x]`` is the mask of events the supervisor defines at state x.
+    ``disabled[k][x]`` is the mask of agent k's controllable events that the
     supervisor leaves undefined at x although the plant can execute them in
     some jointly reached configuration (existential over all reachable
     supervisor/plant state pairs). ``marked[x]`` is supervisor marking and
     ``plant_marked[x]`` records whether some jointly reachable plant partner
     of x is marked. Supervisor states never reached in the joint traversal
-    keep their enabled sets, have empty disabled sets and plant_marked False.
+    keep their enabled masks, have empty (zero) disabled masks and
+    plant_marked False.
     """
 
     __slots__ = ("enabled", "disabled", "marked", "plant_marked")
@@ -92,9 +94,10 @@ def build_context(plant: Automaton, sup: Automaton, agents) -> ControlContext:
     if plant.alphabet != sup.alphabet:
         raise ValueError("plant and supervisor must share one event table")
     n = sup.n_states
-    enabled = tuple(frozenset(sup.succ_maps[x]) for x in range(n))
+    enabled = tuple(_event_mask(row) for row in sup.succ_maps)
+    plant_masks = [_event_mask(row) for row in plant.succ_maps]
 
-    plant_can: list[set] = [set() for _ in range(n)]
+    plant_can = [0] * n
     plant_marked = [False] * n
     seen = {(sup.initial, plant.initial)}
     queue = deque(seen)
@@ -103,7 +106,7 @@ def build_context(plant: Automaton, sup: Automaton, agents) -> ControlContext:
     while queue:
         x, q = queue.popleft()
         row_q = plant_succ[q]
-        plant_can[x].update(row_q)
+        plant_can[x] |= plant_masks[q]
         if q in plant.marked:
             plant_marked[x] = True
         for ev, y in sup_succ[x].items():
@@ -121,9 +124,9 @@ def build_context(plant: Automaton, sup: Automaton, agents) -> ControlContext:
 
     disabled = {}
     for spec in agents:
-        ctrl = spec.controllable
+        ctrl = _event_mask(spec.controllable)
         disabled[spec.agent_index] = tuple(
-            frozenset((plant_can[x] - enabled[x]) & ctrl) for x in range(n)
+            plant_can[x] & ~enabled[x] & ctrl for x in range(n)
         )
     return ControlContext(
         enabled=enabled,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from .automata import Automaton, FormatError
+from .automata import Automaton, FormatError, _mask_events
 from .context import ControlContext
 
 
@@ -130,50 +130,48 @@ def save_cover(cover: Cover, automaton: Automaton, path) -> None:
 
 
 class _Cells:
-    """Union-find over the cells of a cover.
+    """Cells of a cover under merging.
 
-    Each root caches its cell's least state index and member list, so the
-    least-member queries and cell merges used by the localization loop are
-    near-constant amortized.
+    ``_cell[x]`` is the slot of state x's cell, and each slot keeps its
+    cell's member list, least member and member bitmask (bit x for state x).
+    A union relabels the members of the smaller cell, so a state is
+    relabeled at most log2(n) times.
     """
 
-    __slots__ = ("_slot_of_state", "_parent", "_min", "_members")
+    __slots__ = ("_cell", "_min", "_members", "_bits")
 
     def __init__(self, cover: Cover):
         ids = sorted(set(cover.cell_of))
         slot_of_id = {ident: slot for slot, ident in enumerate(ids)}
-        self._slot_of_state = [slot_of_id[ident] for ident in cover.cell_of]
+        self._cell = [slot_of_id[ident] for ident in cover.cell_of]
         n_cells = len(ids)
-        self._parent = list(range(n_cells))
         self._min = [len(cover.cell_of)] * n_cells
         self._members: list[list[int]] = [[] for _ in range(n_cells)]
-        for x, slot in enumerate(self._slot_of_state):
+        self._bits = [0] * n_cells
+        for x, slot in enumerate(self._cell):
             self._members[slot].append(x)
+            self._bits[slot] |= 1 << x
             if x < self._min[slot]:
                 self._min[slot] = x
 
-    def _find(self, slot: int) -> int:
-        parent = self._parent
-        while parent[slot] != slot:
-            parent[slot] = parent[parent[slot]]
-            slot = parent[slot]
-        return slot
-
     def union_states(self, x: int, y: int) -> None:
-        a = self._find(self._slot_of_state[x])
-        b = self._find(self._slot_of_state[y])
+        a = self._cell[x]
+        b = self._cell[y]
         if a == b:
             return
         if len(self._members[a]) < len(self._members[b]):
             a, b = b, a
-        self._parent[b] = a
+        for m in self._members[b]:
+            self._cell[m] = a
         self._members[a].extend(self._members[b])
         self._members[b] = []
+        self._bits[a] |= self._bits[b]
+        self._bits[b] = 0
         if self._min[b] < self._min[a]:
             self._min[a] = self._min[b]
 
     def to_cover(self) -> Cover:
-        return Cover(self._find(slot) for slot in self._slot_of_state)
+        return Cover(self._cell)
 
 
 def control_consistent(ctx: ControlContext, agent: int, x: int, y: int) -> bool:
@@ -218,32 +216,6 @@ def _pair_clash(
     return None
 
 
-def _extended_members(cells: _Cells, adj: dict[int, set[int]], x: int) -> list[int]:
-    # The cell of x plus every cell linked to one of its members through the
-    # wait list, ascending by state index.
-    find = cells._find
-    slot_of = cells._slot_of_state
-    members = cells._members
-    home = find(slot_of[x])
-    base = members[home]
-    linked: set[int] = set()
-    for m in base:
-        s = adj.get(m)
-        if s:
-            linked.update(s)
-    if not linked:
-        return sorted(base)
-    seen = {home}
-    out = list(base)
-    for nb in linked:
-        cid = find(slot_of[nb])
-        if cid not in seen:
-            seen.add(cid)
-            out.extend(members[cid])
-    out.sort()
-    return out
-
-
 def _check_merge(
     x_i: int,
     x_j: int,
@@ -265,40 +237,66 @@ def _check_merge(
 
     Each call of the textbook recursion is a generator ``explore(a, b)`` on
     an explicit stack, so call depth cannot overflow on large supervisors. It
-    snapshots its two member lists when it starts and yields None on failure
-    or the next successor pair to explore, in the recursion's visit order.
+    snapshots the extended members of a and b (their cells plus every cell
+    linked to them through the wait list) as state bitmasks when it starts,
+    and yields None on failure or the next successor pair to explore, in the
+    recursion's visit order. Members are walked in ascending index order. For
+    each left member it walks only the right members not yet linked to it,
+    and checks the live links again before each pair, because nested frames
+    add links; links are only ever added, so the pairs it processes are
+    exactly those of the full cross product. Each cell's extended mask is
+    kept for the whole call and ORed with a cell's member mask when that
+    cell gets linked to it.
     """
     enabled = ctx.enabled
     succ = sup.succ_maps
-    find = cells._find
-    slot_of = cells._slot_of_state
+    cell = cells._cell
     cell_min = cells._min
+    bits = cells._bits
     pairs: set[tuple[int, int]] = set()
-    adj: dict[int, set[int]] = {}
+    adj = [0] * sup.n_states  # state -> mask of the states it is linked to
+    extended = list(bits)  # cell slot -> mask of its extended members
+    shared_events: dict[int, tuple[int, ...]] = {}
 
     def explore(a: int, b: int):
-        left = _extended_members(cells, adj, a)
-        right = _extended_members(cells, adj, b)
-        for xp in left:
-            for xq in right:
-                # Self-pairs arise only when the extended member sets overlap
-                # through wait-list links; they are consistent no-ops.
-                key = (xp, xq) if xp <= xq else (xq, xp)
-                if xp == xq or key in pairs:
+        left = extended[cell[a]]
+        right = extended[cell[b]]
+        while left:
+            low = left & -left
+            left ^= low
+            xp = low.bit_length() - 1
+            # Right members not yet linked to xp. xp itself is left out: a
+            # self-pair, possible when the extended sets overlap, is a no-op.
+            todo = right & ~(adj[xp] | low)
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                links = adj[xp]
+                if links & bit:
                     continue
+                xq = bit.bit_length() - 1
                 if not control_consistent(ctx, agent, xp, xq):
                     yield None
-                pairs.add(key)
-                adj.setdefault(xp, set()).add(xq)
-                adj.setdefault(xq, set()).add(xp)
+                pairs.add((xp, xq) if xp < xq else (xq, xp))
+                adj[xp] = links | bit
+                adj[xq] |= low
+                rp = cell[xp]
+                rq = cell[xq]
+                if rp != rq:
+                    extended[rp] |= bits[rq]
+                    extended[rq] |= bits[rp]
                 sx = succ[xp]
                 sy = succ[xq]
-                for ev in sorted(enabled[xp] & enabled[xq]):
+                mask = enabled[xp] & enabled[xq]
+                events = shared_events.get(mask)
+                if events is None:
+                    events = shared_events[mask] = _mask_events(mask)
+                for ev in events:
                     sp = sx[ev]
                     sq = sy[ev]
-                    ra = find(slot_of[sp])
-                    rb = find(slot_of[sq])
-                    if ra == rb or ((sp, sq) if sp <= sq else (sq, sp)) in pairs:
+                    ra = cell[sp]
+                    rb = cell[sq]
+                    if ra == rb or adj[sp] >> sq & 1:
                         continue
                     if cell_min[ra] < floor or cell_min[rb] < floor:
                         yield None
@@ -336,14 +334,13 @@ def localize(
     if len(init.cell_of) != n:
         raise ValueError("init cover size does not match the supervisor")
     cells = _Cells(init)
-    find = cells._find
-    slot_of = cells._slot_of_state
+    cell = cells._cell
     cell_min = cells._min
     for i in range(n - 1):
-        if i > cell_min[find(slot_of[i])]:
+        if i > cell_min[cell[i]]:
             continue
         for j in range(i + 1, n):
-            if j > cell_min[find(slot_of[j])]:
+            if j > cell_min[cell[j]]:
                 continue
             # The first pair the engine would examine is exactly (i, j), so a
             # direct consistency violation can be rejected without setting up

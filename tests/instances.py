@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 
-from suploc.automata import Automaton, EventTable, reachable_trim
+from suploc.automata import Automaton, EventTable, _mask_events, reachable_trim, sync_product
+from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
 from suploc.context import agents_from_table
 from suploc.equivalence import EquivalenceVerdict
-from suploc.localization import _extended_members
 from suploc.rng import SplitMix64
 
 
@@ -65,6 +65,14 @@ def systems_corpus(seed: int, count: int, max_states: int = 12):
     rng = SplitMix64(seed)
     for _ in range(count):
         yield random_system(rng, max_states)
+
+
+def tower3(variant):
+    """The unshuffled three-level, one-animal tower of ``variant``:
+    (plant product, synthesized supervisor, agents)."""
+    system = gen_cmt(CmtConfig(3, 1, variant=variant))
+    sup = synthesize_cmt(system)
+    return reachable_trim(sync_product(system.plants)), sup, agents_from_table(sup.alphabet)
 
 
 def _as_description(plant: Automaton, sup: Automaton):
@@ -311,6 +319,31 @@ def replay_counterexample(plant: Automaton, sup: Automaton, locs, verdict: Equiv
     return marked_locs != marked_mono
 
 
+def _extended_members(cells, adj, x):
+    """The cell of x plus every cell linked to one of its members through
+    the wait list ``adj`` (state -> set of states), ascending by state index."""
+    cell = cells._cell
+    members = cells._members
+    home = cell[x]
+    base = members[home]
+    linked = set()
+    for m in base:
+        s = adj.get(m)
+        if s:
+            linked.update(s)
+    if not linked:
+        return sorted(base)
+    seen = {home}
+    out = list(base)
+    for nb in linked:
+        cid = cell[nb]
+        if cid not in seen:
+            seen.add(cid)
+            out.extend(members[cid])
+    out.sort()
+    return out
+
+
 class _MergeFrame:
     """One suspended call of :func:`reference_check_merge`: snapshots of the
     two extended member lists plus the progress through their cross product."""
@@ -338,8 +371,7 @@ def reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent):
     marked = ctx.marked
     plant_marked = ctx.plant_marked
     succ = sup.succ_maps
-    find = cells._find
-    slot_of = cells._slot_of_state
+    cell = cells._cell
     cell_min = cells._min
     pairs = set()
     adj = {}
@@ -363,8 +395,8 @@ def reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent):
                 fr.si += 1
                 sp = sx[ev]
                 sq = sy[ev]
-                ra = find(slot_of[sp])
-                rb = find(slot_of[sq])
+                ra = cell[sp]
+                rb = cell[sq]
                 if ra == rb or ((sp, sq) if sp <= sq else (sq, sp)) in pairs:
                     continue
                 if cell_min[ra] < floor or cell_min[rb] < floor:
@@ -398,7 +430,7 @@ def reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent):
             adj.setdefault(xq, set()).add(xp)
             fr.xp = xp
             fr.xq = xq
-            fr.sigmas = sorted(enabled[xp] & enabled[xq])
+            fr.sigmas = _mask_events(enabled[xp] & enabled[xq])
             fr.si = 0
             advanced = True
             break

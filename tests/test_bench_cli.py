@@ -182,32 +182,43 @@ def test_cli_check_equiv_rejects_loc_over_other_events(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize(
     "command, flag",
-    [("check-equiv", "--sup"), ("localize", "--plant")],
+    [("check-equiv", "--sup"), ("localize", "--plant"), ("synthesize", "--req"),
+     ("localize", "--sup"), ("isolate", "--sup"), ("tsl", "--sup")],
 )
 def test_cli_names_file_over_other_events(tmp_path, capsys, monkeypatch, command, flag):
-    from suploc import cli
+    from suploc import cli, transform
     from suploc.automata import Automaton, EventTable, save_automaton
 
-    def no_product(automata):
-        raise AssertionError("a product was built before the event tables were checked")
+    def too_early(*args):
+        raise AssertionError("a product or context was built before the event tables were checked")
 
-    monkeypatch.setattr(cli, "sync_product", no_product)
+    for module, name in [(cli, "sync_product"), (cli, "synthesize_monolithic"),
+                         (cli, "build_context"), (transform, "build_context")]:
+        monkeypatch.setattr(module, name, too_early)
     one_event = Automaton(["q"], EventTable(("z",), (True,), (1,)), [(0, 0, 0)], 0, [0])
     other = tmp_path / "one_event.aut"
     save_automaton(one_event, other)
+    base_cover = tmp_path / "base.cover"
+    base_cover.write_text("cell 0: x0 x3 x4\ncell 1: x1 x2\n", encoding="utf-8")
     plant, sup = str(DATA / "example1_plant.aut"), str(DATA / "example1.aut")
-    if command == "check-equiv":
-        argv = ("--plant", plant, "--sup", str(other), "--loc", sup)
-        reference = "the plant's"
-    else:
-        argv = ("--plant", plant, "--plant", str(other), "--sup", sup,
-                "--out-prefix", str(tmp_path / "out"))
-        reference = "the first plant's"
+    base = ("--base-cover", str(base_cover), "--base-sup", sup)
+    out = str(tmp_path / "out")
+    argv = {
+        ("check-equiv", "--sup"): ("--plant", plant, "--sup", str(other), "--loc", sup),
+        ("localize", "--plant"): ("--plant", plant, "--plant", str(other), "--sup", sup,
+                                  "--out-prefix", out),
+        ("synthesize", "--req"): ("--plant", plant, "--req", str(other), "--out", out),
+        ("localize", "--sup"): ("--plant", plant, "--sup", str(other), "--out-prefix", out),
+        ("isolate", "--sup"): (*base, "--plant", plant, "--sup", str(other), "--agent", "1",
+                               "--out", out),
+        ("tsl", "--sup"): (*base, "--plant", plant, "--sup", str(other), "--out-prefix", out),
+    }[command, flag]
+    reference = "the first plant's" if flag == "--plant" else "the plant's"
     assert run_cli(command, *argv) == 2
     assert capsys.readouterr().err == (
         f"error: {flag} {other}: event table differs from {reference}\n"
     )
-    assert list(tmp_path.iterdir()) == [other]
+    assert set(tmp_path.iterdir()) == {other, base_cover}
 
 
 def test_cli_localize_refuses_non_congruence(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from suploc.automata import Automaton, EventTable, reachable_trim
+from suploc.automata import Automaton, EventTable, _event_mask, _mask_events, reachable_trim
 from suploc.context import (
     AgentSpec,
     SynthesisEmptyError,
@@ -15,8 +15,8 @@ from suploc.rng import SplitMix64
 from .instances import isomorphic
 
 
-def names(table, events):
-    return sorted(table.events[e] for e in events)
+def names(table, mask):
+    return sorted(table.events[e] for e in _mask_events(mask))
 
 
 def test_agent_spec_validation():
@@ -34,7 +34,7 @@ def test_agents_from_table():
 def test_supervisor_equal_to_plant_has_no_disablements(corpus_plant, corpus_agents):
     ctx = build_context(corpus_plant, corpus_plant, corpus_agents)
     for x in range(corpus_plant.n_states):
-        assert ctx.disabled[1][x] == frozenset()
+        assert ctx.disabled[1][x] == 0
         assert ctx.plant_marked[x] == ctx.marked[x]
 
 
@@ -44,7 +44,7 @@ def test_corpus_disablement_tables(corpus_ctx, corpus_sup):
     assert names(table, dis[corpus_sup.index_of("x0")]) == ["c"]
     assert names(table, dis[corpus_sup.index_of("x2")]) == ["a"]
     for name in ("x1", "x3", "x4"):
-        assert dis[corpus_sup.index_of(name)] == frozenset()
+        assert dis[corpus_sup.index_of(name)] == 0
 
 
 def test_variant_adds_one_disablement(corpus_variant_ctx, corpus_sup):
@@ -55,7 +55,14 @@ def test_variant_adds_one_disablement(corpus_variant_ctx, corpus_sup):
 
 def test_enabled_comes_from_supervisor(corpus_ctx, corpus_sup):
     for x in range(corpus_sup.n_states):
-        assert corpus_ctx.enabled[x] == frozenset(e for e, _ in corpus_sup.out(x))
+        assert corpus_ctx.enabled[x] == _event_mask(e for e, _ in corpus_sup.out(x))
+
+
+def test_tables_are_int_masks(corpus_ctx, corpus_variant_ctx):
+    # bit e stands for event index e; a bool would compare equal to 0 and 1
+    for ctx in (corpus_ctx, corpus_variant_ctx):
+        for table in (ctx.enabled, *ctx.disabled.values()):
+            assert all(type(mask) is int for mask in table)
 
 
 def test_disablements_aggregate_over_multiple_plant_partners():
@@ -74,7 +81,7 @@ def test_disablements_aggregate_over_multiple_plant_partners():
     sup = Automaton(["x0", "x1"], table, [(0, 0, 1), (0, 1, 1)], 0)
     ctx = build_context(plant, sup, agents_from_table(table))
     assert names(table, ctx.disabled[1][1]) == ["c", "d"]
-    assert ctx.disabled[1][0] == frozenset()
+    assert ctx.disabled[1][0] == 0
 
 
 def test_alphabet_mismatch_rejected(corpus_sup, corpus_agents):
@@ -140,7 +147,7 @@ def test_disabled_matches_bruteforce_oracle():
         for spec in agents_from_table(table):
             oracle = _oracle_disabled(plant, sup, spec, depth=10)
             for x in range(sup.n_states):
-                assert ctx.disabled[spec.agent_index][x] == frozenset(oracle[x])
+                assert ctx.disabled[spec.agent_index][x] == _event_mask(oracle[x])
 
 
 def test_plant_marked_only_for_jointly_reachable(corpus_plant, corpus_agents):

@@ -21,7 +21,13 @@ from suploc.localization import (
 from suploc.rng import SplitMix64
 from suploc.transform import AgentMapping, tsl
 
-from .instances import isomorphic, mutate_system, reference_check_merge, systems_corpus
+from .instances import (
+    isomorphic,
+    mutate_system,
+    reference_check_merge,
+    systems_corpus,
+    tower3,
+)
 
 
 def named_cells(cover, aut):
@@ -153,9 +159,10 @@ def test_check_merge_symmetric_on_random_instances():
             assert (p1 is None) == (p2 is None)
 
 
-def test_check_merge_matches_reference_engine(monkeypatch):
-    # every engine call made by localize and tsl returns exactly what the
-    # frame-by-frame state machine returns for the same cells
+@pytest.fixture
+def engine_outcomes(monkeypatch):
+    # every engine call made while the fixture is active must return exactly
+    # what the frame-by-frame state machine returns for the same cells
     engine = localization._check_merge
     outcomes = {"accepted": 0, "rejected": 0}
 
@@ -166,6 +173,11 @@ def test_check_merge_matches_reference_engine(monkeypatch):
         return got
 
     monkeypatch.setattr(localization, "_check_merge", checked)
+    return outcomes
+
+
+def test_check_merge_matches_reference_engine(engine_outcomes):
+    # localize and tsl over the random corpus and its edits
     rng = SplitMix64(20250810)
     for plant, sup, agents in systems_corpus(424242, 200):
         variant_plant, variant_sup = mutate_system(rng, plant, sup)
@@ -179,7 +191,22 @@ def test_check_merge_matches_reference_engine(monkeypatch):
         ctx = build_context(plant, sup, agents)
         for spec in agents:
             localize(sup, ctx, spec.agent_index)
-    assert outcomes["accepted"] > 500 and outcomes["rejected"] > 500, outcomes
+    assert engine_outcomes["accepted"] > 500 and engine_outcomes["rejected"] > 500, engine_outcomes
+
+
+def test_check_merge_matches_reference_engine_on_tower(engine_outcomes):
+    # the unshuffled three-level tower: from-scratch localize of every base
+    # agent, then identity-mapped tsl of each variant. Its 195-state
+    # supervisor gives explorations that link far more cells than those of
+    # the corpus systems, which have at most 12 states.
+    plant, sup, agents = tower3("base")
+    ctx = build_context(plant, sup, agents)
+    covers = [localize(sup, ctx, spec.agent_index) for spec in agents]
+    for variant in ("v1", "v2", "v3", "v4", "v5"):
+        variant_plant, variant_sup, variant_agents = tower3(variant)
+        mapping = AgentMapping.identity(len(variant_agents), len(covers))
+        tsl(covers, sup, variant_plant, variant_sup, variant_agents, mapping)
+    assert engine_outcomes["accepted"] > 500 and engine_outcomes["rejected"] > 3000, engine_outcomes
 
 
 # ---------------------------------------------------------------------------

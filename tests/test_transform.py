@@ -4,9 +4,7 @@ import hashlib
 
 import pytest
 
-from suploc.automata import reachable_trim, sync_product
-from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
-from suploc.context import agents_from_table, build_context
+from suploc.context import build_context
 from suploc.equivalence import check_control_equivalence
 from suploc.localization import (
     Cover,
@@ -23,7 +21,7 @@ from suploc.transform import (
     tsl,
 )
 
-from .instances import mutate_system, systems_corpus
+from .instances import mutate_system, systems_corpus, tower3
 
 
 def named_cells(cover, aut):
@@ -194,12 +192,6 @@ TOWER3_COVER_SHA256 = {
     "v4": "3953700cb5c41a5a94e1f3747381d406e4e3f2bd619e10c5dfa0934d9725b739",
     "v5": "f33e5d236f805f22f94e5c10ed274a846cc5487880364922c6b6beda19f00bbe",
 }
-
-
-def tower3(variant):
-    system = gen_cmt(CmtConfig(3, 1, variant=variant))
-    sup = synthesize_cmt(system)
-    return reachable_trim(sync_product(system.plants)), sup, agents_from_table(sup.alphabet)
 
 
 def covers_digest(covers, sup):
