@@ -28,11 +28,7 @@ from .context import (
     build_context,
     synthesize_monolithic,
 )
-from .equivalence import (
-    EquivalenceVerdict,
-    check_control_equivalence,
-    controlled_behavior,
-)
+from .equivalence import EquivalenceVerdict, check_control_equivalence
 from .localization import (
     Cover,
     CoverVerdict,
@@ -41,7 +37,6 @@ from .localization import (
     build_local_supervisor,
     control_consistent,
     is_control_congruence,
-    is_maximally_reduced,
     load_cover,
     localize,
     parse_cover,
@@ -83,10 +78,8 @@ __all__ = [
     "carry_over_cover",
     "check_control_equivalence",
     "control_consistent",
-    "controlled_behavior",
     "gen_cmt",
     "is_control_congruence",
-    "is_maximally_reduced",
     "isolate",
     "load_automaton",
     "load_cover",

@@ -98,11 +98,12 @@ class Automaton:
 
     ``transitions`` is a partial function (state index, event index) -> state
     index, supplied to the constructor as an iterable of (src, event, dst)
-    index triples. Instances are immutable by convention; all operations in
-    this package return new automata.
+    index triples. ``succ_maps[x]`` is state x's ``{event: target}`` row,
+    kept in ascending event order. Instances are immutable by convention;
+    all operations in this package return new automata.
     """
 
-    __slots__ = ("states", "alphabet", "initial", "marked", "succ_maps", "_out", "_name_index")
+    __slots__ = ("states", "alphabet", "initial", "marked", "succ_maps", "_name_index")
 
     def __init__(
         self,
@@ -145,8 +146,11 @@ class Automaton:
         self.alphabet = alphabet
         self.initial = initial
         self.marked = marked
-        self.succ_maps = tuple(succ)
-        self._out = tuple(tuple(sorted(row.items())) for row in succ)
+        # Products and trims already emit rows in event order; only rows
+        # given out of order, as in a hand-written file, are rebuilt.
+        self.succ_maps = tuple(
+            row if list(row) == sorted(row) else dict(sorted(row.items())) for row in succ
+        )
         self._name_index = name_index
 
     @property
@@ -162,11 +166,11 @@ class Automaton:
 
     def enabled(self, state: int) -> tuple[int, ...]:
         """Events with a defined transition at ``state``, ascending."""
-        return tuple(e for e, _ in self._out[state])
+        return tuple(self.succ_maps[state])
 
-    def out(self, state: int) -> tuple[tuple[int, int], ...]:
+    def out(self, state: int):
         """(event, target) pairs at ``state``, ascending by event."""
-        return self._out[state]
+        return self.succ_maps[state].items()
 
     def index_of(self, name: str) -> int:
         try:
@@ -179,8 +183,8 @@ class Automaton:
 
     def iter_transitions(self):
         """Yield (src, event, dst) ascending by (src, event)."""
-        for src, row in enumerate(self._out):
-            for ev, dst in row:
+        for src, row in enumerate(self.succ_maps):
+            for ev, dst in row.items():
                 yield src, ev, dst
 
     def __eq__(self, other) -> bool:

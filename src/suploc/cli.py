@@ -101,6 +101,17 @@ def _agent_range(args, table):
     return list(range(1, table.n_agents + 1))
 
 
+def _all_congruent(sup, ctx, covers) -> bool:
+    """Whether every (agent, cover) is a control congruence; the first that
+    is not is reported on stderr."""
+    for k, cover in covers:
+        verdict = is_control_congruence(sup, ctx, k, cover)
+        if not verdict:
+            print(f"verification failure: agent {k}: {verdict.witness}", file=sys.stderr)
+            return False
+    return True
+
+
 def _save_agent(prefix, sup, k, cover, loc) -> None:
     cover_path = f"{prefix}.agent{k}.cover"
     loc_path = f"{prefix}.agent{k}.loc.aut"
@@ -115,11 +126,8 @@ def _cmd_localize(args) -> int:
     ctx = build_context(plant, sup, agents)
     prefix = args.out_prefix or Path(args.sup).stem
     covers = {k: localize(sup, ctx, k) for k in _agent_range(args, sup.alphabet)}
-    for k, cover in covers.items():
-        verdict = is_control_congruence(sup, ctx, k, cover)
-        if not verdict:
-            print(f"verification failure: agent {k}: {verdict.witness}", file=sys.stderr)
-            return 1
+    if not _all_congruent(sup, ctx, covers.items()):
+        return 1
     for k, cover in covers.items():
         _save_agent(prefix, sup, k, cover, build_local_supervisor(sup, cover, k))
     return 0
@@ -171,6 +179,9 @@ def _cmd_tsl(args) -> int:
     else:
         mapping = AgentMapping.identity(len(agents), len(base_covers))
     supervisors, covers = tsl(base_covers, base_sup, plant, sup, agents, mapping)
+    ctx = build_context(plant, sup, agents)
+    if not _all_congruent(sup, ctx, zip((spec.agent_index for spec in agents), covers)):
+        return 1
     prefix = args.out_prefix or Path(args.sup).stem
     for spec, loc, cover in zip(agents, supervisors, covers):
         _save_agent(prefix, sup, spec.agent_index, cover, loc)

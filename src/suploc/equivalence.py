@@ -1,18 +1,21 @@
 """Verify that a set of local supervisors controls a plant exactly like the
 monolithic supervisor: same closed-loop language and same marked language.
 
-Both sides are deterministic by construction, so equality is decided by a
-joint breadth-first traversal of the two closed-loop automata, comparing
-enabled-event sets and marking at every jointly reached state pair. The
-first mismatch yields a shortest counterexample trace.
+Both closed loops are deterministic and share the plant, so the state pairs
+a joint breadth-first traversal of them reaches are exactly the tuples of
+one product of supervisor, plant and local supervisors, in the same order.
+Equality is decided on that product by comparing, at every tuple, the two
+sides' enabled-event sets and marked flags. The first mismatch yields a
+shortest counterexample trace.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, getitem
 
-from .automata import Automaton, sync_product
+from .automata import Automaton, _event_mask, _mask_events, _product
 
 
 @dataclass(frozen=True)
@@ -34,77 +37,67 @@ class EquivalenceVerdict:
         return self.equivalent
 
 
-def controlled_behavior(plant: Automaton, locs) -> Automaton:
-    """Reachable closed loop of the plant under all local supervisors.
-
-    The product marking is the conjunction of component markings, so the
-    same structure carries both the language and the marked language of the
-    controlled system.
-    """
-    return sync_product([plant] + [loc.automaton for loc in locs])
+def _trace_to(rows, pos: int, events) -> tuple[str, ...]:
+    """Event names of the breadth-first path to tuple ``pos``: each tuple's
+    parent is the first (source, event) of ``rows[:pos]`` that reaches it."""
+    parent: dict[int, tuple[int, int]] = {}
+    for src in range(pos):
+        for ev, tgt in rows[src].items():
+            if tgt not in parent:
+                parent[tgt] = (src, ev)
+    rev = []
+    while pos:
+        pos, ev = parent[pos]
+        rev.append(events[ev])
+    return tuple(reversed(rev))
 
 
 def check_control_equivalence(plant: Automaton, sup: Automaton, locs) -> EquivalenceVerdict:
     """Compare plant-under-local-supervisors against plant-under-monolithic.
 
-    Performs one joint breadth-first traversal of the two deterministic
-    closed loops; they are equivalent iff at every jointly reached state pair
-    the enabled-event sets coincide and the marked flags coincide.
+    Walks the product of ``sup``, ``plant`` and every local supervisor in
+    breadth-first order. The two sides are equivalent iff at every tuple the
+    monolithic enabled set (supervisor and plant) equals the local one (plant
+    and every local supervisor), and so do the two marked flags.
     """
-    loop_locs = controlled_behavior(plant, locs)
-    loop_mono = sync_product([sup, plant])
+    comps = [sup, plant, *(loc.automaton for loc in locs)]
+    order, rows = _product(comps)
+    masks = [[_event_mask(row) for row in a.succ_maps] for a in comps]
+    loc_masks = masks[2:]
+    loc_marked = [a.marked for a in comps[2:]]
     events = plant.alphabet.events
-
-    start = (loop_locs.initial, loop_mono.initial)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
-    queue = deque((start,))
-
-    def trace_to(pair: tuple[int, int]) -> tuple[str, ...]:
-        rev = []
-        cursor = pair
-        while parent[cursor] is not None:
-            cursor, ev = parent[cursor]
-            rev.append(events[ev])
-        return tuple(reversed(rev))
-
-    while queue:
-        pair = queue.popleft()
-        a, b = pair
-        ea = loop_locs.enabled(a)
-        eb = loop_mono.enabled(b)
-        if ea != eb:
-            extra_local = sorted(set(ea) - set(eb))
-            extra_mono = sorted(set(eb) - set(ea))
-            if extra_local:
-                ev = extra_local[0]
+    for pos, t in enumerate(order):
+        s, p, *ls = t
+        plant_mask = masks[1][p]
+        mono = masks[0][s] & plant_mask
+        local = reduce(and_, map(getitem, loc_masks, ls), plant_mask)
+        if mono != local:
+            extra = local & ~mono
+            if extra:
                 direction = "local supervisors admit behavior the monolithic supervisor forbids"
             else:
-                ev = extra_mono[0]
+                extra = mono & ~local
                 direction = "local supervisors forbid behavior the monolithic supervisor admits"
+            ev = _mask_events(extra)[0]
             return EquivalenceVerdict(
                 equivalent=False,
-                counterexample=trace_to(pair) + (events[ev],),
+                counterexample=_trace_to(rows, pos, events) + (events[ev],),
                 failed="language",
                 direction=direction,
             )
-        ma = loop_locs.is_marked(a)
-        mb = loop_mono.is_marked(b)
-        if ma != mb:
+        plant_marked = p in plant.marked
+        mono_marked = plant_marked and s in sup.marked
+        local_marked = plant_marked and all(x in m for m, x in zip(loc_marked, ls))
+        if mono_marked != local_marked:
             direction = (
                 "local supervisors mark behavior the monolithic supervisor does not"
-                if ma
+                if local_marked
                 else "local supervisors do not mark behavior the monolithic supervisor does"
             )
             return EquivalenceVerdict(
                 equivalent=False,
-                counterexample=trace_to(pair),
+                counterexample=_trace_to(rows, pos, events),
                 failed="marked-language",
                 direction=direction,
             )
-        for ev in ea:
-            nxt = (loop_locs.step(a, ev), loop_mono.step(b, ev))
-            if nxt not in parent:
-                parent[nxt] = (pair, ev)
-                queue.append(nxt)
     return EquivalenceVerdict(equivalent=True)
-

@@ -238,15 +238,17 @@ def _check_merge(
     Each call of the textbook recursion is a generator ``explore(a, b)`` on
     an explicit stack, so call depth cannot overflow on large supervisors. It
     snapshots the extended members of a and b (their cells plus every cell
-    linked to them through the wait list) as state bitmasks when it starts,
-    and yields None on failure or the next successor pair to explore, in the
-    recursion's visit order. Members are walked in ascending index order. For
-    each left member it walks only the right members not yet linked to it,
-    and checks the live links again before each pair, because nested frames
-    add links; links are only ever added, so the pairs it processes are
-    exactly those of the full cross product. Each cell's extended mask is
-    kept for the whole call and ORed with a cell's member mask when that
-    cell gets linked to it.
+    reachable from them through wait-list links, which is the cell each
+    would join if the wait list were committed) as state bitmasks when it
+    starts, and yields None on failure or the next successor pair to
+    explore, in the recursion's visit order. Members are walked in ascending
+    index order. For each left member it walks only the right members not
+    yet linked to it, and checks the live links again before each pair,
+    because nested frames add links; links are only ever added, so the pairs
+    it processes are exactly those of the full cross product. Linked cells
+    form components over cell slots: ``joined`` maps a slot to the slot it
+    joined, and each component root's extended mask is the OR of its cells'
+    member masks.
     """
     enabled = ctx.enabled
     succ = sup.succ_maps
@@ -255,12 +257,18 @@ def _check_merge(
     bits = cells._bits
     pairs: set[tuple[int, int]] = set()
     adj = [0] * sup.n_states  # state -> mask of the states it is linked to
-    extended = list(bits)  # cell slot -> mask of its extended members
+    extended = list(bits)  # component root slot -> mask of its members
+    joined: dict[int, int] = {}  # linked cell slot -> the slot it joined
     shared_events: dict[int, tuple[int, ...]] = {}
 
+    def find(r: int) -> int:
+        while r in joined:
+            r = joined[r]
+        return r
+
     def explore(a: int, b: int):
-        left = extended[cell[a]]
-        right = extended[cell[b]]
+        left = extended[find(cell[a])]
+        right = extended[find(cell[b])]
         while left:
             low = left & -left
             left ^= low
@@ -283,8 +291,11 @@ def _check_merge(
                 rp = cell[xp]
                 rq = cell[xq]
                 if rp != rq:
-                    extended[rp] |= bits[rq]
-                    extended[rq] |= bits[rp]
+                    rp = find(rp)
+                    rq = find(rq)
+                    if rp != rq:
+                        joined[rq] = rp
+                        extended[rp] |= extended[rq]
                 sx = succ[xp]
                 sy = succ[xq]
                 mask = enabled[xp] & enabled[xq]
@@ -435,29 +446,3 @@ def is_control_congruence(
             if witness is not None:
                 return CoverVerdict(False, witness)
     return CoverVerdict(True)
-
-
-def is_maximally_reduced(
-    sup: Automaton, ctx: ControlContext, agent: int, cover: Cover
-) -> bool:
-    """Whether no two cells of a control congruence can be merged.
-
-    Tries every pair of distinct cells and checks whether replacing them by
-    their union still yields a control congruence (both conditions; merging
-    two cells can only help the successor condition of other cells, so only
-    the union cell needs revalidation against the merged partition).
-    """
-    cells = cover.cells()
-    for a_pos in range(len(cells)):
-        for b_pos in range(a_pos + 1, len(cells)):
-            merged = list(cover.cell_of)
-            ident = merged[cells[a_pos][0]]
-            for x in cells[b_pos]:
-                merged[x] = ident
-            union = sorted(cells[a_pos] + cells[b_pos])
-            if not any(
-                _pair_clash(sup, ctx, agent, merged, x, y)
-                for x, y in combinations(union, 2)
-            ):
-                return False
-    return True

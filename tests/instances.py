@@ -12,11 +12,13 @@ state names, which is what the transformational tests rely on.
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 
 from suploc.automata import Automaton, EventTable, _mask_events, reachable_trim, sync_product
 from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
 from suploc.context import agents_from_table
 from suploc.equivalence import EquivalenceVerdict
+from suploc.localization import _pair_clash
 from suploc.rng import SplitMix64
 
 
@@ -280,6 +282,103 @@ def marked_language_upto(a: Automaton, max_len: int) -> set[tuple[str, ...]]:
     return words
 
 
+def controlled_behavior(plant: Automaton, locs) -> Automaton:
+    """Reachable closed loop of the plant under all local supervisors.
+
+    The product marking is the conjunction of component markings, so the
+    same structure carries both the language and the marked language of the
+    controlled system.
+    """
+    return sync_product([plant] + [loc.automaton for loc in locs])
+
+
+def reference_check_control_equivalence(plant: Automaton, sup: Automaton, locs) -> EquivalenceVerdict:
+    """Control equivalence by a joint breadth-first traversal of the two
+    closed-loop automata, comparing enabled-event sets and marking at every
+    jointly reached state pair: the same contract as
+    ``suploc.equivalence.check_control_equivalence``, kept as its oracle."""
+    loop_locs = controlled_behavior(plant, locs)
+    loop_mono = sync_product([sup, plant])
+    events = plant.alphabet.events
+
+    start = (loop_locs.initial, loop_mono.initial)
+    parent: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
+    queue = deque((start,))
+
+    def trace_to(pair: tuple[int, int]) -> tuple[str, ...]:
+        rev = []
+        cursor = pair
+        while parent[cursor] is not None:
+            cursor, ev = parent[cursor]
+            rev.append(events[ev])
+        return tuple(reversed(rev))
+
+    while queue:
+        pair = queue.popleft()
+        a, b = pair
+        ea = loop_locs.enabled(a)
+        eb = loop_mono.enabled(b)
+        if ea != eb:
+            extra_local = sorted(set(ea) - set(eb))
+            extra_mono = sorted(set(eb) - set(ea))
+            if extra_local:
+                ev = extra_local[0]
+                direction = "local supervisors admit behavior the monolithic supervisor forbids"
+            else:
+                ev = extra_mono[0]
+                direction = "local supervisors forbid behavior the monolithic supervisor admits"
+            return EquivalenceVerdict(
+                equivalent=False,
+                counterexample=trace_to(pair) + (events[ev],),
+                failed="language",
+                direction=direction,
+            )
+        ma = loop_locs.is_marked(a)
+        mb = loop_mono.is_marked(b)
+        if ma != mb:
+            direction = (
+                "local supervisors mark behavior the monolithic supervisor does not"
+                if ma
+                else "local supervisors do not mark behavior the monolithic supervisor does"
+            )
+            return EquivalenceVerdict(
+                equivalent=False,
+                counterexample=trace_to(pair),
+                failed="marked-language",
+                direction=direction,
+            )
+        for ev in ea:
+            nxt = (loop_locs.step(a, ev), loop_mono.step(b, ev))
+            if nxt not in parent:
+                parent[nxt] = (pair, ev)
+                queue.append(nxt)
+    return EquivalenceVerdict(equivalent=True)
+
+
+def is_maximally_reduced(sup: Automaton, ctx, agent: int, cover) -> bool:
+    """Whether no two cells of a control congruence can be merged.
+
+    Tries every pair of distinct cells and checks whether replacing them by
+    their union still yields a control congruence (both conditions; merging
+    two cells can only help the successor condition of other cells, so only
+    the union cell needs revalidation against the merged partition).
+    """
+    cells = cover.cells()
+    for a_pos in range(len(cells)):
+        for b_pos in range(a_pos + 1, len(cells)):
+            merged = list(cover.cell_of)
+            ident = merged[cells[a_pos][0]]
+            for x in cells[b_pos]:
+                merged[x] = ident
+            union = sorted(cells[a_pos] + cells[b_pos])
+            if not any(
+                _pair_clash(sup, ctx, agent, merged, x, y)
+                for x, y in combinations(union, 2)
+            ):
+                return False
+    return True
+
+
 def replay_counterexample(plant: Automaton, sup: Automaton, locs, verdict: EquivalenceVerdict) -> bool:
     """Confirm that a negative verdict's trace exhibits a real discrepancy.
 
@@ -320,26 +419,23 @@ def replay_counterexample(plant: Automaton, sup: Automaton, locs, verdict: Equiv
 
 
 def _extended_members(cells, adj, x):
-    """The cell of x plus every cell linked to one of its members through
-    the wait list ``adj`` (state -> set of states), ascending by state index."""
+    """The cell of x plus every cell reachable from it through links of the
+    wait list ``adj`` (state -> set of states), ascending by state index:
+    the members of the cell x would be in if the wait list were committed."""
     cell = cells._cell
     members = cells._members
     home = cell[x]
-    base = members[home]
-    linked = set()
-    for m in base:
-        s = adj.get(m)
-        if s:
-            linked.update(s)
-    if not linked:
-        return sorted(base)
     seen = {home}
-    out = list(base)
-    for nb in linked:
-        cid = cell[nb]
-        if cid not in seen:
-            seen.add(cid)
-            out.extend(members[cid])
+    out = []
+    todo = [home]
+    while todo:
+        cid = todo.pop()
+        out.extend(members[cid])
+        for m in members[cid]:
+            for nb in adj.get(m, ()):
+                if cell[nb] not in seen:
+                    seen.add(cell[nb])
+                    todo.append(cell[nb])
     out.sort()
     return out
 
@@ -410,22 +506,24 @@ def reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent):
         advanced = False
         left = fr.left
         right = fr.right
+        n_left = len(left)
         n_right = len(right)
-        while fr.li < len(left):
-            xp = left[fr.li]
-            xq = right[fr.ri]
-            fr.ri += 1
-            if fr.ri >= n_right:
-                fr.ri = 0
-                fr.li += 1
-            key = (xp, xq) if xp <= xq else (xq, xp)
-            if xp == xq or key in pairs:
+        li = fr.li
+        ri = fr.ri
+        while li < n_left:
+            xp = left[li]
+            xq = right[ri]
+            ri += 1
+            if ri == n_right:
+                ri = 0
+                li += 1
+            if xp == xq or xq in adj.get(xp, ()):
                 continue
             if enabled[xp] & dis[xq] or enabled[xq] & dis[xp]:
                 return None
             if plant_marked[xp] == plant_marked[xq] and marked[xp] != marked[xq]:
                 return None
-            pairs.add(key)
+            pairs.add((xp, xq) if xp < xq else (xq, xp))
             adj.setdefault(xp, set()).add(xq)
             adj.setdefault(xq, set()).add(xp)
             fr.xp = xp
@@ -434,6 +532,8 @@ def reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent):
             fr.si = 0
             advanced = True
             break
+        fr.li = li
+        fr.ri = ri
         if not advanced:
             stack.pop()
     return pairs

@@ -28,17 +28,19 @@ import pytest
 from suploc.automata import sync_product
 from suploc.bench import run_bench
 from suploc.context import build_context
-from suploc.equivalence import check_control_equivalence, controlled_behavior
-from suploc.localization import (
-    build_local_supervisor,
-    is_control_congruence,
-    is_maximally_reduced,
-    localize,
-)
+from suploc.equivalence import check_control_equivalence
+from suploc.localization import build_local_supervisor, is_control_congruence, localize
 from suploc.rng import SplitMix64
 from suploc.transform import AgentMapping, carry_over_cover, isolate, tsl
 
-from .instances import language_upto, marked_language_upto, mutate_system, systems_corpus
+from .instances import (
+    controlled_behavior,
+    is_maximally_reduced,
+    language_upto,
+    marked_language_upto,
+    mutate_system,
+    systems_corpus,
+)
 
 BENCH_SEED = 7
 BENCH_RUNS = 10

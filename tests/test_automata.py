@@ -64,6 +64,22 @@ def test_one_state_automaton_canonical_text():
     assert write_automaton(aut) == "[EVENTS]\n[STATES]\nonly initial marked\n[TRANS]\n"
 
 
+def test_rows_out_of_order_parse_ascending_and_write_sorted():
+    text = (
+        "[EVENTS]\na c 1\nb c 1\nc c 1\n[STATES]\np initial\nq marked\n"
+        "[TRANS]\np c q\nq b p\np a p\nq a q\np b q\n"
+    )
+    aut = parse_automaton(text)
+    assert list(aut.out(0)) == [(0, 0), (1, 1), (2, 1)]
+    assert aut.enabled(0) == (0, 1, 2)
+    assert list(aut.out(1)) == [(0, 1), (1, 0)]
+    assert aut.enabled(1) == (0, 1)
+    assert write_automaton(aut) == (
+        "[EVENTS]\na c 1\nb c 1\nc c 1\n[STATES]\np initial\nq marked\n"
+        "[TRANS]\np a p\np b q\np c q\nq a q\nq b p\n"
+    )
+
+
 def test_undeclared_event_names_line():
     text = MINIMAL + "only z only\n"
     with pytest.raises(FormatError) as err:

@@ -238,6 +238,30 @@ def test_cli_localize_refuses_non_congruence(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_tsl_refuses_non_congruence(tmp_path, capsys, monkeypatch):
+    from suploc import cli
+    from suploc.localization import Cover
+
+    # one cell for every state: example1's agent 1 needs two cells
+    def one_cell(base_covers, base_sup, plant, sup, agents, mapping):
+        return [None], [Cover([0] * sup.n_states)]
+
+    monkeypatch.setattr(cli, "tsl", one_cell)
+    base_cover = tmp_path / "base.cover"
+    base_cover.write_text("cell 0: x0 x3 x4\ncell 1: x1 x2\n", encoding="utf-8")
+    code = run_cli(
+        "tsl",
+        "--base-cover", str(base_cover),
+        "--base-sup", str(DATA / "example1.aut"),
+        "--plant", str(DATA / "example1_plant.aut"),
+        "--sup", str(DATA / "example1.aut"),
+        "--out-prefix", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("verification failure: agent 1: states ")
+    assert list(tmp_path.iterdir()) == [base_cover]
+
+
 def test_cli_gen_cmt_files_parse_and_synthesize(tmp_path):
     out = tmp_path / "cmt"
     assert run_cli(

@@ -2,15 +2,19 @@
 
 from suploc.automata import Automaton, reachable_trim, sync_product
 from suploc.context import build_context
-from suploc.equivalence import check_control_equivalence, controlled_behavior
+from suploc.equivalence import check_control_equivalence
 from suploc.localization import LocalSupervisor, build_local_supervisor, localize
 from suploc.rng import SplitMix64
 
 from .instances import (
+    controlled_behavior,
     isomorphic,
     language_upto,
     marked_language_upto,
+    random_plant,
+    reference_check_control_equivalence,
     replay_counterexample,
+    supervisor_from,
     systems_corpus,
 )
 
@@ -113,3 +117,48 @@ def test_joint_bfs_agrees_with_trace_enumeration():
     assert checked == 60
     assert 0 < equal  # both outcomes exercised
     assert equal < checked
+
+
+def test_verdicts_match_pair_traversal_reference():
+    # every field of every verdict, counterexample included, must equal that
+    # of the traversal of two separately built closed loops
+    rng = SplitMix64(61)
+    inequivalent = 0
+    for plant, sup, agents in systems_corpus(59, 200):
+        ctx = build_context(plant, sup, agents)
+        locs = [
+            build_local_supervisor(sup, localize(sup, ctx, s.agent_index), s.agent_index)
+            for s in agents
+        ]
+        sides = [
+            locs,
+            locs[:-1],
+            [as_loc(random_plant(rng, plant.alphabet))],
+            [as_loc(supervisor_from(rng, plant))] + locs[1:],
+            [as_loc(sup)],
+            [],
+        ]
+        for side in sides:
+            verdict = check_control_equivalence(plant, sup, side)
+            assert verdict == reference_check_control_equivalence(plant, sup, side)
+            inequivalent += not verdict
+    assert inequivalent >= 400, inequivalent
+
+
+def test_check_builds_one_product_and_no_automaton(monkeypatch, corpus_plant, corpus_sup, corpus_ctx):
+    from suploc import automata, equivalence
+
+    loc = build_local_supervisor(corpus_sup, localize(corpus_sup, corpus_ctx, 1), 1)
+    products = []
+
+    def counted(comps):
+        products.append(len(comps))
+        return automata._product(comps)
+
+    def no_automaton(*args, **kwargs):
+        raise AssertionError("the equivalence check built an automaton")
+
+    monkeypatch.setattr(equivalence, "_product", counted)
+    monkeypatch.setattr(automata.Automaton, "__init__", no_automaton)
+    assert check_control_equivalence(corpus_plant, corpus_sup, [loc])
+    assert products == [3]

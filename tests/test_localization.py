@@ -13,7 +13,6 @@ from suploc.localization import (
     build_local_supervisor,
     control_consistent,
     is_control_congruence,
-    is_maximally_reduced,
     localize,
     parse_cover,
     write_cover,
@@ -22,6 +21,7 @@ from suploc.rng import SplitMix64
 from suploc.transform import AgentMapping, tsl
 
 from .instances import (
+    is_maximally_reduced,
     isomorphic,
     mutate_system,
     reference_check_merge,
@@ -241,11 +241,9 @@ def test_localize_outputs_valid_and_maximally_reduced():
             assert is_maximally_reduced(sup, ctx, k, cover)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: one _check_merge wait list's closure merges states "
-    "whose pair the engine never examined",
-)
+# On these systems a wait list used to link cells through a third cell whose
+# members were never paired with the first two, so its closure merged states
+# that clash.
 @pytest.mark.parametrize("seed, position", [(2, 94), (3, 175)])
 def test_localize_agent1_congruence_on_corpus_defects(seed, position):
     plant, sup, agents = next(
@@ -254,6 +252,28 @@ def test_localize_agent1_congruence_on_corpus_defects(seed, position):
     ctx = build_context(plant, sup, agents)
     verdict = is_control_congruence(sup, ctx, 1, localize(sup, ctx, 1))
     assert verdict, verdict.witness
+
+
+def test_localize_and_tsl_congruent_over_corpus_sweep():
+    # 6,000 generated systems, every agent localized from scratch, then one
+    # random edit each relocalized by tsl. Before wait-list links were
+    # followed transitively this found 13 non-congruent localize covers, 5
+    # non-congruent tsl covers and 2 InvalidCoverError crashes.
+    for seed in range(1, 31):
+        rng = SplitMix64(seed * 7919)
+        for position, (plant, sup, agents) in enumerate(systems_corpus(seed, 200)):
+            ctx = build_context(plant, sup, agents)
+            covers = [localize(sup, ctx, spec.agent_index) for spec in agents]
+            variant_plant, variant_sup = mutate_system(rng, plant, sup)
+            mapping = AgentMapping.identity(len(agents))
+            _, variant_covers = tsl(covers, sup, variant_plant, variant_sup, agents, mapping)
+            variant_ctx = build_context(variant_plant, variant_sup, agents)
+            for spec, cover, variant_cover in zip(agents, covers, variant_covers):
+                k = spec.agent_index
+                verdict = is_control_congruence(sup, ctx, k, cover)
+                assert verdict, ("localize", seed, position, k, verdict.witness)
+                verdict = is_control_congruence(variant_sup, variant_ctx, k, variant_cover)
+                assert verdict, ("tsl", seed, position, k, verdict.witness)
 
 
 def test_localize_only_merges():

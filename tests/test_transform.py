@@ -6,13 +6,7 @@ import pytest
 
 from suploc.context import build_context
 from suploc.equivalence import check_control_equivalence
-from suploc.localization import (
-    Cover,
-    is_control_congruence,
-    is_maximally_reduced,
-    localize,
-    write_cover,
-)
+from suploc.localization import Cover, is_control_congruence, localize, write_cover
 from suploc.rng import SplitMix64
 from suploc.transform import (
     AgentMapping,
@@ -21,7 +15,7 @@ from suploc.transform import (
     tsl,
 )
 
-from .instances import mutate_system, systems_corpus, tower3
+from .instances import is_maximally_reduced, mutate_system, systems_corpus, tower3
 
 
 def named_cells(cover, aut):
