@@ -116,12 +116,8 @@ class Automaton:
         states = tuple(states)
         if not states:
             raise ValueError("an automaton needs at least one state")
-        name_index: dict[str, int] = {}
-        for pos, name in enumerate(states):
+        for name in states:
             _check_token(name, "state")
-            if name in name_index:
-                raise ValueError(f"duplicate state name {name!r}")
-            name_index[name] = pos
         n = len(states)
         if not 0 <= initial < n:
             raise ValueError("initial state index out of range")
@@ -142,16 +138,31 @@ class Automaton:
                     f"on {alphabet.events[ev]!r}"
                 )
             row[ev] = dst
+        # Only rows given out of event order, as in a hand-written file,
+        # are rebuilt.
+        rows = [row if list(row) == sorted(row) else dict(sorted(row.items())) for row in succ]
+        self._from_rows(states, alphabet, rows, initial, marked)
+
+    def _from_rows(self, states, alphabet, rows, initial, marked) -> "Automaton":
+        """Set every field from ascending ``{event: target}`` rows, and return
+        self. Trusted callers start from ``Automaton.__new__(Automaton)``.
+
+        Only name uniqueness is checked, since ``|``-joined product names can
+        collide; token rules, index ranges and event order hold by
+        construction for names joined, projected or copied from valid names.
+        """
+        states = tuple(states)
+        name_index: dict[str, int] = {}
+        for pos, name in enumerate(states):
+            if name_index.setdefault(name, pos) != pos:
+                raise ValueError(f"duplicate state name {name!r}")
         self.states = states
         self.alphabet = alphabet
         self.initial = initial
-        self.marked = marked
-        # Products and trims already emit rows in event order; only rows
-        # given out of order, as in a hand-written file, are rebuilt.
-        self.succ_maps = tuple(
-            row if list(row) == sorted(row) else dict(sorted(row.items())) for row in succ
-        )
+        self.marked = frozenset(marked)
+        self.succ_maps = tuple(rows)
         self._name_index = name_index
+        return self
 
     @property
     def n_states(self) -> int:
@@ -365,8 +376,9 @@ def _product(automata: Sequence[Automaton]):
     """Breadth-first reachable synchronous product over one shared alphabet.
 
     Returns the component-state tuples in discovery order (index 0 is the
-    initial tuple) and, per tuple, its ``{event: target index}`` row with
-    events ascending. An event is enabled in a product state iff it is
+    initial tuple), per tuple its ``{event: target index}`` row with events
+    ascending, and per component the event mask of each of its states. An
+    event is enabled in a product state iff it is
     enabled in every component: the enabled set is the AND of the components'
     event masks, and each target tuple is read from the components' successor
     rows. The masks of all component states are computed up front; a lazy
@@ -401,7 +413,7 @@ def _product(automata: Sequence[Automaton]):
                 order.append(tt)
             row[ev] = tgt
         rows.append(row)
-    return order, rows
+    return order, rows, masks
 
 
 def _tuple_names(automata: Sequence[Automaton], order) -> list[str]:
@@ -426,10 +438,11 @@ def sync_product(automata: Sequence[Automaton]) -> Automaton:
     """
     if not automata:
         raise ValueError("sync_product needs at least one automaton")
-    order, rows = _product(automata)
-    triples = ((src, ev, tgt) for src, row in enumerate(rows) for ev, tgt in row.items())
+    order, rows, _ = _product(automata)
     marked = [i for i, m in enumerate(_tuple_marked(automata, order)) if m]
-    return Automaton(_tuple_names(automata, order), automata[0].alphabet, triples, 0, marked)
+    return Automaton.__new__(Automaton)._from_rows(
+        _tuple_names(automata, order), automata[0].alphabet, rows, 0, marked
+    )
 
 
 def reachable_trim(a: Automaton) -> Automaton:
@@ -448,16 +461,14 @@ def reachable_trim(a: Automaton) -> Automaton:
     if len(seen) == a.n_states:
         return a
     keep = [x for x in range(a.n_states) if x in seen]
-    remap = {old: new for new, old in enumerate(keep)}
-    triples = [
-        (remap[src], ev, remap[dst])
-        for src, ev, dst in a.iter_transitions()
-        if src in seen and dst in seen
-    ]
-    return Automaton(
+    remap = [0] * a.n_states
+    for new, old in enumerate(keep):
+        remap[old] = new
+    # ``seen`` is closed under successors: every target of a kept state is kept.
+    return Automaton.__new__(Automaton)._from_rows(
         [a.states[x] for x in keep],
         a.alphabet,
-        triples,
+        [{ev: remap[y] for ev, y in a.succ_maps[x].items()} for x in keep],
         remap[a.initial],
         [remap[x] for x in a.marked if x in seen],
     )
@@ -475,11 +486,10 @@ def apply_state_order(a: Automaton, order: Sequence[int]) -> Automaton:
     pos = [0] * n
     for new, old in enumerate(order):
         pos[old] = new
-    triples = [(pos[src], ev, pos[dst]) for src, ev, dst in a.iter_transitions()]
-    return Automaton(
+    return Automaton.__new__(Automaton)._from_rows(
         [a.states[old] for old in order],
         a.alphabet,
-        triples,
+        [{ev: pos[y] for ev, y in a.succ_maps[old].items()} for old in order],
         pos[a.initial],
         [pos[x] for x in a.marked],
     )
@@ -495,4 +505,9 @@ def project_state_names(a: Automaton, keep: int, sep: str = "|") -> Automaton:
     names = [sep.join(name.split(sep)[:keep]) for name in a.states]
     if len(set(names)) != len(names):
         raise ValueError("state-name projection is not injective")
-    return Automaton(names, a.alphabet, a.iter_transitions(), a.initial, a.marked)
+    # A projected name is a prefix of a valid name, so it is valid unless empty.
+    if not all(names):
+        raise ValueError("state name must be non-empty")
+    return Automaton.__new__(Automaton)._from_rows(
+        names, a.alphabet, a.succ_maps, a.initial, a.marked
+    )

@@ -178,8 +178,8 @@ def _cmd_tsl(args) -> int:
         mapping = _parse_mapping(args.mapping, len(agents), len(base_covers))
     else:
         mapping = AgentMapping.identity(len(agents), len(base_covers))
-    supervisors, covers = tsl(base_covers, base_sup, plant, sup, agents, mapping)
     ctx = build_context(plant, sup, agents)
+    supervisors, covers = tsl(base_covers, base_sup, plant, sup, agents, mapping, ctx=ctx)
     if not _all_congruent(sup, ctx, zip((spec.agent_index for spec in agents), covers)):
         return 1
     prefix = args.out_prefix or Path(args.sup).stem

@@ -20,7 +20,6 @@ from .automata import (
     Automaton,
     EventTable,
     _event_mask,
-    _mask_events,
     _product,
     _tuple_marked,
     _tuple_names,
@@ -158,65 +157,70 @@ def synthesize_monolithic(plants, requirements=()) -> Automaton:
         raise ValueError("at least one plant automaton is required")
     table = plants[0].alphabet
     comps = plants + requirements
-    order, succ = _product(comps)
-    unc = _event_mask(e for e in range(table.n_events) if not table.controllable[e])
-    plant_masks = [[_event_mask(row) for row in a.succ_maps] for a in plants]
-    plant_unc = [_mask_events(reduce(and_, map(getitem, plant_masks, t), unc)) for t in order]
-    bad = [[name == FORBIDDEN_STATE for name in a.states] for a in requirements]
+    order, succ, masks = _product(comps)
+    n = len(order)
     n_plants = len(plants)
-    forbidden = [any(map(getitem, bad, t[n_plants:])) for t in order]
+    unc = _event_mask(e for e in range(table.n_events) if not table.controllable[e])
+    plant_masks = masks[:n_plants]
+    bad = [[name == FORBIDDEN_STATE for name in a.states] for a in requirements]
     all_marked = _tuple_marked(comps, order)
 
     preds: list[list[int]] = [[] for _ in order]
+    unc_preds: list[list[int]] = [[] for _ in order]
+    unc_out = [0] * n
     for src, row in enumerate(succ):
-        for tgt in row.values():
+        for ev, tgt in row.items():
             preds[tgt].append(src)
+            if unc >> ev & 1:
+                unc_preds[tgt].append(src)
+                unc_out[src] |= 1 << ev
 
-    good = {i for i in range(len(order)) if not forbidden[i]}
-    changed = True
-    while changed:
-        changed = False
-        while True:
-            viol = [
-                x
-                for x in good
-                if any(succ[x].get(e, -1) not in good for e in plant_unc[x])
-            ]
-            if not viol:
-                break
-            good.difference_update(viol)
-            changed = True
-        co = {x for x in good if all_marked[x]}
-        frontier = deque(co)
+    # Removed are the states a requirement forbids or where the plants can
+    # execute an uncontrollable event the product lacks; then, backwards over
+    # uncontrollable transitions, every state that can be forced into a
+    # removed one, and every state that cannot reach a marked one.
+    good = [True] * n
+    removed = [
+        x
+        for x, t in enumerate(order)
+        if reduce(and_, map(getitem, plant_masks, t), unc) & ~unc_out[x]
+        or any(map(getitem, bad, t[n_plants:]))
+    ]
+    while True:
+        for x in removed:
+            good[x] = False
+        while removed:
+            for x in unc_preds[removed.pop()]:
+                if good[x]:
+                    good[x] = False
+                    removed.append(x)
+        co = {x for x in range(n) if good[x] and all_marked[x]}
+        frontier = list(co)
         while frontier:
-            y = frontier.popleft()
-            for x in preds[y]:
-                if x in good and x not in co:
+            for x in preds[frontier.pop()]:
+                if good[x] and x not in co:
                     co.add(x)
                     frontier.append(x)
-        if co != good:
-            good = co
-            changed = True
+        removed = [x for x in range(n) if good[x] and x not in co]
+        if not removed:
+            break
 
-    if 0 not in good:
+    if not good[0]:
         raise SynthesisEmptyError("synthesis removed all behavior; no supervisor exists")
 
     reach = {0}
-    frontier = deque((0,))
+    frontier = [0]
     while frontier:
-        x = frontier.popleft()
-        for tgt in succ[x].values():
-            if tgt in good and tgt not in reach:
+        for tgt in succ[frontier.pop()].values():
+            if good[tgt] and tgt not in reach:
                 reach.add(tgt)
                 frontier.append(tgt)
-    keep = [i for i in range(len(order)) if i in reach]
-    remap = {old: new for new, old in enumerate(keep)}
-    triples = [
-        (remap[src], ev, remap[tgt])
-        for src in keep
-        for ev, tgt in succ[src].items()
-        if tgt in reach
-    ]
+    keep = sorted(reach)
+    remap = [0] * n
+    for new, old in enumerate(keep):
+        remap[old] = new
+    # ``reach`` holds every good successor of its states.
+    rows = [{ev: remap[tgt] for ev, tgt in succ[src].items() if good[tgt]} for src in keep]
     names = _tuple_names(comps, [order[i] for i in keep])
     marked = [remap[i] for i in keep if all_marked[i]]
-    return Automaton(names, table, triples, remap[0], marked)
+    return Automaton.__new__(Automaton)._from_rows(names, table, rows, 0, marked)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, getitem
 
-from .automata import Automaton, _event_mask, _mask_events, _product
+from .automata import Automaton, _mask_events, _product
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ def check_control_equivalence(plant: Automaton, sup: Automaton, locs) -> Equival
     and every local supervisor), and so do the two marked flags.
     """
     comps = [sup, plant, *(loc.automaton for loc in locs)]
-    order, rows = _product(comps)
-    masks = [[_event_mask(row) for row in a.succ_maps] for a in comps]
+    order, rows, masks = _product(comps)
     loc_masks = masks[2:]
     loc_marked = [a.marked for a in comps[2:]]
     events = plant.alphabet.events

@@ -388,32 +388,41 @@ def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> LocalSup
     """
     if len(cover.cell_of) != sup.n_states:
         raise ValueError("cover size does not match the supervisor")
-    cells = cover.cells()
-    cell_pos = {}
-    for pos, cell in enumerate(cells):
-        for x in cell:
-            cell_pos[x] = pos
-    triples = {}
-    for pos, cell in enumerate(cells):
-        for x in cell:
-            for ev, y in sup.out(x):
-                tgt = cell_pos[y]
-                prev = triples.get((pos, ev))
-                if prev is None:
-                    triples[(pos, ev)] = tgt
-                elif prev != tgt:
-                    raise InvalidCoverError(
-                        f"cover is not a control congruence: cell of {sup.states[cell[0]]!r} "
-                        f"steps to two cells on {sup.alphabet.events[ev]!r}"
-                    )
-    names = [sup.states[cell[0]] for cell in cells]
-    marked = sorted({cell_pos[x] for x in sup.marked})
-    aut = Automaton(
-        names,
+    # Cells are numbered at first sight in ascending state order, the order
+    # of ``cover.cells()``; a cell's leader is its least member.
+    pos_of: dict[int, int] = {}
+    leaders: list[int] = []
+    cell_pos = []
+    for x, ident in enumerate(cover.cell_of):
+        if ident not in pos_of:
+            pos_of[ident] = len(leaders)
+            leaders.append(x)
+        cell_pos.append(pos_of[ident])
+    rows: list[dict[int, int]] = [{} for _ in leaders]
+    clash = None
+    for x, pos in enumerate(cell_pos):
+        row = rows[pos]
+        for ev, y in sup.succ_maps[x].items():
+            tgt = cell_pos[y]
+            if row.setdefault(ev, tgt) != tgt and (clash is None or pos < clash[0]):
+                clash = (pos, ev)
+    if clash is not None:
+        pos, ev = clash
+        raise InvalidCoverError(
+            f"cover is not a control congruence: cell of {sup.states[leaders[pos]]!r} "
+            f"steps to two cells on {sup.alphabet.events[ev]!r}"
+        )
+    # A row is its leader's ascending row followed by the events only later
+    # members enable, so only a row longer than the leader's needs sorting.
+    for pos, x in enumerate(leaders):
+        if len(rows[pos]) > len(sup.succ_maps[x]):
+            rows[pos] = dict(sorted(rows[pos].items()))
+    aut = Automaton.__new__(Automaton)._from_rows(
+        [sup.states[x] for x in leaders],
         sup.alphabet,
-        [(src, ev, tgt) for (src, ev), tgt in triples.items()],
+        rows,
         cell_pos[sup.initial],
-        marked,
+        [cell_pos[x] for x in sup.marked],
     )
     return LocalSupervisor(automaton=aut, agent=agent)
 

@@ -131,6 +131,8 @@ def tsl(
     variant_sup: Automaton,
     agents,
     mapping: AgentMapping,
+    *,
+    ctx: ControlContext | None = None,
 ) -> tuple[list[LocalSupervisor], list[Cover]]:
     """Transformational localization of the variant system.
 
@@ -139,14 +141,16 @@ def tsl(
     singleton partition; the localization loop then merges cells, and the
     quotient automaton becomes the agent's local supervisor. Returns the
     local supervisors and the final covers (the covers seed the next round
-    when the system is edited again).
+    when the system is edited again). Pass ``ctx`` to reuse a precomputed
+    variant control context.
     """
     base_covers = list(base_covers)
     agents = list(agents)
     mapping.validate(len(base_covers))
     if len(mapping.base_agent_of) != len(agents):
         raise ValueError("mapping length does not match the variant agent list")
-    ctx = build_context(variant_plant, variant_sup, agents)
+    if ctx is None:
+        ctx = build_context(variant_plant, variant_sup, agents)
     supervisors: list[LocalSupervisor] = []
     covers: list[Cover] = []
     for spec in agents:

@@ -18,6 +18,13 @@ from suploc.automata import (
     sync_product,
     write_automaton,
 )
+from suploc.context import (
+    SynthesisEmptyError,
+    agents_from_table,
+    build_context,
+    synthesize_monolithic,
+)
+from suploc.localization import Cover, build_local_supervisor, localize
 from suploc.rng import SplitMix64
 
 from .instances import (
@@ -26,6 +33,7 @@ from .instances import (
     random_plant,
     random_table,
     reference_product,
+    systems_corpus,
 )
 
 MINIMAL = """
@@ -150,9 +158,10 @@ def test_product_matches_step_oracle():
             kind = rng.below(4)
             kinds_seen.add(min(kind, 2))
             comps.append(dead if kind == 0 else loops if kind == 1 else random_plant(rng, table, 8))
-        order, rows = _product(comps)
+        order, rows, masks = _product(comps)
         ref_order, ref_rows = reference_product(comps)
         assert order == ref_order
+        assert masks == [[sum(1 << ev for ev in row) for row in a.succ_maps] for a in comps]
         assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
     assert kinds_seen == {0, 1, 2}
 
@@ -277,6 +286,78 @@ def test_project_state_names():
     collide = Automaton(["p|a", "p|b"], table, [(0, 0, 1)], 0)
     with pytest.raises(ValueError, match="injective"):
         project_state_names(collide, 1)
+
+
+# ---------------------------------------------------------------------------
+# trusted construction: every operation builds through ``_from_rows``
+
+
+def assert_as_if_checked(a):
+    """``a`` equals the public constructor's automaton over the same
+    transitions, and every row keeps its events ascending."""
+    checked = Automaton(a.states, a.alphabet, a.iter_transitions(), a.initial, a.marked)
+    assert a == checked
+    assert a._name_index == checked._name_index
+    assert all(list(row) == sorted(row) for row in a.succ_maps)
+
+
+def trusted_outputs(plant, sup, agents, rng):
+    """Every automaton the trusted operations build from one system."""
+    loops = Automaton(["u"], plant.alphabet, [(0, e, 0) for e in range(plant.alphabet.n_events)], 0)
+    product = sync_product([plant, sup])
+    yield product
+    yield sync_product([plant, loops])
+    for root in sorted({0, plant.n_states // 2, plant.n_states - 1}):
+        yield reachable_trim(
+            Automaton(plant.states, plant.alphabet, plant.iter_transitions(), root, plant.marked)
+        )
+    yield apply_state_order(sup, rng.permutation(sup.n_states))
+    yield project_state_names(sync_product([sup, loops]), sup.states[0].count("|") + 1)
+    try:
+        yield synthesize_monolithic([plant], [sup])
+    except SynthesisEmptyError:
+        pass
+    ctx = build_context(plant, sup, agents)
+    for spec in agents:
+        cover = localize(sup, ctx, spec.agent_index)
+        yield build_local_supervisor(sup, cover, spec.agent_index).automaton
+    yield build_local_supervisor(sup, Cover.singleton(sup.n_states), 1).automaton
+
+
+def test_trusted_construction_matches_checked_on_corpus():
+    rng = SplitMix64(7)
+    for plant, sup, agents in systems_corpus(11, 60):
+        for a in trusted_outputs(plant, sup, agents, rng):
+            assert_as_if_checked(a)
+
+
+def test_trusted_construction_matches_checked_on_tower(cmt_systems, cmt_plants, cmt_supervisors):
+    system = cmt_systems["base"]
+    sup = cmt_supervisors["base"]
+    plant = cmt_plants["base"]
+    agents = agents_from_table(sup.alphabet)
+    raw_sup = synthesize_monolithic(system.plants, system.requirements)
+    assert project_state_names(raw_sup, len(system.plants)) == sup
+    for a in (sync_product(system.plants), plant, raw_sup, sup):
+        assert_as_if_checked(a)
+    for a in trusted_outputs(plant, sup, agents[:1], SplitMix64(7)):
+        assert_as_if_checked(a)
+
+
+def test_sync_product_rejects_colliding_joined_names():
+    # (a|b, c) and (a, b|c) are both reachable and both join to a|b|c
+    table = EventTable(("e", "f"), (True, True), (1, 1))
+    left = Automaton(["a|b", "a"], table, [(0, 0, 1), (1, 1, 0)], 0)
+    right = Automaton(["c", "b|c"], table, [(0, 0, 1), (1, 1, 0)], 0)
+    with pytest.raises(ValueError, match=r"^duplicate state name 'a\|b\|c'$"):
+        sync_product([left, right])
+
+
+def test_project_state_names_rejects_empty_name():
+    table = table_abc((1,))
+    aut = Automaton(["|p"], table, [], 0)
+    with pytest.raises(ValueError, match="non-empty"):
+        project_state_names(aut, 1)
 
 
 @st.composite

@@ -136,6 +136,32 @@ def test_cli_full_transformational_pipeline(tmp_path):
     ) == 0
 
 
+def test_cli_tsl_builds_the_variant_context_once(tmp_path, monkeypatch):
+    from suploc import cli, context, transform
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return context.build_context(*args)
+
+    monkeypatch.setattr(cli, "build_context", counted)
+    monkeypatch.setattr(transform, "build_context", counted)
+    base_cover = tmp_path / "base.cover"
+    base_cover.write_text("cell 0: x0 x3 x4\ncell 1: x1 x2\n", encoding="utf-8")
+    assert run_cli(
+        "tsl",
+        "--base-cover", str(base_cover),
+        "--base-sup", str(DATA / "example1.aut"),
+        "--plant", str(DATA / "example1_variant_plant.aut"),
+        "--sup", str(DATA / "example1.aut"),
+        "--out-prefix", str(tmp_path / "variant"),
+    ) == 0
+    assert len(calls) == 1
+    text = (tmp_path / "variant.agent1.cover").read_text(encoding="utf-8")
+    assert text == "cell 0: x0\ncell 1: x1 x2 x3 x4\n"
+
+
 def test_cli_check_equiv_detects_mutant(tmp_path, capsys):
     # a one-state local supervisor that enables everything is too permissive
     from suploc.automata import load_automaton, save_automaton, Automaton
@@ -243,7 +269,7 @@ def test_cli_tsl_refuses_non_congruence(tmp_path, capsys, monkeypatch):
     from suploc.localization import Cover
 
     # one cell for every state: example1's agent 1 needs two cells
-    def one_cell(base_covers, base_sup, plant, sup, agents, mapping):
+    def one_cell(base_covers, base_sup, plant, sup, agents, mapping, *, ctx=None):
         return [None], [Cover([0] * sup.n_states)]
 
     monkeypatch.setattr(cli, "tsl", one_cell)
@@ -429,3 +455,12 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "gen-cmt" in proc.stdout and "bench" in proc.stdout
+
+
+def test_python_dash_m_suploc_help():
+    proc = subprocess.run(
+        [sys.executable, "-m", "suploc", "--help"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: suploc ")

@@ -160,5 +160,6 @@ def test_check_builds_one_product_and_no_automaton(monkeypatch, corpus_plant, co
 
     monkeypatch.setattr(equivalence, "_product", counted)
     monkeypatch.setattr(automata.Automaton, "__init__", no_automaton)
+    monkeypatch.setattr(automata.Automaton, "_from_rows", no_automaton)
     assert check_control_equivalence(corpus_plant, corpus_sup, [loc])
     assert products == [3]

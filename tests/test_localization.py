@@ -3,7 +3,7 @@
 import pytest
 
 from suploc import localization
-from suploc.automata import FormatError, apply_state_order
+from suploc.automata import Automaton, EventTable, FormatError, apply_state_order
 from suploc.context import build_context
 from suploc.localization import (
     Cover,
@@ -338,6 +338,24 @@ def test_invalid_cover_reported_during_construction(corpus_sup):
     cover = Cover.from_cells([[0], [1, 2], [3], [4]], 5)
     with pytest.raises(InvalidCoverError, match="two cells"):
         build_local_supervisor(corpus_sup, cover, 1)
+
+
+def test_invalid_cover_witness_is_the_first_clashing_cell():
+    # {s0,s4} clash on a and {s1,s2} on b; walking states in index order
+    # meets the clash of {s1,s2} first, but the witness is the lower cell
+    table = EventTable(("a", "b"), (True, True), (1, 1))
+    sup = Automaton(
+        ["s0", "s1", "s2", "s3", "s4"],
+        table,
+        [(0, 0, 1), (4, 0, 3), (1, 1, 3), (2, 1, 1)],
+        0,
+    )
+    cover = Cover.from_cells([[0, 4], [1, 2], [3]], 5)
+    with pytest.raises(InvalidCoverError) as err:
+        build_local_supervisor(sup, cover, 1)
+    assert str(err.value) == (
+        "cover is not a control congruence: cell of 's0' steps to two cells on 'a'"
+    )
 
 
 # ---------------------------------------------------------------------------
