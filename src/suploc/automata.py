@@ -392,7 +392,6 @@ def _product(automata: Sequence[Automaton]):
             raise ValueError("alphabet mismatch between product components")
     succs = [a.succ_maps for a in automata]
     masks = [[_event_mask(row) for row in a.succ_maps] for a in automata]
-    events_of: dict[int, tuple[int, ...]] = {}
     targets = [itemgetter(ev) for ev in range(first.alphabet.n_events)]
     init = tuple(a.initial for a in automata)
     index: dict[tuple[int, ...], int] = {init: 0}
@@ -400,12 +399,8 @@ def _product(automata: Sequence[Automaton]):
     rows: list[dict[int, int]] = []
     for t in order:  # grows while it is walked: breadth-first order
         comp_rows = list(map(getitem, succs, t))
-        mask = reduce(and_, map(getitem, masks, t))
-        events = events_of.get(mask)
-        if events is None:
-            events = events_of[mask] = _mask_events(mask)
         row: dict[int, int] = {}
-        for ev in events:
+        for ev in _mask_events(reduce(and_, map(getitem, masks, t))):
             tt = tuple(map(targets[ev], comp_rows))
             tgt = index.get(tt)
             if tgt is None:

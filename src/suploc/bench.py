@@ -21,7 +21,7 @@ import io
 import time
 from dataclasses import dataclass
 
-from .automata import Automaton, apply_state_order, reachable_trim, sync_product
+from .automata import Automaton, apply_state_order, sync_product
 from .cmt import CmtConfig, CmtSystem, VARIANTS, gen_cmt, synthesize_cmt
 from .context import build_context
 from .equivalence import check_control_equivalence
@@ -136,7 +136,7 @@ class _Prepared:
 
 def _prepare(cfg: CmtConfig) -> _Prepared:
     system = gen_cmt(cfg)
-    plant = reachable_trim(sync_product(system.plants))
+    plant = sync_product(system.plants)
     sup = synthesize_cmt(system)
     return _Prepared(cfg.variant, system, plant, sup)
 

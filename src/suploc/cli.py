@@ -16,7 +16,6 @@ from .automata import (
     FormatError,
     load_automaton,
     project_state_names,
-    reachable_trim,
     save_automaton,
     sync_product,
 )
@@ -52,11 +51,11 @@ def _load_over(table, flag, path):
 
 
 def _load_plant_and_sup(args):
-    """The trimmed plant product and the supervisor, whose event table is
+    """The reachable plant product and the supervisor, whose event table is
     checked against the plants' before any product is built."""
     plants = _load_plants(args.plant)
     sup = _load_over(plants[0].alphabet, "--sup", args.sup)
-    return reachable_trim(sync_product(plants)), sup
+    return sync_product(plants), sup
 
 
 def _cmd_gen_cmt(args) -> int:
@@ -196,7 +195,7 @@ def _cmd_check_equiv(args) -> int:
         LocalSupervisor(_load_over(table, "--loc", path), i + 1)
         for i, path in enumerate(args.loc)
     ]
-    plant = reachable_trim(sync_product(plants))
+    plant = sync_product(plants)
     verdict = check_control_equivalence(plant, sup, locs)
     if verdict:
         print("EQUIVALENT")
@@ -217,9 +216,11 @@ def _cmd_bench(args) -> int:
         except ValueError:
             raise FormatError(f"DES_SEED must be an integer, got {env_seed!r}") from None
     variants = BENCH_VARIANTS if args.variant == "all" else tuple(args.variant.split(","))
-    for v in variants:
+    for pos, v in enumerate(variants):
         if v not in VARIANTS:
             raise FormatError(f"unknown variant {v!r}")
+        if v in variants[:pos]:
+            raise FormatError(f"variant {v!r} given twice")
     report = run_bench(
         variants=variants,
         levels=args.levels,

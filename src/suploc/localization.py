@@ -30,15 +30,20 @@ class InvalidCoverError(ValueError):
 class Cover:
     """Partition of supervisor states into cells.
 
-    ``cell_of[x]`` is the cell identifier of state x. Identifiers are
-    arbitrary ints. Equality compares the induced partitions, not
-    identifiers.
+    ``cell_of[x]`` is the cell id of state x. Ids are canonical: whatever
+    ints the constructor is given, it renumbers the cells 0..n_cells-1 in
+    order of their least members. Two covers of one partition therefore have
+    the same ``cell_of``, and cell k of ``cells()`` has id k.
     """
 
-    __slots__ = ("cell_of",)
+    __slots__ = ("cell_of", "n_cells")
 
     def __init__(self, cell_of: Iterable[int]):
-        self.cell_of = tuple(cell_of)
+        # A cell is first seen at its least member, so first-sight order is
+        # least-member order.
+        canon: dict[int, int] = {}
+        self.cell_of = tuple([canon.setdefault(ident, len(canon)) for ident in cell_of])
+        self.n_cells = len(canon)
 
     @classmethod
     def singleton(cls, n_states: int) -> "Cover":
@@ -63,21 +68,17 @@ class Cover:
     def n_states(self) -> int:
         return len(self.cell_of)
 
-    @property
-    def n_cells(self) -> int:
-        return len(set(self.cell_of))
-
     def cells(self) -> list[list[int]]:
-        """Cells ordered by least member; members ascending."""
-        groups: dict[int, list[int]] = {}
+        """Cells by id, which is least-member order; members ascending."""
+        groups: list[list[int]] = [[] for _ in range(self.n_cells)]
         for x, ident in enumerate(self.cell_of):
-            groups.setdefault(ident, []).append(x)
-        return sorted(groups.values(), key=lambda cell: cell[0])
+            groups[ident].append(x)
+        return groups
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cover):
             return NotImplemented
-        return self.cells() == other.cells()
+        return self.cell_of == other.cell_of
 
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, cell)) + "}" for cell in self.cells())
@@ -134,6 +135,7 @@ class _Cells:
 
     ``_cell[x]`` is the slot of state x's cell, and each slot keeps its
     cell's member list, least member and member bitmask (bit x for state x).
+    Slots start as the cover's cell ids.
     A union relabels the members of the smaller cell, so a state is
     relabeled at most log2(n) times.
     """
@@ -141,18 +143,10 @@ class _Cells:
     __slots__ = ("_cell", "_min", "_members", "_bits")
 
     def __init__(self, cover: Cover):
-        ids = sorted(set(cover.cell_of))
-        slot_of_id = {ident: slot for slot, ident in enumerate(ids)}
-        self._cell = [slot_of_id[ident] for ident in cover.cell_of]
-        n_cells = len(ids)
-        self._min = [len(cover.cell_of)] * n_cells
-        self._members: list[list[int]] = [[] for _ in range(n_cells)]
-        self._bits = [0] * n_cells
-        for x, slot in enumerate(self._cell):
-            self._members[slot].append(x)
-            self._bits[slot] |= 1 << x
-            if x < self._min[slot]:
-                self._min[slot] = x
+        self._cell = list(cover.cell_of)
+        self._members = cover.cells()
+        self._min = [members[0] for members in self._members]
+        self._bits = [sum(1 << x for x in members) for members in self._members]
 
     def union_states(self, x: int, y: int) -> None:
         a = self._cell[x]
@@ -224,22 +218,25 @@ def _check_merge(
     ctx: ControlContext,
     cells: _Cells,
     agent: int,
-) -> set[tuple[int, int]] | None:
+) -> list[tuple[int, int]] | None:
     """Decide whether the cells of ``x_i`` and ``x_j`` can merge.
 
     Examines every state pair drawn from the two cells and the cells already
-    linked to them through the wait list, fails on the first control-
-    consistency violation or when a shared-event successor pair would drag
-    in a cell whose least member index is below ``floor``, and otherwise
-    follows such successor pairs. Returns None on failure, and on success the
-    wait list: every state pair (smaller index first) whose merge the
-    candidate merge entails. ``cells`` is never changed.
+    linked to them, fails on the first control-consistency violation or when
+    a shared-event successor pair would drag in a cell whose least member
+    index is below ``floor``, and otherwise links the pair and follows its
+    successor pairs. Returns None on failure. On success it returns the
+    joins: each linked state pair that united two components of linked
+    cells, in the order linked. They form a spanning forest over the cells,
+    so uniting each pair commits every merge the candidate merge entails,
+    and there are as many joins as cells the commit removes. ``cells`` is
+    never changed.
 
     Each call of the textbook recursion is a generator ``explore(a, b)`` on
     an explicit stack, so call depth cannot overflow on large supervisors. It
     snapshots the extended members of a and b (their cells plus every cell
-    reachable from them through wait-list links, which is the cell each
-    would join if the wait list were committed) as state bitmasks when it
+    linked to them, directly or through other cells, which is the cell each
+    would join if the joins were committed) as state bitmasks when it
     starts, and yields None on failure or the next successor pair to
     explore, in the recursion's visit order. Members are walked in ascending
     index order. For each left member it walks only the right members not
@@ -255,7 +252,7 @@ def _check_merge(
     cell = cells._cell
     cell_min = cells._min
     bits = cells._bits
-    pairs: set[tuple[int, int]] = set()
+    joins: list[tuple[int, int]] = []
     adj = [0] * sup.n_states  # state -> mask of the states it is linked to
     extended = list(bits)  # component root slot -> mask of its members
     joined: dict[int, int] = {}  # linked cell slot -> the slot it joined
@@ -285,7 +282,6 @@ def _check_merge(
                 xq = bit.bit_length() - 1
                 if not control_consistent(ctx, agent, xp, xq):
                     yield None
-                pairs.add((xp, xq) if xp < xq else (xq, xp))
                 adj[xp] = links | bit
                 adj[xq] |= low
                 rp = cell[xp]
@@ -296,6 +292,7 @@ def _check_merge(
                     if rp != rq:
                         joined[rq] = rp
                         extended[rp] |= extended[rq]
+                        joins.append((xp, xq))
                 sx = succ[xp]
                 sy = succ[xq]
                 mask = enabled[xp] & enabled[xq]
@@ -322,7 +319,7 @@ def _check_merge(
             return None
         else:
             stack.append(explore(*step))
-    return pairs
+    return joins
 
 
 def localize(
@@ -336,8 +333,8 @@ def localize(
     ``init`` must itself be a control congruence for the current system (the
     singleton partition, the default, always is). The loop scans candidate
     state pairs in ascending index order, skipping states that are not the
-    least member of their cell, and commits a merge by uniting every cell
-    linked through the wait list returned by the merge-exploration engine.
+    least member of their cell, and commits a merge by uniting the state
+    pairs of each join the merge-exploration engine returns.
     """
     n = sup.n_states
     if init is None:
@@ -355,12 +352,12 @@ def localize(
                 continue
             # The first pair the engine would examine is exactly (i, j), so a
             # direct consistency violation can be rejected without setting up
-            # a wait list.
+            # an exploration.
             if not control_consistent(ctx, agent, i, j):
                 continue
-            pairs = _check_merge(i, j, i, sup, ctx, cells, agent)
-            if pairs is not None:
-                for p, q in pairs:
+            joins = _check_merge(i, j, i, sup, ctx, cells, agent)
+            if joins is not None:
+                for p, q in joins:
                     cells.union_states(p, q)
     return cells.to_cover()
 
@@ -388,16 +385,9 @@ def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> LocalSup
     """
     if len(cover.cell_of) != sup.n_states:
         raise ValueError("cover size does not match the supervisor")
-    # Cells are numbered at first sight in ascending state order, the order
-    # of ``cover.cells()``; a cell's leader is its least member.
-    pos_of: dict[int, int] = {}
-    leaders: list[int] = []
-    cell_pos = []
-    for x, ident in enumerate(cover.cell_of):
-        if ident not in pos_of:
-            pos_of[ident] = len(leaders)
-            leaders.append(x)
-        cell_pos.append(pos_of[ident])
+    # Quotient state k is cell k of the cover; its leader is its least member.
+    cell_pos = cover.cell_of
+    leaders = [cell[0] for cell in cover.cells()]
     rows: list[dict[int, int]] = [{} for _ in leaders]
     clash = None
     for x, pos in enumerate(cell_pos):

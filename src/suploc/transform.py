@@ -13,6 +13,7 @@ still allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .automata import Automaton
 from .context import ControlContext, build_context
@@ -33,20 +34,9 @@ def carry_over_cover(base_cover: Cover, base: Automaton, variant: Automaton) -> 
     """
     if len(base_cover.cell_of) != base.n_states:
         raise ValueError("base cover size does not match the base supervisor")
-    variant_index = {name: x for x, name in enumerate(variant.states)}
-    cell_of: list[int | None] = [None] * variant.n_states
-    ident = 0
-    for cell in base_cover.cells():
-        kept = [variant_index[base.states[x]] for x in cell if base.states[x] in variant_index]
-        if kept:
-            for v in kept:
-                cell_of[v] = ident
-            ident += 1
-    for v in range(variant.n_states):
-        if cell_of[v] is None:
-            cell_of[v] = ident
-            ident += 1
-    return Cover(cell_of)
+    base_cell = dict(zip(base.states, base_cover.cell_of))
+    fresh = count(base_cover.n_cells)
+    return Cover(base_cell[name] if name in base_cell else next(fresh) for name in variant.states)
 
 
 def isolate(
@@ -72,10 +62,7 @@ def isolate(
     if carried is None:
         carried = carry_over_cover(base_cover, base, variant)
     cell_of = list(carried.cell_of)
-    members: dict[int, list[int]] = {}
-    for x, ident in enumerate(cell_of):
-        members.setdefault(ident, []).append(x)
-    next_id = max(cell_of) + 1 if cell_of else 0
+    members = carried.cells()
 
     base_names = set(base.states)
     retained = [x for x in range(variant.n_states) if variant.states[x] in base_names]
@@ -93,9 +80,8 @@ def isolate(
                 if y != x
             ):
                 cell.remove(x)
-                cell_of[x] = next_id
-                members[next_id] = [x]
-                next_id += 1
+                cell_of[x] = len(members)
+                members.append([x])
                 changed = True
     return Cover(cell_of)
 

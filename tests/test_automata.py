@@ -163,6 +163,9 @@ def test_product_matches_step_oracle():
         assert order == ref_order
         assert masks == [[sum(1 << ev for ev in row) for row in a.succ_maps] for a in comps]
         assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
+        # the product is reachable by construction, so trimming is a no-op
+        p = sync_product(comps)
+        assert reachable_trim(p) is p
     assert kinds_seen == {0, 1, 2}
 
 

@@ -446,6 +446,10 @@ def test_cli_bench_rejects_non_integer_des_seed(capsys, monkeypatch):
     monkeypatch.setenv("DES_SEED", "abc")
     assert run_cli("bench", "--variant", "v1", "--levels", "2", "--runs", "1") == 2
     assert capsys.readouterr().err == "error: DES_SEED must be an integer, got 'abc'\n"
+    # a repeated variant would run, print and average its rows twice
+    monkeypatch.delenv("DES_SEED")
+    assert run_cli("bench", "--variant", "v1,v1", "--levels", "2", "--runs", "1") == 2
+    assert capsys.readouterr().err == "error: variant 'v1' given twice\n"
 
 
 def test_console_script_help():

@@ -1,6 +1,8 @@
 """Merge machinery, localization loop, quotient construction, validators."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suploc import localization
 from suploc.automata import Automaton, EventTable, FormatError, apply_state_order
@@ -34,6 +36,36 @@ def named_cells(cover, aut):
     return [[aut.states[x] for x in cell] for cell in cover.cells()]
 
 
+def committed(cover, links):
+    """``cover`` after uniting the two states of each pair in ``links``."""
+    cells = _Cells(cover)
+    for p, q in links:
+        cells.union_states(p, q)
+    return cells.to_cover()
+
+
+def agree_with_reference(joins, pairs, before):
+    """Check the engine's joins against the reference engine's pair set for
+    one call on the cells of ``before``. Both must reject, or both must
+    commit the same cover, with one join per cell the commit removes.
+    Returns the committed cover, or None on reject."""
+    assert (joins is None) == (pairs is None)
+    if joins is None:
+        return None
+    after = committed(before, joins)
+    assert after == committed(before, pairs)
+    assert len(joins) == before.n_cells - after.n_cells
+    return after
+
+
+def engine_commit(x_i, x_j, floor, sup, ctx, cover, agent):
+    """The cover the engine commits for merging x_i and x_j in ``cover``,
+    or None when it rejects, checked against the reference engine."""
+    joins = _check_merge(x_i, x_j, floor, sup, ctx, _Cells(cover), agent)
+    pairs = reference_check_merge(x_i, x_j, floor, sup, ctx, _Cells(cover), agent)
+    return agree_with_reference(joins, pairs, cover)
+
+
 # ---------------------------------------------------------------------------
 # Cover basics
 
@@ -46,6 +78,26 @@ def test_cover_from_cells_and_equality():
     assert a.cells() == [[0, 3, 4], [1, 2]]
     # cells are ordered by least member whatever the identifiers
     assert Cover([9, 7, 7, 9, 9]).cells() == a.cells()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(), max_size=30), st.data())
+def test_cover_ids_are_canonical(ids, data):
+    cover = Cover(ids)
+    distinct = list(dict.fromkeys(ids))
+    images = data.draw(
+        st.lists(st.integers(), min_size=len(distinct), max_size=len(distinct), unique=True)
+    )
+    relabel = dict(zip(distinct, images))
+    assert Cover([relabel[ident] for ident in ids]).cell_of == cover.cell_of
+    assert cover.n_cells == len(set(ids))
+    groups: dict[int, list[int]] = {}
+    for x, ident in enumerate(ids):
+        groups.setdefault(ident, []).append(x)
+    cells = cover.cells()
+    assert cells == sorted(groups.values(), key=lambda cell: cell[0])
+    assert all(cover.cell_of[x] == k for k, cell in enumerate(cells) for x in cell)
+    assert Cover.from_cells(cells, len(ids)) == cover
 
 
 def test_cover_from_cells_rejects_bad_partitions():
@@ -79,11 +131,11 @@ def test_parse_cover_names_repeated_state_and_line(corpus_sup, text, line, messa
 
 
 def test_wait_list_is_symmetric(corpus_sup, corpus_ctx):
-    # the wait list holds each pair once, smaller index first, whichever way
-    # round the merge is asked for
-    cells = _Cells(Cover.singleton(5))
-    assert _check_merge(0, 3, 0, corpus_sup, corpus_ctx, cells, 1) == {(0, 3)}
-    assert _check_merge(3, 0, 0, corpus_sup, corpus_ctx, cells, 1) == {(0, 3)}
+    # the engine commits the same merge whichever way round it is asked for
+    cover = Cover.singleton(5)
+    want = Cover.from_cells([[0, 3], [1], [2], [4]], 5)
+    assert engine_commit(0, 3, 0, corpus_sup, corpus_ctx, cover, 1) == want
+    assert engine_commit(3, 0, 0, corpus_sup, corpus_ctx, cover, 1) == want
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +181,22 @@ def test_check_merge_skips_pair_already_linked():
     table = EventTable(("a", "b"), (True, True), (1, 1))
     sup = Automaton(["p", "q"], table, [(0, 0, 0), (0, 1, 1), (1, 0, 1)], 0)
     ctx = build_context(sup, sup, agents_from_table(table))
-    assert _check_merge(0, 1, 0, sup, ctx, _Cells(Cover.singleton(2)), 1) == {(0, 1)}
+    merged = engine_commit(0, 1, 0, sup, ctx, Cover.singleton(2), 1)
+    assert merged == Cover.from_cells([[0, 1]], 2)
 
 
 def test_check_merge_corpus_outcomes(corpus_sup, corpus_ctx):
-    cells = _Cells(Cover.singleton(5))
-    assert _check_merge(0, 1, 0, corpus_sup, corpus_ctx, cells, 1) is None
-    assert _check_merge(0, 3, 0, corpus_sup, corpus_ctx, cells, 1) == {(0, 3)}
+    def merge(i, j, cover):
+        return engine_commit(i, j, 0, corpus_sup, corpus_ctx, cover, 1)
+
+    singleton = Cover.singleton(5)
+    assert merge(0, 1, singleton) is None
+    assert merge(0, 3, singleton) == Cover.from_cells([[0, 3], [1], [2], [4]], 5)
     # {x1,x2} entails {x3,x4} through their c-successors
-    assert _check_merge(1, 2, 0, corpus_sup, corpus_ctx, cells, 1) == {(1, 2), (3, 4)}
+    assert merge(1, 2, singleton) == Cover.from_cells([[0], [1, 2], [3, 4]], 5)
     # after committing {x0,x3}, x4 joins to form one cell of three states
-    cells2 = _Cells(Cover.from_cells([[0, 3], [1], [2], [4]], 5))
-    assert _check_merge(0, 4, 0, corpus_sup, corpus_ctx, cells2, 1) == {(0, 4), (3, 4)}
+    paired = Cover.from_cells([[0, 3], [1], [2], [4]], 5)
+    assert merge(0, 4, paired) == Cover.from_cells([[0, 3, 4], [1], [2]], 5)
 
 
 def test_check_merge_symmetric_on_random_instances():
@@ -161,14 +217,16 @@ def test_check_merge_symmetric_on_random_instances():
 
 @pytest.fixture
 def engine_outcomes(monkeypatch):
-    # every engine call made while the fixture is active must return exactly
-    # what the frame-by-frame state machine returns for the same cells
+    # every engine call made while the fixture is active must agree with the
+    # frame-by-frame state machine on the same cells: both reject, or both
+    # commit the same cover
     engine = localization._check_merge
     outcomes = {"accepted": 0, "rejected": 0}
 
     def checked(x_i, x_j, floor, sup, ctx, cells, agent):
         got = engine(x_i, x_j, floor, sup, ctx, cells, agent)
-        assert got == reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent)
+        pairs = reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent)
+        agree_with_reference(got, pairs, cells.to_cover())
         outcomes["rejected" if got is None else "accepted"] += 1
         return got
 
