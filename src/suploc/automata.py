@@ -490,14 +490,14 @@ def apply_state_order(a: Automaton, order: Sequence[int]) -> Automaton:
     )
 
 
-def project_state_names(a: Automaton, keep: int, sep: str = "|") -> Automaton:
-    """Rename every state to the first ``keep`` ``sep``-joined name components.
+def project_state_names(a: Automaton, keep: int) -> Automaton:
+    """Rename every state to its first ``keep`` ``|``-joined name components.
 
     Useful after a synchronous product when trailing components (for example
     monitor automata) add no identifying information. Raises ``ValueError``
     if the projection is not injective on the state set.
     """
-    names = [sep.join(name.split(sep)[:keep]) for name in a.states]
+    names = ["|".join(name.split("|")[:keep]) for name in a.states]
     if len(set(names)) != len(names):
         raise ValueError("state-name projection is not injective")
     # A projected name is a prefix of a valid name, so it is valid unless empty.

@@ -163,10 +163,17 @@ def run_bench(
     """Run the full protocol and aggregate means per (variant, agent).
 
     Agent pipelines run one after another so wall-clock numbers are
-    uncontaminated.
+    uncontaminated. An unknown or repeated variant raises ``ValueError``
+    before any system is generated.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    variants = tuple(variants)
+    for pos, v in enumerate(variants):
+        if v not in VARIANTS:
+            raise ValueError(f"unknown variant {v!r}")
+        if v in variants[:pos]:
+            raise ValueError(f"variant {v!r} given twice")
 
     def say(msg: str) -> None:
         if log is not None:

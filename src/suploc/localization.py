@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
-from .automata import Automaton, FormatError, _mask_events
+from .automata import Automaton, FormatError
 from .context import ControlContext
 
 
@@ -134,35 +134,45 @@ class _Cells:
     """Cells of a cover under merging.
 
     ``_cell[x]`` is the slot of state x's cell, and each slot keeps its
-    cell's member list, least member and member bitmask (bit x for state x).
-    Slots start as the cover's cell ids.
-    A union relabels the members of the smaller cell, so a state is
-    relabeled at most log2(n) times.
+    cell's member list and least member. Slots start as the cover's cell
+    ids. A union relabels the members of the smaller cell, so a state is
+    relabeled at most log2(n) times, and returns a record from which
+    :meth:`undo` splits the cells again.
     """
 
-    __slots__ = ("_cell", "_min", "_members", "_bits")
+    __slots__ = ("_cell", "_min", "_members")
 
     def __init__(self, cover: Cover):
         self._cell = list(cover.cell_of)
         self._members = cover.cells()
         self._min = [members[0] for members in self._members]
-        self._bits = [sum(1 << x for x in members) for members in self._members]
 
-    def union_states(self, x: int, y: int) -> None:
-        a = self._cell[x]
-        b = self._cell[y]
-        if a == b:
-            return
-        if len(self._members[a]) < len(self._members[b]):
+    def union(self, a: int, b: int) -> tuple[int, int, int, int]:
+        """Unite the cells in slots a and b; returns the undo record."""
+        members = self._members
+        if len(members[a]) < len(members[b]):
             a, b = b, a
-        for m in self._members[b]:
-            self._cell[m] = a
-        self._members[a].extend(self._members[b])
-        self._members[b] = []
-        self._bits[a] |= self._bits[b]
-        self._bits[b] = 0
+        record = (a, b, len(members[a]), self._min[a])
+        cell = self._cell
+        for m in members[b]:
+            cell[m] = a
+        members[a].extend(members[b])
+        members[b] = []
         if self._min[b] < self._min[a]:
             self._min[a] = self._min[b]
+        return record
+
+    def undo(self, records) -> None:
+        """Split the cells of ``records``' unions again, latest first."""
+        members = self._members
+        cell = self._cell
+        for a, b, size, least in reversed(records):
+            moved = members[a][size:]
+            del members[a][size:]
+            members[b] = moved
+            for m in moved:
+                cell[m] = b
+            self._min[a] = least
 
     def to_cover(self) -> Cover:
         return Cover(self._cell)
@@ -210,102 +220,73 @@ def _pair_clash(
     return None
 
 
-def _check_merge(
-    x_i: int,
-    x_j: int,
-    floor: int,
-    sup: Automaton,
-    ctx: ControlContext,
-    cells: _Cells,
-    agent: int,
-) -> list[tuple[int, int]] | None:
-    """Decide whether the cells of ``x_i`` and ``x_j`` can merge.
+def _summary(ctx: ControlContext, agent: int, states) -> tuple[int, int, int]:
+    """The control summary of ``states`` for ``agent``: the OR of their
+    enabled masks, the OR of their disabled masks, and bit ``2 *
+    plant_marked + marked`` per state. Two state sets are pairwise control
+    consistent iff their summaries do not :func:`_clash`."""
+    enabled = ctx.enabled
+    dis = ctx.disabled[agent]
+    marked = ctx.marked
+    plant_marked = ctx.plant_marked
+    on = off = classes = 0
+    for x in states:
+        on |= enabled[x]
+        off |= dis[x]
+        classes |= 1 << (2 * plant_marked[x] + marked[x])
+    return on, off, classes
 
-    Examines every state pair drawn from the two cells and the cells already
-    linked to them, fails on the first control-consistency violation or when
-    a shared-event successor pair would drag in a cell whose least member
-    index is below ``floor``, and otherwise links the pair and follows its
-    successor pairs. Returns None on failure. On success it returns the
-    joins: each linked state pair that united two components of linked
-    cells, in the order linked. They form a spanning forest over the cells,
-    so uniting each pair commits every merge the candidate merge entails,
-    and there are as many joins as cells the commit removes. ``cells`` is
-    never changed.
+
+def _clash(s: tuple[int, int, int], t: tuple[int, int, int]) -> bool:
+    """Whether some state summarized by ``s`` is not control consistent with
+    some state summarized by ``t``: one enables an event the other's
+    supervisor withholds, or their plant markings agree and their markings
+    differ (an even class bit against the odd bit above it)."""
+    return bool(s[0] & t[1] or t[0] & s[1] or (s[2] << 1 & t[2] | t[2] << 1 & s[2]) & 0b1010)
+
+
+def _check_merge(
+    x_i: int, x_j: int, floor: int, sup: Automaton, ctx: ControlContext, cells: _Cells, agent: int
+) -> bool:
+    """Merge the two cells of ``x_i`` and ``x_j`` in place, with every merge
+    that entails; returns whether the merge is accepted.
+
+    A merge is a congruence closure: the successors of each new pair of
+    cellmates on an event both enable must share a cell too. It is refused
+    when two cells it would unite are not control consistent, or when it
+    would unite a cell whose least member is below ``floor``; every union is
+    then undone, so ``cells`` is exactly as before.
 
     Each call of the textbook recursion is a generator ``explore(a, b)`` on
-    an explicit stack, so call depth cannot overflow on large supervisors. It
-    snapshots the extended members of a and b (their cells plus every cell
-    linked to them, directly or through other cells, which is the cell each
-    would join if the joins were committed) as state bitmasks when it
-    starts, and yields None on failure or the next successor pair to
-    explore, in the recursion's visit order. Members are walked in ascending
-    index order. For each left member it walks only the right members not
-    yet linked to it, and checks the live links again before each pair,
-    because nested frames add links; links are only ever added, so the pairs
-    it processes are exactly those of the full cross product. Linked cells
-    form components over cell slots: ``joined`` maps a slot to the slot it
-    joined, and each component root's extended mask is the OR of its cells'
-    member masks.
+    an explicit stack, so call depth cannot overflow. A frame yields None if
+    the summaries of the cells of a and b clash, unites the cells, then walks
+    the pairs of the two cells as they were, yielding each successor pair on
+    a shared event that lies in two cells (or None if one is below
+    ``floor``). Every pair of the final cell is covered once, by the frame
+    that united its two cells, and the closure does not depend on visit order.
     """
-    enabled = ctx.enabled
     succ = sup.succ_maps
     cell = cells._cell
+    members = cells._members
     cell_min = cells._min
-    bits = cells._bits
-    joins: list[tuple[int, int]] = []
-    adj = [0] * sup.n_states  # state -> mask of the states it is linked to
-    extended = list(bits)  # component root slot -> mask of its members
-    joined: dict[int, int] = {}  # linked cell slot -> the slot it joined
-    shared_events: dict[int, tuple[int, ...]] = {}
-
-    def find(r: int) -> int:
-        while r in joined:
-            r = joined[r]
-        return r
+    records: list[tuple[int, int, int, int]] = []
 
     def explore(a: int, b: int):
-        left = extended[find(cell[a])]
-        right = extended[find(cell[b])]
-        while left:
-            low = left & -left
-            left ^= low
-            xp = low.bit_length() - 1
-            # Right members not yet linked to xp. xp itself is left out: a
-            # self-pair, possible when the extended sets overlap, is a no-op.
-            todo = right & ~(adj[xp] | low)
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                links = adj[xp]
-                if links & bit:
+        ca = cell[a]
+        cb = cell[b]
+        if _clash(_summary(ctx, agent, members[ca]), _summary(ctx, agent, members[cb])):
+            yield None
+        pairs = product(members[ca], members[cb])  # copies both member lists
+        records.append(cells.union(ca, cb))
+        for xp, xq in pairs:
+            sy = succ[xq]
+            for ev, sp in succ[xp].items():
+                sq = sy.get(ev)
+                if sq is None:
                     continue
-                xq = bit.bit_length() - 1
-                if not control_consistent(ctx, agent, xp, xq):
-                    yield None
-                adj[xp] = links | bit
-                adj[xq] |= low
-                rp = cell[xp]
-                rq = cell[xq]
-                if rp != rq:
-                    rp = find(rp)
-                    rq = find(rq)
-                    if rp != rq:
-                        joined[rq] = rp
-                        extended[rp] |= extended[rq]
-                        joins.append((xp, xq))
-                sx = succ[xp]
-                sy = succ[xq]
-                mask = enabled[xp] & enabled[xq]
-                events = shared_events.get(mask)
-                if events is None:
-                    events = shared_events[mask] = _mask_events(mask)
-                for ev in events:
-                    sp = sx[ev]
-                    sq = sy[ev]
-                    ra = cell[sp]
-                    rb = cell[sq]
-                    if ra == rb or adj[sp] >> sq & 1:
-                        continue
+                ra = cell[sp]
+                rb = cell[sq]
+                if ra != rb:
                     if cell_min[ra] < floor or cell_min[rb] < floor:
                         yield None
                     yield sp, sq
@@ -316,10 +297,11 @@ def _check_merge(
         if step is False:
             stack.pop()
         elif step is None:
-            return None
+            cells.undo(records)
+            return False
         else:
             stack.append(explore(*step))
-    return joins
+    return True
 
 
 def localize(
@@ -333,8 +315,8 @@ def localize(
     ``init`` must itself be a control congruence for the current system (the
     singleton partition, the default, always is). The loop scans candidate
     state pairs in ascending index order, skipping states that are not the
-    least member of their cell, and commits a merge by uniting the state
-    pairs of each join the merge-exploration engine returns.
+    least member of their cell, and asks the merge engine to merge the cells
+    of each pair in place.
     """
     n = sup.n_states
     if init is None:
@@ -350,15 +332,10 @@ def localize(
         for j in range(i + 1, n):
             if j > cell_min[cell[j]]:
                 continue
-            # The first pair the engine would examine is exactly (i, j), so a
-            # direct consistency violation can be rejected without setting up
-            # an exploration.
-            if not control_consistent(ctx, agent, i, j):
-                continue
-            joins = _check_merge(i, j, i, sup, ctx, cells, agent)
-            if joins is not None:
-                for p, q in joins:
-                    cells.union_states(p, q)
+            # A consistency violation between the two least members rejects
+            # the merge without summarizing their cells.
+            if control_consistent(ctx, agent, i, j):
+                _check_merge(i, j, i, sup, ctx, cells, agent)
     return cells.to_cover()
 
 

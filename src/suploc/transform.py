@@ -20,7 +20,8 @@ from .context import ControlContext, build_context
 from .localization import (
     Cover,
     LocalSupervisor,
-    _pair_clash,
+    _clash,
+    _summary,
     build_local_supervisor,
     localize,
 )
@@ -50,38 +51,57 @@ def isolate(
 ) -> Cover:
     """Restore congruence validity after a model edit by isolating conflicts.
 
-    Starting from the carried-over cover, repeatedly scan the states shared
-    with the base system in ascending variant index; a state that is not
-    control consistent with some cellmate, or whose successor on an event
-    both enable lands in a different cell than the cellmate's, is moved to a
-    fresh singleton cell. A full clean scan terminates the loop. The result
-    partitions the variant state set, is a control congruence for the variant
-    system, and never merges cells: every output cell is contained in a
-    carried-over cell. Pass ``carried`` to reuse a precomputed carry-over.
+    Starting from the carried-over cover, repeatedly scan the states in
+    ascending variant index; a state that is not control consistent with
+    some cellmate, or whose successor on an event both enable lands in a
+    different cell than the cellmate's, is moved to a fresh singleton cell.
+    A full clean scan terminates the loop. The result partitions the variant
+    state set, is a control congruence for the variant system, and never
+    merges cells: every output cell is contained in a carried-over cell.
+    Pass ``carried`` to reuse a precomputed carry-over.
+
+    A state is tested against its cell's cached summary: the control summary
+    of all members and, per event, the cell they step into on it, or -1 if
+    two. It clashes with a cellmate iff the two summaries clash or it enables
+    an event marked -1. A cell's cache is dropped when a member leaves it or
+    a member's successor moves.
     """
     if carried is None:
         carried = carry_over_cover(base_cover, base, variant)
+    succ = variant.succ_maps
     cell_of = list(carried.cell_of)
     members = carried.cells()
-
-    base_names = set(base.states)
-    retained = [x for x in range(variant.n_states) if variant.states[x] in base_names]
+    preds: list[list[int]] = [[] for _ in succ]
+    for x, row in enumerate(succ):
+        for y in row.values():
+            preds[y].append(x)
+    cache: dict[int, tuple] = {}  # cell id -> summary, steps
 
     changed = True
     while changed:
         changed = False
-        for x in retained:
-            cell = members[cell_of[x]]
+        for x, row in enumerate(succ):
+            home = cell_of[x]
+            cell = members[home]
             if len(cell) == 1:
                 continue
-            if any(
-                _pair_clash(variant, ctx, agent, cell_of, x, y)
-                for y in cell
-                if y != x
-            ):
+            known = cache.get(home)
+            if known is None:
+                steps: dict[int, int] = {}
+                for y in cell:
+                    for ev, t in succ[y].items():
+                        t = cell_of[t]
+                        if steps.setdefault(ev, t) != t:
+                            steps[ev] = -1
+                known = cache[home] = (_summary(ctx, agent, cell), steps)
+            summary, steps = known
+            if _clash(_summary(ctx, agent, (x,)), summary) or any(steps[ev] == -1 for ev in row):
                 cell.remove(x)
                 cell_of[x] = len(members)
                 members.append([x])
+                cache.pop(home, None)
+                for p in preds[x]:
+                    cache.pop(cell_of[p], None)
                 changed = True
     return Cover(cell_of)
 

@@ -18,8 +18,9 @@ from suploc.automata import Automaton, EventTable, _mask_events, reachable_trim,
 from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
 from suploc.context import agents_from_table
 from suploc.equivalence import EquivalenceVerdict
-from suploc.localization import _pair_clash
+from suploc.localization import Cover, _pair_clash
 from suploc.rng import SplitMix64
+from suploc.transform import carry_over_cover
 
 
 def random_table(rng: SplitMix64, max_events: int = 5, max_agents: int = 3) -> EventTable:
@@ -537,3 +538,35 @@ def reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent):
         if not advanced:
             stack.pop()
     return pairs
+
+
+def reference_isolate(base_cover, base, variant, ctx, agent, *, carried=None):
+    """Conflict isolation by pairwise tests: the same contract as
+    ``suploc.transform.isolate``, kept as its oracle. Each scan visits the
+    states shared with the base system in ascending variant index and tests
+    each against every cellmate with the congruence rule."""
+    if carried is None:
+        carried = carry_over_cover(base_cover, base, variant)
+    cell_of = list(carried.cell_of)
+    members = carried.cells()
+
+    base_names = set(base.states)
+    retained = [x for x in range(variant.n_states) if variant.states[x] in base_names]
+
+    changed = True
+    while changed:
+        changed = False
+        for x in retained:
+            cell = members[cell_of[x]]
+            if len(cell) == 1:
+                continue
+            if any(
+                _pair_clash(variant, ctx, agent, cell_of, x, y)
+                for y in cell
+                if y != x
+            ):
+                cell.remove(x)
+                cell_of[x] = len(members)
+                members.append([x])
+                changed = True
+    return Cover(cell_of)

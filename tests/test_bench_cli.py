@@ -69,8 +69,11 @@ def test_bench_deterministic_cells_given_seed():
 def test_bench_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run_bench(runs=0)
-    with pytest.raises(ValueError, match="unknown variant"):
+    with pytest.raises(ValueError, match="unknown variant 'v9'"):
         run_bench(variants=("v9",), levels=2)
+    # a repeated variant would run, print and average its rows twice
+    with pytest.raises(ValueError, match="variant 'v1' given twice"):
+        run_bench(variants=("v1", "v1"), levels=2, runs=1, seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +440,18 @@ def test_cli_bench_writes_reports(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_bench_rejects_non_integer_des_seed(capsys, monkeypatch):
-    from suploc import cli
+    from suploc import bench, cli
 
-    def no_bench(**kwargs):
+    def no_bench(*args, **kwargs):
         raise AssertionError("bench work started")
 
     monkeypatch.setattr(cli, "run_bench", no_bench)
     monkeypatch.setenv("DES_SEED", "abc")
     assert run_cli("bench", "--variant", "v1", "--levels", "2", "--runs", "1") == 2
     assert capsys.readouterr().err == "error: DES_SEED must be an integer, got 'abc'\n"
-    # a repeated variant would run, print and average its rows twice
-    monkeypatch.delenv("DES_SEED")
+    # run_bench rejects a repeated variant before it prepares any system
+    monkeypatch.undo()
+    monkeypatch.setattr(bench, "_prepare", no_bench)
     assert run_cli("bench", "--variant", "v1,v1", "--levels", "2", "--runs", "1") == 2
     assert capsys.readouterr().err == "error: variant 'v1' given twice\n"
 

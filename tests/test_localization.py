@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from suploc import localization
 from suploc.automata import Automaton, EventTable, FormatError, apply_state_order
-from suploc.context import build_context
+from suploc.context import ControlContext, build_context
 from suploc.localization import (
     Cover,
     InvalidCoverError,
     _Cells,
     _check_merge,
+    _clash,
+    _summary,
     build_local_supervisor,
     control_consistent,
     is_control_congruence,
@@ -39,31 +41,42 @@ def named_cells(cover, aut):
 def committed(cover, links):
     """``cover`` after uniting the two states of each pair in ``links``."""
     cells = _Cells(cover)
+    cell = cells._cell
     for p, q in links:
-        cells.union_states(p, q)
+        if cell[p] != cell[q]:
+            cells.union(cell[p], cell[q])
     return cells.to_cover()
 
 
-def agree_with_reference(joins, pairs, before):
-    """Check the engine's joins against the reference engine's pair set for
-    one call on the cells of ``before``. Both must reject, or both must
-    commit the same cover, with one join per cell the commit removes.
-    Returns the committed cover, or None on reject."""
-    assert (joins is None) == (pairs is None)
-    if joins is None:
-        return None
-    after = committed(before, joins)
-    assert after == committed(before, pairs)
-    assert len(joins) == before.n_cells - after.n_cells
-    return after
+def snapshot(cells):
+    """Everything a ``_Cells`` holds: slots, member lists and least members."""
+    return list(cells._cell), [list(m) for m in cells._members], list(cells._min)
+
+
+def checked_merge(engine, x_i, x_j, floor, sup, ctx, cells, agent):
+    """Run ``engine`` on ``cells`` after the reference engine has run on the
+    untouched cells. Both must reject, leaving ``cells`` exactly as before,
+    or both must accept, with ``cells`` merged into the cover committed from
+    the reference's pairs. Returns the engine's verdict."""
+    before = cells.to_cover()
+    state = snapshot(cells)
+    pairs = reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent)
+    accepted = engine(x_i, x_j, floor, sup, ctx, cells, agent)
+    assert accepted == (pairs is not None)
+    if accepted:
+        assert cells.to_cover() == committed(before, pairs)
+    else:
+        assert snapshot(cells) == state
+    return accepted
 
 
 def engine_commit(x_i, x_j, floor, sup, ctx, cover, agent):
     """The cover the engine commits for merging x_i and x_j in ``cover``,
     or None when it rejects, checked against the reference engine."""
-    joins = _check_merge(x_i, x_j, floor, sup, ctx, _Cells(cover), agent)
-    pairs = reference_check_merge(x_i, x_j, floor, sup, ctx, _Cells(cover), agent)
-    return agree_with_reference(joins, pairs, cover)
+    cells = _Cells(cover)
+    if checked_merge(_check_merge, x_i, x_j, floor, sup, ctx, cells, agent):
+        return cells.to_cover()
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +181,49 @@ def test_consistency_marking_condition():
     assert not control_consistent(ctx, 1, 0, 1)
 
 
+def test_summary_clash_is_consistency_on_corpus_pairs():
+    # one-state summaries clash exactly when the two states are not control
+    # consistent, for every state pair of every agent of the corpus
+    outcomes = {"clash": 0, "consistent": 0}
+    for plant, sup, agents in systems_corpus(424242, 200):
+        ctx = build_context(plant, sup, agents)
+        for spec in agents:
+            k = spec.agent_index
+            one = [_summary(ctx, k, (x,)) for x in range(sup.n_states)]
+            for x in range(sup.n_states):
+                for y in range(sup.n_states):
+                    clash = _clash(one[x], one[y])
+                    assert clash == (not control_consistent(ctx, k, x, y))
+                    outcomes["clash" if clash else "consistent"] += 1
+    assert min(outcomes.values()) > 500, outcomes
+
+
+def test_summary_clash_is_any_inconsistent_pair():
+    # the corpus supervisors mark as their plants do, so the marking classes
+    # are exercised here: random tables over eight states, random state sets
+    rng = SplitMix64(77)
+    n = 8
+    enabled = [rng.below(8) for _ in range(n)]
+    disabled = [rng.below(8) & ~on for on in enabled]
+    marked = [rng.chance(1, 2) for _ in range(n)]
+    plant_marked = [rng.chance(1, 2) for _ in range(n)]
+    ctx = ControlContext(enabled, {1: disabled}, marked, plant_marked)
+    outcomes = {True: 0, False: 0}
+    for _ in range(2000):
+        s = [x for x in range(n) if rng.chance(1, 3)]
+        t = [x for x in range(n) if rng.chance(1, 3)]
+        want = any(not control_consistent(ctx, 1, x, y) for x in s for y in t)
+        assert _clash(_summary(ctx, 1, s), _summary(ctx, 1, t)) == want
+        outcomes[want] += 1
+    for pm in (False, True):
+        for m in (False, True):
+            ctx = ControlContext([0, 0], {1: [0, 0]}, [m, not m], [pm, pm])
+            assert _clash(_summary(ctx, 1, [0]), _summary(ctx, 1, [1]))
+            ctx = ControlContext([0, 0], {1: [0, 0]}, [m, not m], [pm, not pm])
+            assert not _clash(_summary(ctx, 1, [0]), _summary(ctx, 1, [1]))
+    assert min(outcomes.values()) > 200, outcomes
+
+
 # ---------------------------------------------------------------------------
 # merge-exploration engine
 
@@ -177,7 +233,8 @@ def test_check_merge_skips_pair_already_linked():
     from suploc.context import agents_from_table
 
     # both states loop on a, so exploring (p, q) leads back to (p, q); the
-    # engine must skip the linked pair instead of exploring it again
+    # engine must skip the pair, whose states now share a cell, instead of
+    # exploring it again
     table = EventTable(("a", "b"), (True, True), (1, 1))
     sup = Automaton(["p", "q"], table, [(0, 0, 0), (0, 1, 1), (1, 0, 1)], 0)
     ctx = build_context(sup, sup, agents_from_table(table))
@@ -209,10 +266,12 @@ def test_check_merge_symmetric_on_random_instances():
         i = rng.below(n - 1)
         j = i + 1 + rng.below(n - i - 1)
         for spec in agents:
-            cells = _Cells(Cover.singleton(n))
-            p1 = _check_merge(i, j, i, sup, ctx, cells, spec.agent_index)
-            p2 = _check_merge(j, i, i, sup, ctx, cells, spec.agent_index)
-            assert (p1 is None) == (p2 is None)
+            forward = _Cells(Cover.singleton(n))
+            backward = _Cells(Cover.singleton(n))
+            p1 = _check_merge(i, j, i, sup, ctx, forward, spec.agent_index)
+            p2 = _check_merge(j, i, i, sup, ctx, backward, spec.agent_index)
+            assert p1 == p2
+            assert forward.to_cover() == backward.to_cover()
 
 
 @pytest.fixture
@@ -224,10 +283,8 @@ def engine_outcomes(monkeypatch):
     outcomes = {"accepted": 0, "rejected": 0}
 
     def checked(x_i, x_j, floor, sup, ctx, cells, agent):
-        got = engine(x_i, x_j, floor, sup, ctx, cells, agent)
-        pairs = reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent)
-        agree_with_reference(got, pairs, cells.to_cover())
-        outcomes["rejected" if got is None else "accepted"] += 1
+        got = checked_merge(engine, x_i, x_j, floor, sup, ctx, cells, agent)
+        outcomes["accepted" if got else "rejected"] += 1
         return got
 
     monkeypatch.setattr(localization, "_check_merge", checked)

@@ -15,7 +15,13 @@ from suploc.transform import (
     tsl,
 )
 
-from .instances import is_maximally_reduced, mutate_system, systems_corpus, tower3
+from .instances import (
+    is_maximally_reduced,
+    mutate_system,
+    reference_isolate,
+    systems_corpus,
+    tower3,
+)
 
 
 def named_cells(cover, aut):
@@ -198,6 +204,41 @@ def tower3_base():
     plant, sup, agents = tower3("base")
     ctx = build_context(plant, sup, agents)
     return sup, [localize(sup, ctx, spec.agent_index) for spec in agents]
+
+
+def assert_isolate_matches_reference(base_cover, base, variant, ctx, agent):
+    carried = carry_over_cover(base_cover, base, variant)
+    want = reference_isolate(base_cover, base, variant, ctx, agent)
+    assert reference_isolate(base_cover, base, variant, ctx, agent, carried=carried) == want
+    assert isolate(base_cover, base, variant, ctx, agent) == want
+    assert isolate(base_cover, base, variant, ctx, agent, carried=carried) == want
+    return want != carried
+
+
+def test_isolate_matches_reference_on_random_edits():
+    rng = SplitMix64(20250810)
+    evicting = 0
+    for plant, sup, agents in systems_corpus(424242, 200):
+        variant_plant, variant_sup = mutate_system(rng, plant, sup)
+        base_ctx = build_context(plant, sup, agents)
+        ctx = build_context(variant_plant, variant_sup, agents)
+        for spec in agents:
+            k = spec.agent_index
+            cover = localize(sup, base_ctx, k)
+            evicting += assert_isolate_matches_reference(cover, sup, variant_sup, ctx, k)
+    assert evicting > 50, evicting
+
+
+def test_isolate_matches_reference_on_tower(tower3_base):
+    base_sup, base_covers = tower3_base
+    evicting = 0
+    for variant in ("v1", "v2", "v3", "v4", "v5"):
+        plant, sup, agents = tower3(variant)
+        ctx = build_context(plant, sup, agents)
+        for spec, cover in zip(agents, base_covers):
+            k = spec.agent_index
+            evicting += assert_isolate_matches_reference(cover, base_sup, sup, ctx, k)
+    assert evicting > 5, evicting
 
 
 @pytest.mark.parametrize("variant", sorted(TOWER3_COVER_SHA256))
