@@ -18,6 +18,10 @@ work for both procedures), as is quotient-automaton construction.
 from __future__ import annotations
 
 import io
+import json
+import os
+import platform
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -44,6 +48,9 @@ CSV_COLUMNS = (
     "cells_isolated",
     "cells_tsl",
 )
+
+# The CSV columns that ``BenchReport.to_json`` summarizes per (variant, agent).
+JSON_COLUMNS = CSV_COLUMNS[3:]
 
 
 class EquivalenceGateError(RuntimeError):
@@ -88,6 +95,9 @@ class BenchReport:
     aggregates: tuple[BenchAggregate, ...]
     runs: int
     seed: int
+    levels: int
+    animals: int
+    variants: tuple[str, ...]
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -98,6 +108,38 @@ class BenchReport:
                 ",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in values) + "\n"
             )
         return out.getvalue()
+
+    def to_json(self) -> str:
+        """The environment, the protocol and, per (variant, agent), the
+        median, min and max over the runs of each column of ``JSON_COLUMNS``."""
+        results = []
+        for agg in self.aggregates:
+            sub = [r for r in self.rows if r.variant == agg.variant and r.agent == agg.agent]
+            entry: dict = {"variant": agg.variant, "agent": agg.agent}
+            for column in JSON_COLUMNS:
+                values = [getattr(r, column) for r in sub]
+                entry[column] = {
+                    "median": statistics.median(values),
+                    "min": min(values),
+                    "max": max(values),
+                }
+            results.append(entry)
+        document = {
+            "environment": {
+                "python": platform.python_version(),
+                "cpu_count": os.cpu_count(),
+                "platform": platform.platform(),
+            },
+            "protocol": {
+                "seed": self.seed,
+                "runs": self.runs,
+                "levels": self.levels,
+                "animals": self.animals,
+                "variants": list(self.variants),
+            },
+            "results": results,
+        }
+        return json.dumps(document, indent=2) + "\n"
 
     def to_markdown(self) -> str:
         header = (
@@ -277,4 +319,4 @@ def run_bench(
                     cells_tsl=mean("cells_tsl"),
                 )
             )
-    return BenchReport(tuple(rows), tuple(aggregates), runs, seed)
+    return BenchReport(tuple(rows), tuple(aggregates), runs, seed, levels, animals, variants)

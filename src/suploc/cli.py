@@ -2,7 +2,8 @@
 
 Subcommands: gen-cmt, synthesize, localize, isolate, tsl, check-equiv, bench.
 Exit codes: 0 success, 1 verification failure (inequivalence, empty
-synthesis, benchmark gate), 2 usage or input-format errors.
+synthesis, a cover that is not a congruence, benchmark gate), 2 usage or
+input-format errors.
 """
 
 from __future__ import annotations
@@ -140,6 +141,8 @@ def _cmd_isolate(args) -> int:
     agents = agents_from_table(sup.alphabet)
     ctx = build_context(plant, sup, agents)
     cover = isolate(base_cover, base_sup, sup, ctx, agent)
+    if not _all_congruent(sup, ctx, [(agent, cover)]):
+        return 1
     save_cover(cover, sup, args.out)
     print(f"agent {agent}: {cover.n_cells} cells -> {args.out}")
     return 0
@@ -229,6 +232,8 @@ def _cmd_bench(args) -> int:
         Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
     if args.md:
         Path(args.md).write_text(report.to_markdown(), encoding="utf-8")
+    if args.json:
+        Path(args.json).write_text(report.to_json(), encoding="utf-8")
     return 0
 
 
@@ -295,6 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1, help="overridden by env var DES_SEED")
     p.add_argument("--csv", default=None, help="write per-run rows to this CSV file")
     p.add_argument("--md", default=None, help="write the aggregate table to this file")
+    p.add_argument("--json", default=None,
+                   help="write the environment, protocol and per-agent spreads to this file")
     p.set_defaults(func=_cmd_bench)
     return parser
 

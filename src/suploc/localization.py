@@ -131,28 +131,31 @@ def save_cover(cover: Cover, automaton: Automaton, path) -> None:
 
 
 class _Cells:
-    """Cells of a cover under merging.
+    """Cells of a cover under merging, for one agent.
 
     ``_cell[x]`` is the slot of state x's cell, and each slot keeps its
-    cell's member list and least member. Slots start as the cover's cell
-    ids. A union relabels the members of the smaller cell, so a state is
+    cell's member list, least member and control :func:`_summary`. Slots
+    start as the cover's cell ids. A union relabels the members of the
+    smaller cell and ORs its summary into the kept one, so a state is
     relabeled at most log2(n) times, and returns a record from which
     :meth:`undo` splits the cells again.
     """
 
-    __slots__ = ("_cell", "_min", "_members")
+    __slots__ = ("_cell", "_min", "_members", "_sum")
 
-    def __init__(self, cover: Cover):
+    def __init__(self, cover: Cover, ctx: ControlContext, agent: int):
         self._cell = list(cover.cell_of)
         self._members = cover.cells()
         self._min = [members[0] for members in self._members]
+        self._sum = [_summary(ctx, agent, members) for members in self._members]
 
-    def union(self, a: int, b: int) -> tuple[int, int, int, int]:
+    def union(self, a: int, b: int) -> tuple[int, int, int, int, tuple[int, int, int]]:
         """Unite the cells in slots a and b; returns the undo record."""
         members = self._members
         if len(members[a]) < len(members[b]):
             a, b = b, a
-        record = (a, b, len(members[a]), self._min[a])
+        kept = self._sum[a]
+        record = (a, b, len(members[a]), self._min[a], kept)
         cell = self._cell
         for m in members[b]:
             cell[m] = a
@@ -160,19 +163,23 @@ class _Cells:
         members[b] = []
         if self._min[b] < self._min[a]:
             self._min[a] = self._min[b]
+        gone = self._sum[b]
+        self._sum[a] = (kept[0] | gone[0], kept[1] | gone[1], kept[2] | gone[2])
         return record
 
     def undo(self, records) -> None:
-        """Split the cells of ``records``' unions again, latest first."""
+        """Split the cells of ``records``' unions again, latest first. An
+        emptied slot keeps its summary, so only the kept one is restored."""
         members = self._members
         cell = self._cell
-        for a, b, size, least in reversed(records):
+        for a, b, size, least, summary in reversed(records):
             moved = members[a][size:]
             del members[a][size:]
             members[b] = moved
             for m in moved:
                 cell[m] = b
             self._min[a] = least
+            self._sum[a] = summary
 
     def to_cover(self) -> Cover:
         return Cover(self._cell)
@@ -255,13 +262,14 @@ def _check_merge(
     cellmates on an event both enable must share a cell too. It is refused
     when two cells it would unite are not control consistent, or when it
     would unite a cell whose least member is below ``floor``; every union is
-    then undone, so ``cells`` is exactly as before.
+    then undone, so ``cells`` is exactly as before. ``cells`` must have been
+    built for ``ctx`` and ``agent``, whose summaries it keeps.
 
     Each call of the textbook recursion is a generator ``explore(a, b)`` on
     an explicit stack, so call depth cannot overflow. A frame yields None if
-    the summaries of the cells of a and b clash, unites the cells, then walks
-    the pairs of the two cells as they were, yielding each successor pair on
-    a shared event that lies in two cells (or None if one is below
+    the kept summaries of the cells of a and b clash, unites the cells, then
+    walks the pairs of the two cells as they were, yielding each successor
+    pair on a shared event that lies in two cells (or None if one is below
     ``floor``). Every pair of the final cell is covered once, by the frame
     that united its two cells, and the closure does not depend on visit order.
     """
@@ -269,12 +277,13 @@ def _check_merge(
     cell = cells._cell
     members = cells._members
     cell_min = cells._min
-    records: list[tuple[int, int, int, int]] = []
+    sums = cells._sum
+    records: list[tuple[int, int, int, int, tuple[int, int, int]]] = []
 
     def explore(a: int, b: int):
         ca = cell[a]
         cb = cell[b]
-        if _clash(_summary(ctx, agent, members[ca]), _summary(ctx, agent, members[cb])):
+        if _clash(sums[ca], sums[cb]):
             yield None
         pairs = product(members[ca], members[cb])  # copies both member lists
         records.append(cells.union(ca, cb))
@@ -323,7 +332,7 @@ def localize(
         init = Cover.singleton(n)
     if len(init.cell_of) != n:
         raise ValueError("init cover size does not match the supervisor")
-    cells = _Cells(init)
+    cells = _Cells(init, ctx, agent)
     cell = cells._cell
     cell_min = cells._min
     for i in range(n - 1):
@@ -333,7 +342,7 @@ def localize(
             if j > cell_min[cell[j]]:
                 continue
             # A consistency violation between the two least members rejects
-            # the merge without summarizing their cells.
+            # the merge without entering the engine.
             if control_consistent(ctx, agent, i, j):
                 _check_merge(i, j, i, sup, ctx, cells, agent)
     return cells.to_cover()

@@ -40,6 +40,75 @@ def carry_over_cover(base_cover: Cover, base: Automaton, variant: Automaton) -> 
     return Cover(base_cell[name] if name in base_cell else next(fresh) for name in variant.states)
 
 
+class _Counts:
+    """The counters ``isolate`` keeps for one carried cell: its size, its
+    control summary, how many members step into each cell on each event
+    (the events with counts are the summary's enabled OR), and how many
+    members carry each disabled bit and each marking-class bit. Removing a
+    member clears a summary bit when its count reaches 0."""
+
+    __slots__ = ("size", "summary", "steps", "offs", "classes")
+
+    def __init__(self, cell, succ, own, cell_of):
+        self.size = len(cell)
+        self.steps: dict[int, dict[int, int]] = {}
+        self.offs: dict[int, int] = {}
+        self.classes: dict[int, int] = {}
+        for x in cell:
+            for ev, t in succ[x].items():
+                targets = self.steps.setdefault(ev, {})
+                t = cell_of[t]
+                targets[t] = targets.get(t, 0) + 1
+            _count(self.offs, own[x][1])
+            _count(self.classes, own[x][2])
+        # The counted events and bits are the bits of the summary.
+        self.summary = (sum(1 << ev for ev in self.steps), sum(self.offs), sum(self.classes))
+
+    def remove(self, row, summary, cell_of) -> None:
+        """Take out the member with successor row ``row`` and ``summary``."""
+        self.size -= 1
+        on, off, classes = self.summary
+        steps = self.steps
+        for ev, t in row.items():
+            targets = steps[ev]
+            t = cell_of[t]
+            if targets[t] > 1:
+                targets[t] -= 1
+            else:
+                del targets[t]
+                if not targets:
+                    del steps[ev]
+                    on ^= 1 << ev
+        off ^= _count(self.offs, summary[1], -1)
+        classes ^= _count(self.classes, summary[2], -1)
+        self.summary = (on, off, classes)
+
+    def move(self, ev: int, old: int, new: int) -> None:
+        """One member's successor on ``ev`` moved from cell old to cell new."""
+        targets = self.steps[ev]
+        if targets[old] > 1:
+            targets[old] -= 1
+        else:
+            del targets[old]
+        targets[new] = targets.get(new, 0) + 1
+
+
+def _count(counts: dict[int, int], mask: int, by: int = 1) -> int:
+    """Add ``by`` to the count of each bit of ``mask``; returns the bits
+    whose count fell to 0, which are deleted."""
+    zeroed = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        left = counts.get(bit, 0) + by
+        if left:
+            counts[bit] = left
+        else:
+            del counts[bit]
+            zeroed |= bit
+    return zeroed
+
+
 def isolate(
     base_cover: Cover,
     base: Automaton,
@@ -60,48 +129,42 @@ def isolate(
     merges cells: every output cell is contained in a carried-over cell.
     Pass ``carried`` to reuse a precomputed carry-over.
 
-    A state is tested against its cell's cached summary: the control summary
-    of all members and, per event, the cell they step into on it, or -1 if
-    two. It clashes with a cellmate iff the two summaries clash or it enables
-    an event marked -1. A cell's cache is dropped when a member leaves it or
-    a member's successor moves.
+    Each carried cell of two or more states keeps :class:`_Counts`, built
+    once. A state clashes with a cellmate iff its summary clashes with its
+    cell's or, on an event it enables, the members step into two cells. An
+    eviction takes the state out of its cell's counters and moves each
+    predecessor's count on that event to the state's new cell. New
+    singletons get no counters, since isolation never merges.
     """
     if carried is None:
         carried = carry_over_cover(base_cover, base, variant)
     succ = variant.succ_maps
+    own = [_summary(ctx, agent, (x,)) for x in range(variant.n_states)]
     cell_of = list(carried.cell_of)
-    members = carried.cells()
-    preds: list[list[int]] = [[] for _ in succ]
+    preds: list[list[tuple[int, int]]] = [[] for _ in succ]
     for x, row in enumerate(succ):
-        for y in row.values():
-            preds[y].append(x)
-    cache: dict[int, tuple] = {}  # cell id -> summary, steps
+        for ev, y in row.items():
+            preds[y].append((x, ev))
+    counts = [
+        _Counts(cell, succ, own, cell_of) if len(cell) > 1 else None for cell in carried.cells()
+    ]
 
     changed = True
     while changed:
         changed = False
         for x, row in enumerate(succ):
-            home = cell_of[x]
-            cell = members[home]
-            if len(cell) == 1:
+            home = counts[cell_of[x]]
+            if home is None or home.size == 1:
                 continue
-            known = cache.get(home)
-            if known is None:
-                steps: dict[int, int] = {}
-                for y in cell:
-                    for ev, t in succ[y].items():
-                        t = cell_of[t]
-                        if steps.setdefault(ev, t) != t:
-                            steps[ev] = -1
-                known = cache[home] = (_summary(ctx, agent, cell), steps)
-            summary, steps = known
-            if _clash(_summary(ctx, agent, (x,)), summary) or any(steps[ev] == -1 for ev in row):
-                cell.remove(x)
-                cell_of[x] = len(members)
-                members.append([x])
-                cache.pop(home, None)
-                for p in preds[x]:
-                    cache.pop(cell_of[p], None)
+            if _clash(own[x], home.summary) or any(len(home.steps[ev]) > 1 for ev in row):
+                home.remove(row, own[x], cell_of)
+                old = cell_of[x]
+                new = cell_of[x] = len(counts)
+                counts.append(None)
+                for p, ev in preds[x]:
+                    kept = counts[cell_of[p]]
+                    if kept is not None:
+                        kept.move(ev, old, new)
                 changed = True
     return Cover(cell_of)
 

@@ -2,13 +2,17 @@
 
 import csv
 import io
+import json
+import os
+import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from suploc.bench import CSV_COLUMNS, run_bench
+from suploc.bench import CSV_COLUMNS, JSON_COLUMNS, run_bench
 from suploc.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -34,6 +38,53 @@ def test_report_schema_and_arithmetic(small_report):
         assert abs(agg.tsl_seconds - (agg.isolate_seconds + agg.init_localize_seconds)) < 1e-9
         want = (agg.tsl_seconds - agg.sl_seconds) / agg.sl_seconds * 100.0
         assert abs(agg.pct_change - want) < 1e-9
+
+
+def test_report_json_schema(small_report):
+    doc = json.loads(small_report.to_json())
+    assert set(doc) == {"environment", "protocol", "results"}
+    assert doc["environment"] == {
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+    }
+    assert doc["protocol"] == {
+        "seed": 9,
+        "runs": 1,
+        "levels": 2,
+        "animals": 1,
+        "variants": ["v1", "v2", "v3", "v4", "v5"],
+    }
+    assert JSON_COLUMNS == (
+        "sl_seconds", "isolate_seconds", "init_localize_seconds", "tsl_seconds",
+        "cells_sl", "cells_initial_guess", "cells_isolated", "cells_tsl",
+    )
+    results = doc["results"]
+    assert [(e["variant"], e["agent"]) for e in results] == [
+        (a.variant, a.agent) for a in small_report.aggregates
+    ]
+    for entry in results:
+        assert set(entry) == {"variant", "agent", *JSON_COLUMNS}
+        rows = [
+            r for r in small_report.rows
+            if (r.variant, r.agent) == (entry["variant"], entry["agent"])
+        ]
+        for column in JSON_COLUMNS:
+            values = [getattr(r, column) for r in rows]
+            assert entry[column] == {
+                "median": statistics.median(values), "min": min(values), "max": max(values),
+            }
+
+
+def test_report_json_spreads_over_runs():
+    report = run_bench(variants=("v4",), levels=2, runs=3, seed=5)
+    doc = json.loads(report.to_json())
+    assert doc["protocol"]["runs"] == 3 and doc["protocol"]["variants"] == ["v4"]
+    for entry in doc["results"]:
+        times = sorted(
+            r.sl_seconds for r in report.rows if r.agent == entry["agent"]
+        )
+        assert entry["sl_seconds"] == {"median": times[1], "min": times[0], "max": times[2]}
 
 
 def test_markdown_table_contains_all_rows(small_report):
@@ -291,6 +342,31 @@ def test_cli_tsl_refuses_non_congruence(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [base_cover]
 
 
+def test_cli_isolate_refuses_non_congruence(tmp_path, capsys, monkeypatch):
+    from suploc import cli
+    from suploc.localization import Cover
+
+    # one cell for every state: example1's agent 1 needs two cells
+    def one_cell(base_cover, base_sup, sup, ctx, agent):
+        return Cover([0] * sup.n_states)
+
+    monkeypatch.setattr(cli, "isolate", one_cell)
+    base_cover = tmp_path / "base.cover"
+    base_cover.write_text("cell 0: x0 x3 x4\ncell 1: x1 x2\n", encoding="utf-8")
+    code = run_cli(
+        "isolate",
+        "--base-cover", str(base_cover),
+        "--base-sup", str(DATA / "example1.aut"),
+        "--plant", str(DATA / "example1_plant.aut"),
+        "--sup", str(DATA / "example1.aut"),
+        "--agent", "1",
+        "--out", str(tmp_path / "iso.cover"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("verification failure: agent 1: states ")
+    assert list(tmp_path.iterdir()) == [base_cover]
+
+
 def test_cli_gen_cmt_files_parse_and_synthesize(tmp_path):
     out = tmp_path / "cmt"
     assert run_cli(
@@ -416,10 +492,12 @@ def test_cli_rejects_supervisor_outside_plant(tmp_path, capsys):
 def test_cli_bench_writes_reports(tmp_path, capsys, monkeypatch):
     csv_path = tmp_path / "rows.csv"
     md_path = tmp_path / "table.md"
+    json_path = tmp_path / "bench.json"
     monkeypatch.setenv("DES_SEED", "12")
     code = run_cli(
         "bench", "--variant", "v1", "--levels", "2", "--runs", "1",
         "--seed", "99", "--csv", str(csv_path), "--md", str(md_path),
+        "--json", str(json_path),
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -428,6 +506,9 @@ def test_cli_bench_writes_reports(tmp_path, capsys, monkeypatch):
     rows = list(csv.DictReader(io.StringIO(csv_path.read_text(encoding="utf-8"))))
     assert list(rows[0].keys()) == list(CSV_COLUMNS)
     assert md_path.read_text(encoding="utf-8").startswith("| variant")
+    doc = json.loads(json_path.read_text(encoding="utf-8"))
+    assert doc["protocol"]["seed"] == 12 and doc["protocol"]["variants"] == ["v1"]
+    assert [entry["agent"] for entry in doc["results"]] == [1, 2]
     # the environment seed must beat the flag: rerun with the same env seed
     monkeypatch.setenv("DES_SEED", "12")
     code = run_cli("bench", "--variant", "v1", "--levels", "2", "--runs", "1",

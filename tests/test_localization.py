@@ -38,9 +38,9 @@ def named_cells(cover, aut):
     return [[aut.states[x] for x in cell] for cell in cover.cells()]
 
 
-def committed(cover, links):
+def committed(cover, links, ctx, agent):
     """``cover`` after uniting the two states of each pair in ``links``."""
-    cells = _Cells(cover)
+    cells = _Cells(cover, ctx, agent)
     cell = cells._cell
     for p, q in links:
         if cell[p] != cell[q]:
@@ -49,22 +49,32 @@ def committed(cover, links):
 
 
 def snapshot(cells):
-    """Everything a ``_Cells`` holds: slots, member lists and least members."""
-    return list(cells._cell), [list(m) for m in cells._members], list(cells._min)
+    """Everything a ``_Cells`` holds: slots, member lists, least members and
+    summaries."""
+    return (
+        list(cells._cell),
+        [list(m) for m in cells._members],
+        list(cells._min),
+        list(cells._sum),
+    )
 
 
 def checked_merge(engine, x_i, x_j, floor, sup, ctx, cells, agent):
     """Run ``engine`` on ``cells`` after the reference engine has run on the
     untouched cells. Both must reject, leaving ``cells`` exactly as before,
     or both must accept, with ``cells`` merged into the cover committed from
-    the reference's pairs. Returns the engine's verdict."""
+    the reference's pairs and every cell's kept summary that of its members.
+    Returns the engine's verdict."""
     before = cells.to_cover()
     state = snapshot(cells)
     pairs = reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent)
     accepted = engine(x_i, x_j, floor, sup, ctx, cells, agent)
     assert accepted == (pairs is not None)
     if accepted:
-        assert cells.to_cover() == committed(before, pairs)
+        assert cells.to_cover() == committed(before, pairs, ctx, agent)
+        for members, summary in zip(cells._members, cells._sum):
+            if members:
+                assert summary == _summary(ctx, agent, members)
     else:
         assert snapshot(cells) == state
     return accepted
@@ -73,7 +83,7 @@ def checked_merge(engine, x_i, x_j, floor, sup, ctx, cells, agent):
 def engine_commit(x_i, x_j, floor, sup, ctx, cover, agent):
     """The cover the engine commits for merging x_i and x_j in ``cover``,
     or None when it rejects, checked against the reference engine."""
-    cells = _Cells(cover)
+    cells = _Cells(cover, ctx, agent)
     if checked_merge(_check_merge, x_i, x_j, floor, sup, ctx, cells, agent):
         return cells.to_cover()
     return None
@@ -266,10 +276,11 @@ def test_check_merge_symmetric_on_random_instances():
         i = rng.below(n - 1)
         j = i + 1 + rng.below(n - i - 1)
         for spec in agents:
-            forward = _Cells(Cover.singleton(n))
-            backward = _Cells(Cover.singleton(n))
-            p1 = _check_merge(i, j, i, sup, ctx, forward, spec.agent_index)
-            p2 = _check_merge(j, i, i, sup, ctx, backward, spec.agent_index)
+            k = spec.agent_index
+            forward = _Cells(Cover.singleton(n), ctx, k)
+            backward = _Cells(Cover.singleton(n), ctx, k)
+            p1 = _check_merge(i, j, i, sup, ctx, forward, k)
+            p2 = _check_merge(j, i, i, sup, ctx, backward, k)
             assert p1 == p2
             assert forward.to_cover() == backward.to_cover()
 

@@ -4,7 +4,8 @@ import hashlib
 
 import pytest
 
-from suploc.context import build_context
+from suploc.automata import Automaton, EventTable
+from suploc.context import ControlContext, build_context
 from suploc.equivalence import check_control_equivalence
 from suploc.localization import Cover, is_control_congruence, localize, write_cover
 from suploc.rng import SplitMix64
@@ -239,6 +240,74 @@ def test_isolate_matches_reference_on_tower(tower3_base):
             k = spec.agent_index
             evicting += assert_isolate_matches_reference(cover, base_sup, sup, ctx, k)
     assert evicting > 5, evicting
+
+
+A, B, C = 0, 1, 2  # events of the hand-built systems, all agent 1's
+
+
+def hand_isolate(n, edges, cells, disabled=None, marked=()):
+    """``isolate`` of ``cells`` on a hand-built supervisor over states s0..,
+    with ``disabled`` mapping a state to the mask of events agent 1 may not
+    take there. Base and variant are the same supervisor, so the carried
+    cover is ``cells``. Checked against the reference with and without
+    ``carried=``; returns the output's cells."""
+    table = EventTable(("a", "b", "c"), (True, True, True), (1, 1, 1))
+    sup = Automaton([f"s{x}" for x in range(n)], table, edges, 0, marked)
+    enabled = [sum(1 << ev for ev in row) for row in sup.succ_maps]
+    off = [(disabled or {}).get(x, 0) for x in range(n)]
+    is_marked = [x in marked for x in range(n)]
+    ctx = ControlContext(enabled, {1: off}, is_marked, [True] * n)
+    cover = Cover.from_cells(cells, n)
+    assert carry_over_cover(cover, sup, sup) == cover
+    assert_isolate_matches_reference(cover, sup, sup, ctx, 1)
+    return isolate(cover, sup, sup, ctx, 1).cells()
+
+
+def test_isolate_evicts_state_with_self_loop():
+    # s1 enables b, which s2 may not take; s1 loops on a and its cellmates
+    # step into s1 on a, so they still agree once s1 has left
+    edges = [(1, A, 1), (2, A, 1), (3, A, 1), (1, B, 0)]
+    cells = [[0], [1, 2, 3]]
+    assert hand_isolate(4, edges, cells, {2: 1 << B}) == [[0], [1], [2, 3]]
+
+
+def test_isolate_moves_predecessor_in_the_evicted_state_cell():
+    # s2 clashes with s3 on b; s1 steps into s2 on a, s3 into s1, so once s2
+    # has left, s1 and s3 step into two cells on a and s3 must go too
+    edges = [(1, A, 2), (3, A, 1), (2, B, 0), (1, C, 0), (4, C, 0)]
+    cells = [[0], [1, 2, 3, 4]]
+    assert hand_isolate(5, edges, cells, {3: 1 << B}) == [[0], [1, 4], [2], [3]]
+
+
+def test_isolate_two_evictions_from_one_cell_in_one_sweep():
+    # s1 enables b where s2 may not take it: s1 goes first; s2 then clashes
+    # with s3, which enables b too. Once both have left, nothing withholds b
+    edges = [(1, B, 0), (3, B, 0), (4, C, 0)]
+    cells = [[0], [1, 2, 3, 4]]
+    assert hand_isolate(5, edges, cells, {2: 1 << B}) == [[0], [1], [2], [3, 4]]
+
+
+def test_isolate_cell_that_shrinks_to_one_member():
+    # {s1,s2} loses s1 and keeps s2 alone, whose a-successor s1 then moves;
+    # s3 and s4 stepped into that cell on a and now step into two cells
+    edges = [(1, B, 0), (2, A, 1), (3, A, 2), (4, A, 1)]
+    cells = [[0], [1, 2], [3, 4]]
+    assert hand_isolate(5, edges, cells, {2: 1 << B}) == [[0], [1], [2], [3], [4]]
+
+
+def test_isolate_disabled_bit_shared_by_two_members():
+    # s2 and s4 both withhold b, which s3 enables: s2 leaves first, and s4
+    # still withholds b, so s3 clashes and leaves; then s4 clashes with no one
+    edges = [(3, B, 0), (1, C, 0), (4, C, 0)]
+    cells = [[0], [1, 2, 3, 4]]
+    assert hand_isolate(5, edges, cells, {2: 1 << B, 4: 1 << B}) == [[0], [1, 4], [2], [3]]
+
+
+def test_isolate_marking_class_shared_by_two_members():
+    # every state is plant-marked and only s2 is marked: s1 leaves first,
+    # and s3 and s4 are still unmarked, so s2 clashes and leaves too
+    cells = [[0], [1, 2, 3, 4]]
+    assert hand_isolate(5, [], cells, marked=[2]) == [[0], [1], [2], [3, 4]]
 
 
 @pytest.mark.parametrize("variant", sorted(TOWER3_COVER_SHA256))
