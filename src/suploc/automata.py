@@ -79,9 +79,6 @@ class EventTable:
         except KeyError:
             raise ValueError(f"unknown event {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def agent_events(self, agent: int) -> tuple[int, ...]:
         return tuple(e for e in range(self.n_events) if self.agent_of[e] == agent)
 
@@ -172,13 +169,6 @@ class Automaton:
     def n_transitions(self) -> int:
         return sum(len(row) for row in self.succ_maps)
 
-    def step(self, state: int, event: int) -> int | None:
-        return self.succ_maps[state].get(event)
-
-    def enabled(self, state: int) -> tuple[int, ...]:
-        """Events with a defined transition at ``state``, ascending."""
-        return tuple(self.succ_maps[state])
-
     def out(self, state: int):
         """(event, target) pairs at ``state``, ascending by event."""
         return self.succ_maps[state].items()
@@ -188,9 +178,6 @@ class Automaton:
             return self._name_index[name]
         except KeyError:
             raise ValueError(f"unknown state {name!r}") from None
-
-    def is_marked(self, state: int) -> bool:
-        return state in self.marked
 
     def iter_transitions(self):
         """Yield (src, event, dst) ascending by (src, event)."""

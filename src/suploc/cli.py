@@ -311,12 +311,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, InvalidCoverError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SynthesisEmptyError, EquivalenceGateError) as exc:
+    except (InvalidCoverError, SynthesisEmptyError, EquivalenceGateError) as exc:
+        # First: InvalidCoverError is a ValueError, raised only on covers suploc made.
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except (FormatError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -360,6 +360,21 @@ class LocalSupervisor:
     agent: int
 
 
+def _quotient_rows(sup: Automaton, cover: Cover):
+    """The ``{event: target cell}`` row of each cell, filled in state order,
+    and the least (cell, event) on which two members step into two cells."""
+    cell_pos = cover.cell_of
+    rows: list[dict[int, int]] = [{} for _ in range(cover.n_cells)]
+    split = None
+    for x, pos in enumerate(cell_pos):
+        row = rows[pos]
+        for ev, y in sup.succ_maps[x].items():
+            tgt = cell_pos[y]
+            if row.setdefault(ev, tgt) != tgt and (split is None or pos < split[0]):
+                split = (pos, ev)
+    return rows, split
+
+
 def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> LocalSupervisor:
     """Build the quotient automaton of a control congruence.
 
@@ -374,19 +389,11 @@ def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> LocalSup
     # Quotient state k is cell k of the cover; its leader is its least member.
     cell_pos = cover.cell_of
     leaders = [cell[0] for cell in cover.cells()]
-    rows: list[dict[int, int]] = [{} for _ in leaders]
-    clash = None
-    for x, pos in enumerate(cell_pos):
-        row = rows[pos]
-        for ev, y in sup.succ_maps[x].items():
-            tgt = cell_pos[y]
-            if row.setdefault(ev, tgt) != tgt and (clash is None or pos < clash[0]):
-                clash = (pos, ev)
-    if clash is not None:
-        pos, ev = clash
+    rows, split = _quotient_rows(sup, cover)
+    if split is not None:
         raise InvalidCoverError(
-            f"cover is not a control congruence: cell of {sup.states[leaders[pos]]!r} "
-            f"steps to two cells on {sup.alphabet.events[ev]!r}"
+            f"cover is not a control congruence: cell of {sup.states[leaders[split[0]]]!r} "
+            f"steps to two cells on {sup.alphabet.events[split[1]]!r}"
         )
     # A row is its leader's ascending row followed by the events only later
     # members enable, so only a row longer than the leader's needs sorting.
@@ -417,17 +424,21 @@ class CoverVerdict:
 def is_control_congruence(
     sup: Automaton, ctx: ControlContext, agent: int, cover: Cover
 ) -> CoverVerdict:
-    """Check both congruence conditions directly.
+    """Check both congruence conditions in O(states + transitions).
 
-    Every intra-cell state pair must be control consistent, and on every
-    event both states enable, their successors must lie in one cell. The
-    first violating pair found is reported as the witness.
-    """
+    Cellmates must be pairwise control consistent and step into one cell on
+    each event both enable. Only a cell whose summary clashes with itself,
+    or the least cell whose members step into two cells on one event, can
+    be the first to hold a failing pair. Only those are scanned pair by
+    pair, in id order; the first failing pair is the witness."""
     if len(cover.cell_of) != sup.n_states:
         return CoverVerdict(False, "cover size does not match the supervisor")
-    for cell in cover.cells():
-        for x, y in combinations(cell, 2):
-            witness = _pair_clash(sup, ctx, agent, cover.cell_of, x, y)
-            if witness is not None:
-                return CoverVerdict(False, witness)
+    split = _quotient_rows(sup, cover)[1]
+    for pos, cell in enumerate(cover.cells()):
+        s = _summary(ctx, agent, cell)
+        if _clash(s, s) or split is not None and pos == split[0]:
+            for x, y in combinations(cell, 2):
+                witness = _pair_clash(sup, ctx, agent, cover.cell_of, x, y)
+                if witness is not None:
+                    return CoverVerdict(False, witness)
     return CoverVerdict(True)

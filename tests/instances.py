@@ -18,7 +18,7 @@ from suploc.automata import Automaton, EventTable, _mask_events, reachable_trim,
 from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
 from suploc.context import agents_from_table
 from suploc.equivalence import EquivalenceVerdict
-from suploc.localization import Cover, _pair_clash
+from suploc.localization import Cover, CoverVerdict, _pair_clash
 from suploc.rng import SplitMix64
 from suploc.transform import carry_over_cover
 
@@ -201,12 +201,12 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
     while queue:
         x = queue.popleft()
         y = pair_of[x]
-        if a.enabled(x) != b.enabled(y):
+        if tuple(a.succ_maps[x]) != tuple(b.succ_maps[y]):
             return False
-        if a.is_marked(x) != b.is_marked(y):
+        if (x in a.marked) != (y in b.marked):
             return False
         for ev, nx in a.out(x):
-            ny = b.step(y, ev)
+            ny = b.succ_maps[y].get(ev)
             if nx in pair_of:
                 if pair_of[nx] != ny:
                     return False
@@ -233,7 +233,7 @@ def reference_product(automata):
         for ev, d0 in first.out(t[0]):
             dst = [d0]
             for a, comp in zip(rest, t[1:]):
-                nxt = a.step(comp, ev)
+                nxt = a.succ_maps[comp].get(ev)
                 if nxt is None:
                     break
                 dst.append(nxt)
@@ -317,8 +317,8 @@ def reference_check_control_equivalence(plant: Automaton, sup: Automaton, locs) 
     while queue:
         pair = queue.popleft()
         a, b = pair
-        ea = loop_locs.enabled(a)
-        eb = loop_mono.enabled(b)
+        ea = tuple(loop_locs.succ_maps[a])
+        eb = tuple(loop_mono.succ_maps[b])
         if ea != eb:
             extra_local = sorted(set(ea) - set(eb))
             extra_mono = sorted(set(eb) - set(ea))
@@ -334,8 +334,8 @@ def reference_check_control_equivalence(plant: Automaton, sup: Automaton, locs) 
                 failed="language",
                 direction=direction,
             )
-        ma = loop_locs.is_marked(a)
-        mb = loop_mono.is_marked(b)
+        ma = a in loop_locs.marked
+        mb = b in loop_mono.marked
         if ma != mb:
             direction = (
                 "local supervisors mark behavior the monolithic supervisor does not"
@@ -349,7 +349,7 @@ def reference_check_control_equivalence(plant: Automaton, sup: Automaton, locs) 
                 direction=direction,
             )
         for ev in ea:
-            nxt = (loop_locs.step(a, ev), loop_mono.step(b, ev))
+            nxt = (loop_locs.succ_maps[a].get(ev), loop_mono.succ_maps[b].get(ev))
             if nxt not in parent:
                 parent[nxt] = (pair, ev)
                 queue.append(nxt)
@@ -380,6 +380,20 @@ def is_maximally_reduced(sup: Automaton, ctx, agent: int, cover) -> bool:
     return True
 
 
+def reference_is_control_congruence(sup: Automaton, ctx, agent: int, cover) -> CoverVerdict:
+    """The pair scan: every pair of cellmates, cell by cell, the first
+    failing pair being the witness. The same contract as
+    ``suploc.localization.is_control_congruence``, kept as its oracle."""
+    if len(cover.cell_of) != sup.n_states:
+        return CoverVerdict(False, "cover size does not match the supervisor")
+    for cell in cover.cells():
+        for x, y in combinations(cell, 2):
+            witness = _pair_clash(sup, ctx, agent, cover.cell_of, x, y)
+            if witness is not None:
+                return CoverVerdict(False, witness)
+    return CoverVerdict(True)
+
+
 def replay_counterexample(plant: Automaton, sup: Automaton, locs, verdict: EquivalenceVerdict) -> bool:
     """Confirm that a negative verdict's trace exhibits a real discrepancy.
 
@@ -397,7 +411,7 @@ def replay_counterexample(plant: Automaton, sup: Automaton, locs, verdict: Equiv
         cursor = [a.initial for a in components]
         for name in trace:
             ev = plant.alphabet.index(name)
-            nxt = [a.step(c, ev) for a, c in zip(components, cursor)]
+            nxt = [a.succ_maps[c].get(ev) for a, c in zip(components, cursor)]
             if any(n is None for n in nxt):
                 return None
             cursor = nxt
@@ -414,8 +428,8 @@ def replay_counterexample(plant: Automaton, sup: Automaton, locs, verdict: Equiv
     cur_mono = run(side_mono, verdict.counterexample)
     if cur_locs is None or cur_mono is None:
         return False
-    marked_locs = all(a.is_marked(c) for a, c in zip(side_locs, cur_locs))
-    marked_mono = all(a.is_marked(c) for a, c in zip(side_mono, cur_mono))
+    marked_locs = all(c in a.marked for a, c in zip(side_locs, cur_locs))
+    marked_mono = all(c in a.marked for a, c in zip(side_mono, cur_mono))
     return marked_locs != marked_mono
 
 

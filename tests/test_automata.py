@@ -79,9 +79,9 @@ def test_rows_out_of_order_parse_ascending_and_write_sorted():
     )
     aut = parse_automaton(text)
     assert list(aut.out(0)) == [(0, 0), (1, 1), (2, 1)]
-    assert aut.enabled(0) == (0, 1, 2)
+    assert tuple(aut.succ_maps[0]) == (0, 1, 2)
     assert list(aut.out(1)) == [(0, 1), (1, 0)]
-    assert aut.enabled(1) == (0, 1)
+    assert tuple(aut.succ_maps[1]) == (0, 1)
     assert write_automaton(aut) == (
         "[EVENTS]\na c 1\nb c 1\nc c 1\n[STATES]\np initial\nq marked\n"
         "[TRANS]\np a p\np b q\np c q\nq a q\nq b p\n"

@@ -342,6 +342,33 @@ def test_cli_tsl_refuses_non_congruence(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [base_cover]
 
 
+def test_cli_tsl_exits_1_when_its_quotient_refuses_the_cover(tmp_path, capsys, monkeypatch):
+    from suploc import transform
+    from suploc.localization import Cover
+
+    # {x1,x2} step to two cells on c while x3 and x4 stay apart, so tsl's
+    # own quotient raises before the CLI checks the cover
+    monkeypatch.setattr(
+        transform, "localize", lambda sup, ctx, k, init: Cover.from_cells([[0], [1, 2], [3], [4]], 5)
+    )
+    base_cover = tmp_path / "base.cover"
+    base_cover.write_text("cell 0: x0 x3 x4\ncell 1: x1 x2\n", encoding="utf-8")
+    code = run_cli(
+        "tsl",
+        "--base-cover", str(base_cover),
+        "--base-sup", str(DATA / "example1.aut"),
+        "--plant", str(DATA / "example1_plant.aut"),
+        "--sup", str(DATA / "example1.aut"),
+        "--out-prefix", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "verification failure: cover is not a control congruence: "
+        "cell of 'x1' steps to two cells on 'c'\n"
+    )
+    assert list(tmp_path.iterdir()) == [base_cover]
+
+
 def test_cli_isolate_refuses_non_congruence(tmp_path, capsys, monkeypatch):
     from suploc import cli
     from suploc.localization import Cover

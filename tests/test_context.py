@@ -115,12 +115,12 @@ def _oracle_disabled(plant, sup, agent_spec, depth):
 
     def walk(x, q, length):
         for e in agent_spec.controllable:
-            if sup.step(x, e) is None and plant.step(q, e) is not None:
+            if sup.succ_maps[x].get(e) is None and plant.succ_maps[q].get(e) is not None:
                 out[x].add(e)
         if length == 0:
             return
         for e, y in sup.out(x):
-            p = plant.step(q, e)
+            p = plant.succ_maps[q].get(e)
             if p is not None:
                 walk(y, p, length - 1)
 
@@ -219,10 +219,10 @@ def test_synthesis_output_controllable_and_nonblocking(cmt_systems, cmt_supervis
             for e in range(table.n_events):
                 if table.controllable[e]:
                     continue
-                if plant.step(q, e) is not None:
-                    assert sup.step(x, e) is not None, "uncontrollable event withheld"
+                if plant.succ_maps[q].get(e) is not None:
+                    assert sup.succ_maps[x].get(e) is not None, "uncontrollable event withheld"
             for e, y in sup.out(x):
-                p = plant.step(q, e)
+                p = plant.succ_maps[q].get(e)
                 assert p is not None, "supervisor exceeds plant"
                 if (y, p) not in pairs:
                     pairs.add((y, p))

@@ -22,13 +22,14 @@ from suploc.localization import (
     write_cover,
 )
 from suploc.rng import SplitMix64
-from suploc.transform import AgentMapping, tsl
+from suploc.transform import AgentMapping, carry_over_cover, isolate, tsl
 
 from .instances import (
     is_maximally_reduced,
     isomorphic,
     mutate_system,
     reference_check_merge,
+    reference_is_control_congruence,
     systems_corpus,
     tower3,
 )
@@ -445,11 +446,11 @@ def test_corpus_local_supervisor(corpus_sup, corpus_ctx):
     y0, y1 = idx["x0"], idx["x1"]
     assert aut.initial == y0
     t = aut.alphabet
-    assert aut.step(y0, t.index("a")) == y1
-    assert aut.step(y0, t.index("d")) == y1
-    assert aut.step(y0, t.index("e")) == y0
-    assert aut.step(y1, t.index("c")) == y0
-    assert aut.step(y1, t.index("b")) == y1
+    assert aut.succ_maps[y0].get(t.index("a")) == y1
+    assert aut.succ_maps[y0].get(t.index("d")) == y1
+    assert aut.succ_maps[y0].get(t.index("e")) == y0
+    assert aut.succ_maps[y1].get(t.index("c")) == y0
+    assert aut.succ_maps[y1].get(t.index("b")) == y1
 
 
 def test_variant_local_supervisor(corpus_sup, corpus_variant_ctx):
@@ -528,3 +529,145 @@ def test_singleton_maximally_reduced_when_nothing_consistent():
     cover = Cover.singleton(2)
     assert is_control_congruence(sup, ctx, 1, cover)
     assert is_maximally_reduced(sup, ctx, 1, cover)
+
+
+# ---------------------------------------------------------------------------
+# the linear congruence check against the pair scan
+
+
+def same_verdict(sup, ctx, agent, cover, outcomes):
+    """Assert that the linear check and the pair scan give one verdict and
+    one witness; count the verdict by kind."""
+    got = is_control_congruence(sup, ctx, agent, cover)
+    want = reference_is_control_congruence(sup, ctx, agent, cover)
+    assert (got.valid, got.witness) == (want.valid, want.witness)
+    if want:
+        outcomes["valid"] += 1
+    elif "not control consistent" in want.witness:
+        outcomes["consistency"] += 1
+    else:
+        assert "step to two cells" in want.witness
+        outcomes["successor"] += 1
+
+
+def nearby_partitions(rng, cover):
+    """A random partition of the same states, ``cover`` with one random cell
+    split in two at random, and ``cover`` with two random cells united."""
+    n = cover.n_states
+    parts = 1 + rng.below(n)
+    split = rng.below(cover.n_cells)
+    a, b = rng.below(cover.n_cells), rng.below(cover.n_cells)
+    return [
+        Cover([rng.below(parts) for _ in range(n)]),
+        Cover([n if c == split and rng.chance(1, 2) else c for c in cover.cell_of]),
+        Cover([a if c == b else c for c in cover.cell_of]),
+    ]
+
+
+@pytest.fixture(scope="module")
+def tower4_sl(cmt_systems, cmt_supervisors, cmt_plants):
+    """(supervisor, context, agent, from-scratch cover) for every agent of
+    the four-level tower and its variants, states in the seed-7 order."""
+    covers = []
+    for variant, sup in cmt_supervisors.items():
+        sup = apply_state_order(sup, SplitMix64(7).permutation(sup.n_states))
+        agents = cmt_systems[variant].agents
+        ctx = build_context(cmt_plants[variant], sup, agents)
+        covers += [(sup, ctx, s.agent_index, localize(sup, ctx, s.agent_index)) for s in agents]
+    return covers
+
+
+def test_congruence_check_matches_pair_scan_on_corpus():
+    # the localize, isolate and tsl covers of the corpus and its edits, the
+    # base covers carried onto the edits, and partitions near the localize
+    # and tsl covers
+    rng = SplitMix64(11)
+    outcomes = {"valid": 0, "consistency": 0, "successor": 0}
+    for plant, sup, agents in systems_corpus(424242, 200):
+        variant_plant, variant_sup = mutate_system(rng, plant, sup)
+        ctx = build_context(plant, sup, agents)
+        variant_ctx = build_context(variant_plant, variant_sup, agents)
+        covers = [localize(sup, ctx, s.agent_index) for s in agents]
+        mapping = AgentMapping.identity(len(agents))
+        _, tsl_covers = tsl(covers, sup, variant_plant, variant_sup, agents, mapping)
+        for spec, cover, tsl_cover in zip(agents, covers, tsl_covers):
+            k = spec.agent_index
+            carried = carry_over_cover(cover, sup, variant_sup)
+            isolated = isolate(cover, sup, variant_sup, variant_ctx, k)
+            same_verdict(sup, ctx, k, cover, outcomes)
+            for variant_cover in (carried, isolated, tsl_cover):
+                same_verdict(variant_sup, variant_ctx, k, variant_cover, outcomes)
+            for near in nearby_partitions(rng, cover):
+                same_verdict(sup, ctx, k, near, outcomes)
+            for near in nearby_partitions(rng, tsl_cover):
+                same_verdict(variant_sup, variant_ctx, k, near, outcomes)
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_congruence_check_matches_pair_scan_on_tower(tower4_sl):
+    # partitions near each from-scratch cover, and, because the tower's
+    # agents disable few events, the singleton partition with one pair of
+    # control inconsistent states united
+    rng = SplitMix64(12)
+    outcomes = {"valid": 0, "consistency": 0, "successor": 0}
+    for sup, ctx, k, cover in tower4_sl:
+        same_verdict(sup, ctx, k, cover, outcomes)
+        for _ in range(2):
+            for near in nearby_partitions(rng, cover):
+                same_verdict(sup, ctx, k, near, outcomes)
+        n = sup.n_states
+        clashing = [
+            (x, y) for x in range(n) if ctx.disabled[k][x]
+            for y in range(n) if not control_consistent(ctx, k, x, y)
+        ]
+        for _ in range(5):
+            x, y = clashing[rng.below(len(clashing))]
+            same_verdict(sup, ctx, k, Cover([x if z == y else z for z in range(n)]), outcomes)
+    assert outcomes["valid"] >= len(tower4_sl), outcomes
+    assert min(outcomes["consistency"], outcomes["successor"]) > 100, outcomes
+
+
+def test_congruence_check_scans_past_a_state_that_clashes_with_itself():
+    # build_context never disables an event a state enables, so this context
+    # is built by hand: s0 enables and disables a, so the summary of {s0,s1}
+    # clashes with itself while s0 and s1 are control consistent, and the
+    # pair scan there finds nothing. s3 disables b, which s2 and s4 enable,
+    # and s2 and s4 step on b to s4 and s0.
+    table = EventTable(("a", "b"), (True, True), (1, 1))
+    sup = Automaton(["s0", "s1", "s2", "s3", "s4"], table, [(0, 0, 0), (2, 1, 4), (4, 1, 0)], 0)
+    ctx = ControlContext([1, 0, 2, 0, 2], {1: [1, 0, 0, 2, 0]}, [False] * 5, [False] * 5)
+    assert is_control_congruence(sup, ctx, 1, Cover.from_cells([[0, 1], [2], [3], [4]], 5))
+    verdict = is_control_congruence(sup, ctx, 1, Cover.from_cells([[0, 1], [2, 3], [4]], 5))
+    assert verdict.witness == (
+        "states 's2' and 's3' share a cell but are not control consistent for agent 1"
+    )
+    verdict = is_control_congruence(sup, ctx, 1, Cover.from_cells([[0, 1], [2, 4], [3]], 5))
+    assert verdict.witness == "states 's2' and 's4' share a cell but step to two cells on 'b'"
+    # and every partition of the five states agrees with the pair scan
+    outcomes = {"valid": 0, "consistency": 0, "successor": 0}
+    partitions = [[]]
+    for x in range(5):
+        partitions = [
+            cells[:i] + [cells[i] + [x]] + cells[i + 1:] for cells in partitions
+            for i in range(len(cells))
+        ] + [cells + [[x]] for cells in partitions]
+    assert len(partitions) == 52
+    for cells in partitions:
+        same_verdict(sup, ctx, 1, Cover.from_cells(cells, 5), outcomes)
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_congruence_check_of_tower_covers_never_scans_pairs(tower4_sl, monkeypatch):
+    # a congruence flags no cell, so the check reads each state and each
+    # transition a fixed number of times and never calls the pair test
+    calls = []
+    pair_clash = localization._pair_clash
+
+    def counted(*args):
+        calls.append(args)
+        return pair_clash(*args)
+
+    monkeypatch.setattr(localization, "_pair_clash", counted)
+    for sup, ctx, k, cover in tower4_sl:
+        assert is_control_congruence(sup, ctx, k, cover)
+    assert calls == []
