@@ -79,16 +79,6 @@ class EventTable:
         except KeyError:
             raise ValueError(f"unknown event {name!r}") from None
 
-    def agent_events(self, agent: int) -> tuple[int, ...]:
-        return tuple(e for e in range(self.n_events) if self.agent_of[e] == agent)
-
-    def agent_controllable(self, agent: int) -> tuple[int, ...]:
-        return tuple(
-            e
-            for e in range(self.n_events)
-            if self.agent_of[e] == agent and self.controllable[e]
-        )
-
 
 class Automaton:
     """Deterministic finite automaton over a shared :class:`EventTable`.
@@ -228,6 +218,7 @@ def parse_automaton(text: str) -> Automaton:
     ev_names: list[str] = []
     ev_ctrl: list[bool] = []
     ev_agent: list[int] = []
+    ev_line: list[int] = []
     ev_seen: dict[str, int] = {}
     st_names: list[str] = []
     st_seen: dict[str, int] = {}
@@ -251,6 +242,10 @@ def parse_automaton(text: str) -> Automaton:
             if len(tokens) != 3:
                 raise FormatError("event line needs: <name> <c|u> <agent>", lineno)
             name, flag, agent = tokens
+            try:
+                _check_token(name, "event")
+            except ValueError as exc:
+                raise FormatError(str(exc), lineno) from None
             if name in ev_seen:
                 raise FormatError(f"duplicate event name {name!r}", lineno)
             if flag not in ("c", "u"):
@@ -265,8 +260,13 @@ def parse_automaton(text: str) -> Automaton:
             ev_names.append(name)
             ev_ctrl.append(flag == "c")
             ev_agent.append(agent_ix)
+            ev_line.append(lineno)
         elif section == 1:
             name = tokens[0]
+            try:
+                _check_token(name, "state")
+            except ValueError as exc:
+                raise FormatError(str(exc), lineno) from None
             if name in st_seen:
                 raise FormatError(f"duplicate state name {name!r}", lineno)
             st_seen[name] = len(st_names)
@@ -302,6 +302,10 @@ def parse_automaton(text: str) -> Automaton:
         raise FormatError(f"missing section {sections[section + 1]}")
     if initial is None:
         raise FormatError("no state carries 'initial'")
+    gaps = set(range(1, max(ev_agent, default=0))).difference(ev_agent)
+    if gaps:
+        lineno = next(at for at, k in zip(ev_line, ev_agent) if k > min(gaps))
+        raise FormatError("agent indices must be contiguous from 1", lineno)
     try:
         table = EventTable(tuple(ev_names), tuple(ev_ctrl), tuple(ev_agent))
         return Automaton(st_names, table, triples, initial, marked)

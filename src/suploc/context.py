@@ -51,10 +51,11 @@ def agents_from_table(table: EventTable) -> tuple[AgentSpec, ...]:
     return tuple(
         AgentSpec(
             agent_index=k,
-            events=frozenset(table.agent_events(k)),
-            controllable=frozenset(table.agent_controllable(k)),
+            events=frozenset(events),
+            controllable=frozenset(e for e in events if table.controllable[e]),
         )
         for k in range(1, table.n_agents + 1)
+        for events in [[e for e, owner in enumerate(table.agent_of) if owner == k]]
     )
 
 

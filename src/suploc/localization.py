@@ -192,12 +192,7 @@ def control_consistent(ctx: ControlContext, agent: int, x: int, y: int) -> bool:
     the agent in the other state, and the markings agree whenever the
     plant-marking indicators agree. Symmetric in x and y.
     """
-    dis = ctx.disabled[agent]
-    if ctx.enabled[x] & dis[y] or ctx.enabled[y] & dis[x]:
-        return False
-    if ctx.plant_marked[x] == ctx.plant_marked[y] and ctx.marked[x] != ctx.marked[y]:
-        return False
-    return True
+    return not _clash(_summary(ctx, agent, (x,)), _summary(ctx, agent, (y,)))
 
 
 def _pair_clash(
@@ -252,9 +247,7 @@ def _clash(s: tuple[int, int, int], t: tuple[int, int, int]) -> bool:
     return bool(s[0] & t[1] or t[0] & s[1] or (s[2] << 1 & t[2] | t[2] << 1 & s[2]) & 0b1010)
 
 
-def _check_merge(
-    x_i: int, x_j: int, floor: int, sup: Automaton, ctx: ControlContext, cells: _Cells, agent: int
-) -> bool:
+def _check_merge(x_i: int, x_j: int, floor: int, sup: Automaton, cells: _Cells) -> bool:
     """Merge the two cells of ``x_i`` and ``x_j`` in place, with every merge
     that entails; returns whether the merge is accepted.
 
@@ -262,16 +255,17 @@ def _check_merge(
     cellmates on an event both enable must share a cell too. It is refused
     when two cells it would unite are not control consistent, or when it
     would unite a cell whose least member is below ``floor``; every union is
-    then undone, so ``cells`` is exactly as before. ``cells`` must have been
-    built for ``ctx`` and ``agent``, whose summaries it keeps.
+    then undone, so ``cells`` is exactly as before.
 
-    Each call of the textbook recursion is a generator ``explore(a, b)`` on
-    an explicit stack, so call depth cannot overflow. A frame yields None if
-    the kept summaries of the cells of a and b clash, unites the cells, then
-    walks the pairs of the two cells as they were, yielding each successor
-    pair on a shared event that lies in two cells (or None if one is below
-    ``floor``). Every pair of the final cell is covered once, by the frame
-    that united its two cells, and the closure does not depend on visit order.
+    Each call of the textbook recursion is a generator ``explore(ca, cb)`` on
+    an explicit stack, so call depth cannot overflow. The driver loop tests
+    each pair of cells, the caller's and every one a frame yields, on the
+    floor and the kept summaries before it builds the pair's frame. A frame
+    unites its two cells, then walks the pairs of the two cells as they
+    were, yielding the cells of each successor pair on a shared event that
+    lies in two cells. Every pair of the final cell is covered once, by the
+    frame that united its two cells, and the closure does not depend on
+    visit order.
     """
     succ = sup.succ_maps
     cell = cells._cell
@@ -280,36 +274,28 @@ def _check_merge(
     sums = cells._sum
     records: list[tuple[int, int, int, int, tuple[int, int, int]]] = []
 
-    def explore(a: int, b: int):
-        ca = cell[a]
-        cb = cell[b]
-        if _clash(sums[ca], sums[cb]):
-            yield None
+    def explore(ca: int, cb: int):
         pairs = product(members[ca], members[cb])  # copies both member lists
         records.append(cells.union(ca, cb))
         for xp, xq in pairs:
             sy = succ[xq]
             for ev, sp in succ[xp].items():
                 sq = sy.get(ev)
-                if sq is None:
-                    continue
-                ra = cell[sp]
-                rb = cell[sq]
-                if ra != rb:
-                    if cell_min[ra] < floor or cell_min[rb] < floor:
-                        yield None
-                    yield sp, sq
+                if sq is not None and cell[sp] != cell[sq]:
+                    yield cell[sp], cell[sq]
 
-    stack = [explore(x_i, x_j)]
+    # The caller's pair is tested like any pair a frame yields.
+    stack = [iter([(cell[x_i], cell[x_j])])]
     while stack:
-        step = next(stack[-1], False)
-        if step is False:
+        step = next(stack[-1], None)
+        if step is None:
             stack.pop()
-        elif step is None:
+            continue
+        ca, cb = step
+        if cell_min[ca] < floor or cell_min[cb] < floor or _clash(sums[ca], sums[cb]):
             cells.undo(records)
             return False
-        else:
-            stack.append(explore(*step))
+        stack.append(explore(ca, cb))
     return True
 
 
@@ -339,12 +325,8 @@ def localize(
         if i > cell_min[cell[i]]:
             continue
         for j in range(i + 1, n):
-            if j > cell_min[cell[j]]:
-                continue
-            # A consistency violation between the two least members rejects
-            # the merge without entering the engine.
-            if control_consistent(ctx, agent, i, j):
-                _check_merge(i, j, i, sup, ctx, cells, agent)
+            if j <= cell_min[cell[j]]:
+                _check_merge(i, j, i, sup, cells)
     return cells.to_cover()
 
 

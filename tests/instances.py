@@ -472,6 +472,18 @@ class _MergeFrame:
         self.xq = -1
 
 
+def reference_control_consistent(ctx, agent, x, y):
+    """Whether two supervisor states may share a cell for ``agent``, by the
+    pairwise rule: the same contract as
+    ``suploc.localization.control_consistent``, kept as its oracle."""
+    dis = ctx.disabled[agent]
+    if ctx.enabled[x] & dis[y] or ctx.enabled[y] & dis[x]:
+        return False
+    if ctx.plant_marked[x] == ctx.plant_marked[y] and ctx.marked[x] != ctx.marked[y]:
+        return False
+    return True
+
+
 def reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent):
     """Merge exploration run as a hand-kept state machine: the same contract
     as ``suploc.localization._check_merge``, kept as its oracle. Each frame

@@ -96,22 +96,31 @@ def test_undeclared_event_names_line():
     assert err.value.line == 6
 
 
+# Each mangle returns the broken text and the line the error must name.
 @pytest.mark.parametrize(
     "mangle, message",
     [
-        (lambda t: t.replace("x1\n", "x1\nx1\n"), "duplicate state"),
-        (lambda t: t.replace("a c 1", "a c 1\na c 1"), "duplicate event"),
-        (lambda t: t.replace("x4 e x0", "x4 e x0\nx4 e x1"), "duplicate transition"),
-        (lambda t: t.replace("x0 initial", "x0 initial\nxx initial"), "second 'initial'"),
-        (lambda t: t.replace("x0 initial", "x0"), "no state carries 'initial'"),
-        (lambda t: t.replace("a c 1", "a x 1"), "controllability flag"),
+        (lambda t: (t.replace("x1\n", "x1\nx1\n"), 10), "duplicate state"),
+        (lambda t: (t.replace("a c 1", "a c 1\na c 1"), 3), "duplicate event"),
+        (lambda t: (t.replace("x4 e x0", "x4 e x0\nx4 e x1"), 20), "duplicate transition"),
+        (lambda t: (t.replace("x0 initial", "x0 initial\nxx initial"), 9), "second 'initial'"),
+        (lambda t: (t.replace("x0 initial", "x0"), None), "no state carries 'initial'"),
+        (lambda t: (t.replace("a c 1", "a x 1"), 2), "controllability flag"),
+        (lambda t: (t.replace("x0 initial", "[p initial"), 8), "invalid state name '[p'"),
+        (lambda t: (t.replace("b c 1", "[b c 1"), 3), "invalid event name '[b'"),
+        # agent 2 is missing; c is the first event past the gap
+        (
+            lambda t: (t.replace("c c 1", "c c 3").replace("e c 1", "e c 4"), 4),
+            "agent indices must be contiguous from 1",
+        ),
     ],
 )
 def test_parse_errors(corpus_sup, mangle, message):
-    text = mangle(write_automaton(corpus_sup))
+    text, line = mangle(write_automaton(corpus_sup))
     with pytest.raises(FormatError) as err:
         parse_automaton(text)
     assert message in str(err.value)
+    assert err.value.line == line
 
 
 def test_nondeterministic_construction_rejected():

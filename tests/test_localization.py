@@ -29,6 +29,7 @@ from .instances import (
     isomorphic,
     mutate_system,
     reference_check_merge,
+    reference_control_consistent,
     reference_is_control_congruence,
     systems_corpus,
     tower3,
@@ -69,7 +70,7 @@ def checked_merge(engine, x_i, x_j, floor, sup, ctx, cells, agent):
     before = cells.to_cover()
     state = snapshot(cells)
     pairs = reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent)
-    accepted = engine(x_i, x_j, floor, sup, ctx, cells, agent)
+    accepted = engine(x_i, x_j, floor, sup, cells)
     assert accepted == (pairs is not None)
     if accepted:
         assert cells.to_cover() == committed(before, pairs, ctx, agent)
@@ -194,7 +195,8 @@ def test_consistency_marking_condition():
 
 def test_summary_clash_is_consistency_on_corpus_pairs():
     # one-state summaries clash exactly when the two states are not control
-    # consistent, for every state pair of every agent of the corpus
+    # consistent by the pairwise rule, for every state pair of every agent of
+    # the corpus, and control_consistent agrees with that rule
     outcomes = {"clash": 0, "consistent": 0}
     for plant, sup, agents in systems_corpus(424242, 200):
         ctx = build_context(plant, sup, agents)
@@ -204,7 +206,9 @@ def test_summary_clash_is_consistency_on_corpus_pairs():
             for x in range(sup.n_states):
                 for y in range(sup.n_states):
                     clash = _clash(one[x], one[y])
-                    assert clash == (not control_consistent(ctx, k, x, y))
+                    want = reference_control_consistent(ctx, k, x, y)
+                    assert clash == (not want)
+                    assert control_consistent(ctx, k, x, y) == want
                     outcomes["clash" if clash else "consistent"] += 1
     assert min(outcomes.values()) > 500, outcomes
 
@@ -223,7 +227,7 @@ def test_summary_clash_is_any_inconsistent_pair():
     for _ in range(2000):
         s = [x for x in range(n) if rng.chance(1, 3)]
         t = [x for x in range(n) if rng.chance(1, 3)]
-        want = any(not control_consistent(ctx, 1, x, y) for x in s for y in t)
+        want = any(not reference_control_consistent(ctx, 1, x, y) for x in s for y in t)
         assert _clash(_summary(ctx, 1, s), _summary(ctx, 1, t)) == want
         outcomes[want] += 1
     for pm in (False, True):
@@ -280,25 +284,49 @@ def test_check_merge_symmetric_on_random_instances():
             k = spec.agent_index
             forward = _Cells(Cover.singleton(n), ctx, k)
             backward = _Cells(Cover.singleton(n), ctx, k)
-            p1 = _check_merge(i, j, i, sup, ctx, forward, k)
-            p2 = _check_merge(j, i, i, sup, ctx, backward, k)
+            p1 = _check_merge(i, j, i, sup, forward)
+            p2 = _check_merge(j, i, i, sup, backward)
             assert p1 == p2
             assert forward.to_cover() == backward.to_cover()
+
+
+def test_check_merge_refuses_first_pair_below_floor(corpus_sup, corpus_ctx):
+    # x3 shares a cell with x0, below the floor of 3, so uniting it with x4
+    # is refused and the cells are left as they were, although the same
+    # union is accepted when the floor admits x0
+    paired = Cover.from_cells([[0, 3], [1], [2], [4]], 5)
+    cells = _Cells(paired, corpus_ctx, 1)
+    state = snapshot(cells)
+    assert not _check_merge(3, 4, 3, corpus_sup, cells)
+    assert snapshot(cells) == state
+    assert _check_merge(3, 4, 0, corpus_sup, cells)
+    assert cells.to_cover() == Cover.from_cells([[0, 3, 4], [1], [2]], 5)
 
 
 @pytest.fixture
 def engine_outcomes(monkeypatch):
     # every engine call made while the fixture is active must agree with the
     # frame-by-frame state machine on the same cells: both reject, or both
-    # commit the same cover
+    # commit the same cover. The engine takes no context or agent, so each
+    # ``_Cells`` made meanwhile is recorded with the ones it was built for;
+    # holding it keeps its id from being reused.
     engine = localization._check_merge
+    make_cells = localization._Cells
+    built = {}
     outcomes = {"accepted": 0, "rejected": 0}
 
-    def checked(x_i, x_j, floor, sup, ctx, cells, agent):
+    def recorded(cover, ctx, agent):
+        cells = make_cells(cover, ctx, agent)
+        built[id(cells)] = (cells, ctx, agent)
+        return cells
+
+    def checked(x_i, x_j, floor, sup, cells):
+        _, ctx, agent = built[id(cells)]
         got = checked_merge(engine, x_i, x_j, floor, sup, ctx, cells, agent)
         outcomes["accepted" if got else "rejected"] += 1
         return got
 
+    monkeypatch.setattr(localization, "_Cells", recorded)
     monkeypatch.setattr(localization, "_check_merge", checked)
     return outcomes
 
