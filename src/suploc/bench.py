@@ -22,8 +22,10 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from .automata import Automaton, apply_state_order, sync_product
 from .cmt import CmtConfig, CmtSystem, VARIANTS, gen_cmt, synthesize_cmt
@@ -111,7 +113,9 @@ class BenchReport:
 
     def to_json(self) -> str:
         """The environment, the protocol and, per (variant, agent), the
-        median, min and max over the runs of each column of ``JSON_COLUMNS``."""
+        median, min and max over the runs of each column of ``JSON_COLUMNS``.
+        The environment names the commit of the code, as :func:`_git_commit`
+        finds it."""
         results = []
         for agg in self.aggregates:
             sub = [r for r in self.rows if r.variant == agg.variant and r.agent == agg.agent]
@@ -129,6 +133,7 @@ class BenchReport:
                 "python": platform.python_version(),
                 "cpu_count": os.cpu_count(),
                 "platform": platform.platform(),
+                "commit": _git_commit(),
             },
             "protocol": {
                 "seed": self.seed,
@@ -166,6 +171,27 @@ class BenchReport:
     @property
     def overall_pct_change(self) -> float:
         return sum(a.pct_change for a in self.aggregates) / len(self.aggregates)
+
+
+def _git_commit() -> str | None:
+    """The commit checked out in the git tree that holds this package, with
+    ``-dirty`` appended when tracked files differ from it; None when there
+    is no such tree or git cannot be run."""
+    here = Path(__file__).resolve().parent
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=here, capture_output=True, text=True, timeout=30
+        )
+
+    try:
+        head = git("rev-parse", "--verify", "HEAD")
+        if head.returncode != 0:
+            return None
+        clean = git("diff", "--quiet", "HEAD", "--").returncode == 0
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return head.stdout.strip() + ("" if clean else "-dirty")
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,18 @@ def _pair_clash(
     return None
 
 
+def _check_agent(ctx: ControlContext, agent: int) -> None:
+    """Raise ``ValueError`` naming ``agent`` and the agents ``ctx`` has
+    tables for, unless it is one of them."""
+    if agent not in ctx.disabled:
+        known = sorted(ctx.disabled)
+        if known and known[-1] - known[0] == len(known) - 1:
+            have = f"{known[0]}..{known[-1]}"
+        else:
+            have = ", ".join(map(str, known)) or "none"
+        raise ValueError(f"unknown agent {agent}: the context has agents {have}")
+
+
 def _summary(ctx: ControlContext, agent: int, states) -> tuple[int, int, int]:
     """The control summary of ``states`` for ``agent``: the OR of their
     enabled masks, the OR of their disabled masks, and bit ``2 *
@@ -311,8 +323,11 @@ def localize(
     singleton partition, the default, always is). The loop scans candidate
     state pairs in ascending index order, skipping states that are not the
     least member of their cell, and asks the merge engine to merge the cells
-    of each pair in place.
+    of each pair in place. Cells only grow, so a state that is not the least
+    of its cell in ``init`` never becomes so, and only those of ``init`` are
+    scanned. An agent ``ctx`` lacks raises ``ValueError``.
     """
+    _check_agent(ctx, agent)
     n = sup.n_states
     if init is None:
         init = Cover.singleton(n)
@@ -321,11 +336,12 @@ def localize(
     cells = _Cells(init, ctx, agent)
     cell = cells._cell
     cell_min = cells._min
-    for i in range(n - 1):
+    leaders = cell_min[:]
+    for pos, i in enumerate(leaders):
         if i > cell_min[cell[i]]:
             continue
-        for j in range(i + 1, n):
-            if j <= cell_min[cell[j]]:
+        for j in leaders[pos + 1 :]:
+            if j == cell_min[cell[j]]:
                 _check_merge(i, j, i, sup, cells)
     return cells.to_cover()
 
@@ -344,17 +360,34 @@ class LocalSupervisor:
 
 def _quotient_rows(sup: Automaton, cover: Cover):
     """The ``{event: target cell}`` row of each cell, filled in state order,
-    and the least (cell, event) on which two members step into two cells."""
+    and ``{cell: event}`` naming, for each cell whose members step into two
+    cells on one event, the first such event met."""
     cell_pos = cover.cell_of
     rows: list[dict[int, int]] = [{} for _ in range(cover.n_cells)]
-    split = None
+    splits: dict[int, int] = {}
     for x, pos in enumerate(cell_pos):
         row = rows[pos]
         for ev, y in sup.succ_maps[x].items():
             tgt = cell_pos[y]
-            if row.setdefault(ev, tgt) != tgt and (split is None or pos < split[0]):
-                split = (pos, ev)
-    return rows, split
+            if row.setdefault(ev, tgt) != tgt:
+                splits.setdefault(pos, ev)
+    return rows, splits
+
+
+def _flawed_cells(sup: Automaton, ctx: ControlContext, agent: int, cover: Cover):
+    """The cells of ``cover``, and the summary of each cell that holds a
+    pair of states that may not share a cell, by ascending id: a cell of two
+    or more states whose summary clashes with itself, or whose members step
+    into two cells on one event. No other cell holds such a pair."""
+    splits = _quotient_rows(sup, cover)[1]
+    cells = cover.cells()
+    flawed = {}
+    for pos, cell in enumerate(cells):
+        if len(cell) > 1:
+            s = _summary(ctx, agent, cell)
+            if pos in splits or _clash(s, s):
+                flawed[pos] = s
+    return cells, flawed
 
 
 def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> LocalSupervisor:
@@ -371,11 +404,12 @@ def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> LocalSup
     # Quotient state k is cell k of the cover; its leader is its least member.
     cell_pos = cover.cell_of
     leaders = [cell[0] for cell in cover.cells()]
-    rows, split = _quotient_rows(sup, cover)
-    if split is not None:
+    rows, splits = _quotient_rows(sup, cover)
+    if splits:
+        pos = min(splits)
         raise InvalidCoverError(
-            f"cover is not a control congruence: cell of {sup.states[leaders[split[0]]]!r} "
-            f"steps to two cells on {sup.alphabet.events[split[1]]!r}"
+            f"cover is not a control congruence: cell of {sup.states[leaders[pos]]!r} "
+            f"steps to two cells on {sup.alphabet.events[splits[pos]]!r}"
         )
     # A row is its leader's ascending row followed by the events only later
     # members enable, so only a row longer than the leader's needs sorting.
@@ -409,18 +443,17 @@ def is_control_congruence(
     """Check both congruence conditions in O(states + transitions).
 
     Cellmates must be pairwise control consistent and step into one cell on
-    each event both enable. Only a cell whose summary clashes with itself,
-    or the least cell whose members step into two cells on one event, can
-    be the first to hold a failing pair. Only those are scanned pair by
-    pair, in id order; the first failing pair is the witness."""
+    each event both enable. Only the cells :func:`_flawed_cells` names hold
+    a failing pair, and only those are scanned pair by pair, in id order;
+    the first failing pair is the witness. An agent ``ctx`` lacks raises
+    ``ValueError``."""
+    _check_agent(ctx, agent)
     if len(cover.cell_of) != sup.n_states:
         return CoverVerdict(False, "cover size does not match the supervisor")
-    split = _quotient_rows(sup, cover)[1]
-    for pos, cell in enumerate(cover.cells()):
-        s = _summary(ctx, agent, cell)
-        if _clash(s, s) or split is not None and pos == split[0]:
-            for x, y in combinations(cell, 2):
-                witness = _pair_clash(sup, ctx, agent, cover.cell_of, x, y)
-                if witness is not None:
-                    return CoverVerdict(False, witness)
+    cells, flawed = _flawed_cells(sup, ctx, agent, cover)
+    for pos in flawed:
+        for x, y in combinations(cells[pos], 2):
+            witness = _pair_clash(sup, ctx, agent, cover.cell_of, x, y)
+            if witness is not None:
+                return CoverVerdict(False, witness)
     return CoverVerdict(True)

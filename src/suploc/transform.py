@@ -20,7 +20,9 @@ from .context import ControlContext, build_context
 from .localization import (
     Cover,
     LocalSupervisor,
+    _check_agent,
     _clash,
+    _flawed_cells,
     _summary,
     build_local_supervisor,
     localize,
@@ -41,47 +43,68 @@ def carry_over_cover(base_cover: Cover, base: Automaton, variant: Automaton) -> 
 
 
 class _Counts:
-    """The counters ``isolate`` keeps for one carried cell: its size, its
-    control summary, how many members step into each cell on each event
-    (the events with counts are the summary's enabled OR), and how many
-    members carry each disabled bit and each marking-class bit. Removing a
-    member clears a summary bit when its count reaches 0."""
+    """The counters ``isolate`` keeps for one cell: its size, how many
+    members step into each cell on each event, and the mask ``split`` of the
+    events on which they step into two or more cells.
 
-    __slots__ = ("size", "summary", "steps", "offs", "classes")
+    A cell whose control summary clashes with itself also keeps that
+    summary, with how many members carry each disabled bit and each marking
+    class (the events with counts are its enabled OR), until it no longer
+    clashes; removing a member clears a bit whose count reaches 0. Members
+    only leave, and ``_clash`` is monotone, so the summary of any other cell
+    can never clash and is not kept."""
 
-    def __init__(self, cell, succ, own, cell_of):
+    __slots__ = ("size", "steps", "split", "summary", "offs", "classes")
+
+    def __init__(self, cell, succ, cell_of):
         self.size = len(cell)
-        self.steps: dict[int, dict[int, int]] = {}
-        self.offs: dict[int, int] = {}
-        self.classes: dict[int, int] = {}
+        steps: dict[int, dict[int, int]] = {}
         for x in cell:
             for ev, t in succ[x].items():
-                targets = self.steps.setdefault(ev, {})
                 t = cell_of[t]
-                targets[t] = targets.get(t, 0) + 1
-            _count(self.offs, own[x][1])
-            _count(self.classes, own[x][2])
-        # The counted events and bits are the bits of the summary.
-        self.summary = (sum(1 << ev for ev in self.steps), sum(self.offs), sum(self.classes))
+                targets = steps.get(ev)
+                if targets is None:
+                    steps[ev] = {t: 1}
+                else:
+                    targets[t] = targets.get(t, 0) + 1
+        self.steps = steps
+        self.split = sum(1 << ev for ev, targets in steps.items() if len(targets) > 1)
+        self.summary: tuple[int, int, int] | None = None
 
-    def remove(self, row, summary, cell_of) -> None:
-        """Take out the member with successor row ``row`` and ``summary``."""
+    def keep(self, summary, members) -> None:
+        """Keep the cell's ``summary``, which clashes with itself, counting
+        the bits of ``members``, the summaries of its members alone."""
+        self.summary = summary
+        self.offs: dict[int, int] = {}
+        self.classes: dict[int, int] = {}
+        for _, off, bit in members:
+            _count(self.offs, off)
+            _count(self.classes, bit)
+
+    def remove(self, row, cell_of, mine) -> None:
+        """Take out the member with successor row ``row`` and, when the
+        summary is kept, summary ``mine``."""
         self.size -= 1
-        on, off, classes = self.summary
         steps = self.steps
+        unused = 0
         for ev, t in row.items():
             targets = steps[ev]
             t = cell_of[t]
             if targets[t] > 1:
                 targets[t] -= 1
-            else:
-                del targets[t]
-                if not targets:
-                    del steps[ev]
-                    on ^= 1 << ev
-        off ^= _count(self.offs, summary[1], -1)
-        classes ^= _count(self.classes, summary[2], -1)
-        self.summary = (on, off, classes)
+                continue
+            del targets[t]
+            if len(targets) == 1:
+                self.split &= ~(1 << ev)
+            elif not targets:
+                del steps[ev]
+                unused |= 1 << ev
+        if self.summary is not None:
+            on, off, classes = self.summary
+            off ^= _count(self.offs, mine[1], -1)
+            classes ^= _count(self.classes, mine[2], -1)
+            summary = (on ^ unused, off, classes)
+            self.summary = summary if _clash(summary, summary) else None
 
     def move(self, ev: int, old: int, new: int) -> None:
         """One member's successor on ``ev`` moved from cell old to cell new."""
@@ -91,6 +114,10 @@ class _Counts:
         else:
             del targets[old]
         targets[new] = targets.get(new, 0) + 1
+        if len(targets) > 1:
+            self.split |= 1 << ev
+        else:
+            self.split &= ~(1 << ev)
 
 
 def _count(counts: dict[int, int], mask: int, by: int = 1) -> int:
@@ -127,27 +154,38 @@ def isolate(
     A full clean scan terminates the loop. The result partitions the variant
     state set, is a control congruence for the variant system, and never
     merges cells: every output cell is contained in a carried-over cell.
-    Pass ``carried`` to reuse a precomputed carry-over.
+    Pass ``carried`` to reuse a precomputed carry-over; a cover of the wrong
+    size, or an agent ``ctx`` lacks, raises ``ValueError``.
 
-    Each carried cell of two or more states keeps :class:`_Counts`, built
-    once. A state clashes with a cellmate iff its summary clashes with its
-    cell's or, on an event it enables, the members step into two cells. An
-    eviction takes the state out of its cell's counters and moves each
-    predecessor's count on that event to the state's new cell. New
-    singletons get no counters, since isolation never merges.
+    Only a cell :func:`_flawed_cells` names can hold a state to evict, so
+    when there is none the carried cover is returned as it is. Otherwise
+    each flawed cell gets :class:`_Counts`. A state clashes with a cellmate
+    iff its summary clashes with its cell's or it enables an event on which
+    the members step into two cells. An eviction takes the state out of its
+    cell's counters and moves each predecessor's count on that event to the
+    state's new cell. A cell without counters is counted just before such a
+    move first touches it; until then its members and their successors'
+    cells are as they were, so none of them can clash and the sweep skips
+    them. New singletons get no counters, since isolation never merges.
     """
+    _check_agent(ctx, agent)
     if carried is None:
         carried = carry_over_cover(base_cover, base, variant)
+    elif len(carried.cell_of) != variant.n_states:
+        raise ValueError("carried cover size does not match the variant supervisor")
+    cells, flawed = _flawed_cells(variant, ctx, agent, carried)
+    if not flawed:
+        return carried
     succ = variant.succ_maps
-    own = [_summary(ctx, agent, (x,)) for x in range(variant.n_states)]
+    enabled = ctx.enabled
     cell_of = list(carried.cell_of)
-    preds: list[list[tuple[int, int]]] = [[] for _ in succ]
-    for x, row in enumerate(succ):
-        for ev, y in row.items():
-            preds[y].append((x, ev))
-    counts = [
-        _Counts(cell, succ, own, cell_of) if len(cell) > 1 else None for cell in carried.cells()
-    ]
+    counts: list[_Counts | None] = [None] * len(cells)
+    for pos, summary in flawed.items():
+        counts[pos] = _Counts(cells[pos], succ, cell_of)
+        if _clash(summary, summary):
+            counts[pos].keep(summary, [_summary(ctx, agent, (x,)) for x in cells[pos]])
+    clean = {pos: cell for pos, cell in enumerate(cells) if len(cell) > 1 and counts[pos] is None}
+    preds: list[list[tuple[int, int]]] | None = None
 
     changed = True
     while changed:
@@ -156,16 +194,33 @@ def isolate(
             home = counts[cell_of[x]]
             if home is None or home.size == 1:
                 continue
-            if _clash(own[x], home.summary) or any(len(home.steps[ev]) > 1 for ev in row):
-                home.remove(row, own[x], cell_of)
-                old = cell_of[x]
-                new = cell_of[x] = len(counts)
-                counts.append(None)
-                for p, ev in preds[x]:
-                    kept = counts[cell_of[p]]
-                    if kept is not None:
-                        kept.move(ev, old, new)
-                changed = True
+            mine = home.summary and _summary(ctx, agent, (x,))
+            if not (enabled[x] & home.split or mine and _clash(mine, home.summary)):
+                continue
+            if preds is None:
+                preds = [[] for _ in succ]
+                for p, out in enumerate(succ):
+                    for ev, y in out.items():
+                        preds[y].append((p, ev))
+            home.remove(row, cell_of, mine)
+            old = cell_of[x]
+            new = len(counts)
+            counts.append(None)
+            # x stays in its old cell until its predecessors have moved, so
+            # that a clean cell counted here counts the move once. A
+            # self-loop of x left the counters with x.
+            for p, ev in preds[x]:
+                if p == x:
+                    continue
+                kept = counts[cell_of[p]]
+                if kept is None:
+                    cell = clean.pop(cell_of[p], None)
+                    if cell is None:
+                        continue
+                    kept = counts[cell_of[p]] = _Counts(cell, succ, cell_of)
+                kept.move(ev, old, new)
+            cell_of[x] = new
+            changed = True
     return Cover(cell_of)
 
 

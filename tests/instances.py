@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from suploc.automata import Automaton, EventTable, _mask_events, reachable_trim, sync_product
+from suploc.automata import Automaton, EventTable, reachable_trim, sync_product
 from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
 from suploc.context import agents_from_table
 from suploc.equivalence import EquivalenceVerdict
@@ -433,45 +433,6 @@ def replay_counterexample(plant: Automaton, sup: Automaton, locs, verdict: Equiv
     return marked_locs != marked_mono
 
 
-def _extended_members(cells, adj, x):
-    """The cell of x plus every cell reachable from it through links of the
-    wait list ``adj`` (state -> set of states), ascending by state index:
-    the members of the cell x would be in if the wait list were committed."""
-    cell = cells._cell
-    members = cells._members
-    home = cell[x]
-    seen = {home}
-    out = []
-    todo = [home]
-    while todo:
-        cid = todo.pop()
-        out.extend(members[cid])
-        for m in members[cid]:
-            for nb in adj.get(m, ()):
-                if cell[nb] not in seen:
-                    seen.add(cell[nb])
-                    todo.append(cell[nb])
-    out.sort()
-    return out
-
-
-class _MergeFrame:
-    """One suspended call of :func:`reference_check_merge`: snapshots of the
-    two extended member lists plus the progress through their cross product."""
-
-    __slots__ = ("left", "right", "li", "ri", "sigmas", "si", "xp", "xq")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self.li = 0
-        self.ri = 0
-        self.sigmas = None
-        self.si = 0
-        self.xp = -1
-        self.xq = -1
-
-
 def reference_control_consistent(ctx, agent, x, y):
     """Whether two supervisor states may share a cell for ``agent``, by the
     pairwise rule: the same contract as
@@ -484,86 +445,66 @@ def reference_control_consistent(ctx, agent, x, y):
     return True
 
 
-def reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent):
-    """Merge exploration run as a hand-kept state machine: the same contract
-    as ``suploc.localization._check_merge``, kept as its oracle. Each frame
-    records how far it got through its cross product and through the shared
-    events of its current pair, and resumes there when its child returns."""
-    enabled = ctx.enabled
-    dis = ctx.disabled[agent]
-    marked = ctx.marked
-    plant_marked = ctx.plant_marked
-    succ = sup.succ_maps
-    cell = cells._cell
-    cell_min = cells._min
-    pairs = set()
-    adj = {}
+def reference_merge_closure(x_i, x_j, floor, sup, ctx, agent, cover):
+    """Merge by naive congruence closure: the same contract as
+    ``suploc.localization._check_merge`` on the cells of ``cover``, which
+    must be a control congruence, kept as its oracle. Returns the merged
+    cover, or None when the merge is refused.
 
-    def make_frame(a, b):
-        return _MergeFrame(
-            _extended_members(cells, adj, a), _extended_members(cells, adj, b)
-        )
+    A union-find over states starts from ``cover``'s cells and unites x_i
+    and x_j. Then, round after round, two states of one class that step
+    into two classes on one event have those classes united, until a round
+    unites nothing. The merge is refused when a class that holds two or more
+    cells holds a state below ``floor`` (the least member of one of its
+    cells), or two states of different cells that are not control
+    consistent."""
+    parent = list(range(sup.n_states))
 
-    stack = [make_frame(x_i, x_j)]
-    while stack:
-        fr = stack[-1]
-        if fr.sigmas is not None:
-            pushed = False
-            sx = succ[fr.xp]
-            sy = succ[fr.xq]
-            sigmas = fr.sigmas
-            n_sig = len(sigmas)
-            while fr.si < n_sig:
-                ev = sigmas[fr.si]
-                fr.si += 1
-                sp = sx[ev]
-                sq = sy[ev]
-                ra = cell[sp]
-                rb = cell[sq]
-                if ra == rb or ((sp, sq) if sp <= sq else (sq, sp)) in pairs:
-                    continue
-                if cell_min[ra] < floor or cell_min[rb] < floor:
-                    return None
-                stack.append(make_frame(sp, sq))
-                pushed = True
-                break
-            if pushed:
-                continue
-            fr.sigmas = None
-        advanced = False
-        left = fr.left
-        right = fr.right
-        n_left = len(left)
-        n_right = len(right)
-        li = fr.li
-        ri = fr.ri
-        while li < n_left:
-            xp = left[li]
-            xq = right[ri]
-            ri += 1
-            if ri == n_right:
-                ri = 0
-                li += 1
-            if xp == xq or xq in adj.get(xp, ()):
-                continue
-            if enabled[xp] & dis[xq] or enabled[xq] & dis[xp]:
-                return None
-            if plant_marked[xp] == plant_marked[xq] and marked[xp] != marked[xq]:
-                return None
-            pairs.add((xp, xq) if xp < xq else (xq, xp))
-            adj.setdefault(xp, set()).add(xq)
-            adj.setdefault(xq, set()).add(xp)
-            fr.xp = xp
-            fr.xq = xq
-            fr.sigmas = _mask_events(enabled[xp] & enabled[xq])
-            fr.si = 0
-            advanced = True
-            break
-        fr.li = li
-        fr.ri = ri
-        if not advanced:
-            stack.pop()
-    return pairs
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def unite(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+        return rx != ry
+
+    for cell in cover.cells():
+        for x in cell[1:]:
+            unite(cell[0], x)
+    unite(x_i, x_j)
+    n_events = sup.alphabet.n_events
+    changed = True
+    while changed:
+        # A round reads the classes as they were when it began; only a
+        # round that unites nothing, and so reads them as they are, ends.
+        changed = False
+        root = [find(x) for x in range(sup.n_states)]
+        first = {}
+        for x, row in enumerate(sup.succ_maps):
+            home = root[x] * n_events
+            for ev, y in row.items():
+                z = first.setdefault(home + ev, y)
+                if root[z] != root[y] and unite(z, y):
+                    changed = True
+
+    classes = {}
+    for x in range(sup.n_states):
+        classes.setdefault(find(x), {}).setdefault(cover.cell_of[x], []).append(x)
+    for parts in classes.values():
+        if len(parts) < 2:
+            continue
+        if min(min(part) for part in parts.values()) < floor:
+            return None
+        for left, right in combinations(parts.values(), 2):
+            for x in left:
+                for y in right:
+                    if not reference_control_consistent(ctx, agent, x, y):
+                        return None
+    return Cover([find(x) for x in range(sup.n_states)])
 
 
 def reference_isolate(base_cover, base, variant, ctx, agent, *, carried=None):

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from suploc.bench import CSV_COLUMNS, JSON_COLUMNS, run_bench
+import suploc
+
+from suploc.bench import CSV_COLUMNS, JSON_COLUMNS, BenchReport, _git_commit, run_bench
 from suploc.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -47,6 +50,7 @@ def test_report_json_schema(small_report):
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
+        "commit": _git_commit(),
     }
     assert doc["protocol"] == {
         "seed": 9,
@@ -85,6 +89,37 @@ def test_report_json_spreads_over_runs():
             r.sl_seconds for r in report.rows if r.agent == entry["agent"]
         )
         assert entry["sl_seconds"] == {"median": times[1], "min": times[0], "max": times[2]}
+
+
+def test_report_json_names_the_commit_or_null(tmp_path):
+    # in this tree: the checked-out commit, marked dirty when tracked files
+    # differ from it
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(suploc.__file__).parent, capture_output=True,
+            text=True,
+        )
+    except OSError:  # no git to run
+        head = None
+    commit = _git_commit()
+    if head is not None and head.returncode == 0:
+        assert commit in (head.stdout.strip(), head.stdout.strip() + "-dirty")
+    else:
+        assert commit is None
+    # a copy of the package outside any git tree, run from there: null
+    shutil.copytree(Path(suploc.__file__).parent, tmp_path / "suploc")
+    script = (
+        "import json; from suploc.bench import BenchReport; "
+        "print(json.loads(BenchReport((), (), 1, 1, 2, 1, ()).to_json())"
+        "['environment']['commit'])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "GIT_CEILING_DIRECTORIES": str(tmp_path)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "None"
+    assert BenchReport((), (), 1, 1, 2, 1, ()).to_json()
 
 
 def test_markdown_table_contains_all_rows(small_report):

@@ -28,7 +28,7 @@ from .instances import (
     is_maximally_reduced,
     isomorphic,
     mutate_system,
-    reference_check_merge,
+    reference_merge_closure,
     reference_control_consistent,
     reference_is_control_congruence,
     systems_corpus,
@@ -38,16 +38,6 @@ from .instances import (
 
 def named_cells(cover, aut):
     return [[aut.states[x] for x in cell] for cell in cover.cells()]
-
-
-def committed(cover, links, ctx, agent):
-    """``cover`` after uniting the two states of each pair in ``links``."""
-    cells = _Cells(cover, ctx, agent)
-    cell = cells._cell
-    for p, q in links:
-        if cell[p] != cell[q]:
-            cells.union(cell[p], cell[q])
-    return cells.to_cover()
 
 
 def snapshot(cells):
@@ -62,18 +52,17 @@ def snapshot(cells):
 
 
 def checked_merge(engine, x_i, x_j, floor, sup, ctx, cells, agent):
-    """Run ``engine`` on ``cells`` after the reference engine has run on the
-    untouched cells. Both must reject, leaving ``cells`` exactly as before,
-    or both must accept, with ``cells`` merged into the cover committed from
-    the reference's pairs and every cell's kept summary that of its members.
-    Returns the engine's verdict."""
-    before = cells.to_cover()
+    """Run ``engine`` on ``cells`` after the naive congruence closure has
+    judged the same merge. Both must reject, leaving ``cells`` exactly as
+    before, or both must accept, with ``cells`` merged into the closure's
+    cover and every cell's kept summary that of its members. Returns the
+    engine's verdict."""
     state = snapshot(cells)
-    pairs = reference_check_merge(x_i, x_j, floor, sup, ctx, cells, agent)
+    want = reference_merge_closure(x_i, x_j, floor, sup, ctx, agent, cells.to_cover())
     accepted = engine(x_i, x_j, floor, sup, cells)
-    assert accepted == (pairs is not None)
+    assert accepted == (want is not None)
     if accepted:
-        assert cells.to_cover() == committed(before, pairs, ctx, agent)
+        assert cells.to_cover() == want
         for members, summary in zip(cells._members, cells._sum):
             if members:
                 assert summary == _summary(ctx, agent, members)
@@ -84,7 +73,7 @@ def checked_merge(engine, x_i, x_j, floor, sup, ctx, cells, agent):
 
 def engine_commit(x_i, x_j, floor, sup, ctx, cover, agent):
     """The cover the engine commits for merging x_i and x_j in ``cover``,
-    or None when it rejects, checked against the reference engine."""
+    or None when it rejects, checked against the naive closure."""
     cells = _Cells(cover, ctx, agent)
     if checked_merge(_check_merge, x_i, x_j, floor, sup, ctx, cells, agent):
         return cells.to_cover()
@@ -306,8 +295,8 @@ def test_check_merge_refuses_first_pair_below_floor(corpus_sup, corpus_ctx):
 @pytest.fixture
 def engine_outcomes(monkeypatch):
     # every engine call made while the fixture is active must agree with the
-    # frame-by-frame state machine on the same cells: both reject, or both
-    # commit the same cover. The engine takes no context or agent, so each
+    # naive congruence closure on the same cells: both reject, or both commit
+    # the same cover. The engine takes no context or agent, so each
     # ``_Cells`` made meanwhile is recorded with the ones it was built for;
     # holding it keeps its id from being reused.
     engine = localization._check_merge
@@ -366,6 +355,30 @@ def test_check_merge_matches_reference_engine_on_tower(engine_outcomes):
 
 # ---------------------------------------------------------------------------
 # localize
+
+
+@pytest.mark.parametrize("agent", [0, 9])
+@pytest.mark.parametrize("call", ["localize", "isolate", "is_control_congruence"])
+def test_unknown_agent_is_named_with_the_known_ones(corpus_sup, corpus_ctx, call, agent):
+    # the corpus context has agent 1 only; an agent it lacks used to raise a
+    # bare KeyError
+    cover = Cover.from_cells([[0, 3, 4], [1, 2]], 5)
+    run = {
+        "localize": lambda: localize(corpus_sup, corpus_ctx, agent, cover),
+        "isolate": lambda: isolate(cover, corpus_sup, corpus_sup, corpus_ctx, agent),
+        "is_control_congruence": lambda: is_control_congruence(
+            corpus_sup, corpus_ctx, agent, cover
+        ),
+    }[call]
+    with pytest.raises(ValueError) as info:
+        run()
+    assert str(info.value) == f"unknown agent {agent}: the context has agents 1..1"
+
+
+def test_unknown_agent_message_lists_agents_that_are_not_a_range():
+    ctx = ControlContext([0], {1: [0], 3: [0]}, [False], [False])
+    with pytest.raises(ValueError, match=r"^unknown agent 2: the context has agents 1, 3$"):
+        localize(Automaton(["p"], EventTable(("a",), (True,), (1,)), [], 0), ctx, 2)
 
 
 def test_localize_corpus(corpus_sup, corpus_ctx):

@@ -4,8 +4,9 @@ import hashlib
 
 import pytest
 
+from suploc import transform
 from suploc.automata import Automaton, EventTable
-from suploc.context import ControlContext, build_context
+from suploc.context import ControlContext, agents_from_table, build_context
 from suploc.equivalence import check_control_equivalence
 from suploc.localization import Cover, is_control_congruence, localize, write_cover
 from suploc.rng import SplitMix64
@@ -53,6 +54,15 @@ def test_carry_over_all_removed_gives_singletons(corpus_sup):
     variant = Automaton(["z0", "z1"], corpus_sup.alphabet, [], 0)
     carried = carry_over_cover(cover, corpus_sup, variant)
     assert carried == Cover.singleton(2)
+
+
+@pytest.mark.parametrize("cell_of", [[0, 0, 1, 1], [0, 0, 1, 1, 2, 2]])
+def test_isolate_rejects_carried_cover_of_wrong_size(corpus_sup, corpus_ctx, cell_of):
+    # the corpus supervisor has five states: a four-state cover used to fail
+    # on an index, and a six-state one came back as the output
+    base_cover = localize(corpus_sup, corpus_ctx, 1)
+    with pytest.raises(ValueError, match="carried cover size does not match"):
+        isolate(base_cover, corpus_sup, corpus_sup, corpus_ctx, 1, carried=Cover(cell_of))
 
 
 def test_isolate_fixed_point_when_nothing_changed(corpus_sup, corpus_ctx):
@@ -308,6 +318,58 @@ def test_isolate_marking_class_shared_by_two_members():
     # and s3 and s4 are still unmarked, so s2 clashes and leaves too
     cells = [[0], [1, 2, 3, 4]]
     assert hand_isolate(5, [], cells, marked=[2]) == [[0], [1], [2], [3, 4]]
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The cells ``isolate`` builds counters for, in the order it does."""
+    cells = []
+    make = transform._Counts
+
+    def recorded(cell, *args):
+        cells.append(list(cell))
+        return make(cell, *args)
+
+    monkeypatch.setattr(transform, "_Counts", recorded)
+    return cells
+
+
+def test_isolate_counts_a_clean_cell_when_a_move_first_touches_it(counted):
+    # s1 enables b, which s2 may not take. {s3,s4,s5} steps into {s1,s2} on
+    # a, so it is clean until s1 leaves; then s3 steps into {s1} and s4 and
+    # s5 into {s2}, and s3, later in the same sweep, must go too
+    edges = [(1, B, 0), (3, A, 1), (4, A, 2), (5, A, 2)]
+    cells = [[0], [1, 2], [3, 4, 5]]
+    assert hand_isolate(6, edges, cells, {2: 1 << B}) == [[0], [1], [2], [3], [4, 5]]
+    # the two checks against the reference and the output, counted in turn
+    assert counted == [[1, 2], [3, 4, 5]] * 3
+
+
+def test_isolate_rescans_a_clean_cell_met_before_the_move(counted):
+    # the clean cell {s1,s2,s3} comes first in the sweep and is skipped;
+    # s4's eviction from {s4,s5} then splits it, so the next sweep evicts s1
+    edges = [(1, A, 4), (2, A, 5), (3, A, 5), (4, B, 0)]
+    cells = [[0], [1, 2, 3], [4, 5]]
+    assert hand_isolate(6, edges, cells, {5: 1 << B}) == [[0], [1], [2, 3], [4], [5]]
+    assert counted == [[4, 5], [1, 2, 3]] * 3
+
+
+def test_isolate_of_an_edit_that_breaks_no_cell_counts_nothing(
+    cmt_plants, cmt_supervisors, counted
+):
+    # four-level v1: every carried cell is still a congruence cell, so no
+    # counters are built and the carried cover itself comes back
+    base_sup, sup = cmt_supervisors["base"], cmt_supervisors["v1"]
+    base_ctx = build_context(cmt_plants["base"], base_sup, agents_from_table(base_sup.alphabet))
+    agents = agents_from_table(sup.alphabet)
+    ctx = build_context(cmt_plants["v1"], sup, agents)
+    for spec in agents:
+        k = spec.agent_index
+        base_cover = localize(base_sup, base_ctx, k)
+        carried = carry_over_cover(base_cover, base_sup, sup)
+        assert carried.n_cells > 1
+        assert isolate(base_cover, base_sup, sup, ctx, k, carried=carried) is carried
+    assert counted == []
 
 
 @pytest.mark.parametrize("variant", sorted(TOWER3_COVER_SHA256))
