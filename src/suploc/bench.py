@@ -117,9 +117,8 @@ class BenchReport:
         The environment names the commit of the code, as :func:`_git_commit`
         finds it."""
         results = []
-        for agg in self.aggregates:
-            sub = [r for r in self.rows if r.variant == agg.variant and r.agent == agg.agent]
-            entry: dict = {"variant": agg.variant, "agent": agg.agent}
+        for (variant, agent), sub in _groups(self.rows).items():
+            entry: dict = {"variant": variant, "agent": agent}
             for column in JSON_COLUMNS:
                 values = [getattr(r, column) for r in sub]
                 entry[column] = {
@@ -171,6 +170,14 @@ class BenchReport:
     @property
     def overall_pct_change(self) -> float:
         return sum(a.pct_change for a in self.aggregates) / len(self.aggregates)
+
+
+def _groups(rows) -> dict[tuple[str, int], list[BenchRow]]:
+    """``rows`` grouped by (variant, agent), in order of first appearance."""
+    groups: dict[tuple[str, int], list[BenchRow]] = {}
+    for r in rows:
+        groups.setdefault((r.variant, r.agent), []).append(r)
+    return groups
 
 
 def _git_commit() -> str | None:
@@ -231,12 +238,14 @@ def run_bench(
     """Run the full protocol and aggregate means per (variant, agent).
 
     Agent pipelines run one after another so wall-clock numbers are
-    uncontaminated. An unknown or repeated variant raises ``ValueError``
-    before any system is generated.
+    uncontaminated. An empty variant list, or an unknown or repeated
+    variant, raises ``ValueError`` before any system is generated.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     variants = tuple(variants)
+    if not variants:
+        raise ValueError("no variant given")
     for pos, v in enumerate(variants):
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
@@ -321,28 +330,9 @@ def run_bench(
             say(f"run {run}/{runs} {item.name}: ok")
 
     aggregates = []
-    for item in prepared:
-        for k in range(1, n_agents + 1):
-            sub = [r for r in rows if r.variant == item.name and r.agent == k]
-
-            def mean(attr, sub=sub):
-                return sum(getattr(r, attr) for r in sub) / len(sub)
-
-            sl = mean("sl_seconds")
-            tsl = mean("tsl_seconds")
-            aggregates.append(
-                BenchAggregate(
-                    variant=item.name,
-                    agent=k,
-                    sl_seconds=sl,
-                    isolate_seconds=mean("isolate_seconds"),
-                    init_localize_seconds=mean("init_localize_seconds"),
-                    tsl_seconds=tsl,
-                    pct_change=(tsl - sl) / sl * 100.0,
-                    cells_sl=mean("cells_sl"),
-                    cells_initial_guess=mean("cells_initial_guess"),
-                    cells_isolated=mean("cells_isolated"),
-                    cells_tsl=mean("cells_tsl"),
-                )
-            )
+    for (variant, agent), sub in _groups(rows).items():
+        means = {c: sum(getattr(r, c) for r in sub) / len(sub) for c in JSON_COLUMNS}
+        sl = means["sl_seconds"]
+        pct_change = (means["tsl_seconds"] - sl) / sl * 100.0
+        aggregates.append(BenchAggregate(variant, agent, pct_change=pct_change, **means))
     return BenchReport(tuple(rows), tuple(aggregates), runs, seed, levels, animals, variants)

@@ -222,9 +222,10 @@ def _pair_clash(
     return None
 
 
-def _check_agent(ctx: ControlContext, agent: int) -> None:
+def _check_agent(ctx: ControlContext, agent: int, sup: Automaton) -> None:
     """Raise ``ValueError`` naming ``agent`` and the agents ``ctx`` has
-    tables for, unless it is one of them."""
+    tables for, unless it is one of them, or naming both sizes when ``ctx``
+    has tables for another number of states than ``sup``."""
     if agent not in ctx.disabled:
         known = sorted(ctx.disabled)
         if known and known[-1] - known[0] == len(known) - 1:
@@ -232,6 +233,11 @@ def _check_agent(ctx: ControlContext, agent: int) -> None:
         else:
             have = ", ".join(map(str, known)) or "none"
         raise ValueError(f"unknown agent {agent}: the context has agents {have}")
+    if len(ctx.enabled) != sup.n_states:
+        raise ValueError(
+            f"the context has tables for {len(ctx.enabled)} states, "
+            f"the supervisor has {sup.n_states}"
+        )
 
 
 def _summary(ctx: ControlContext, agent: int, states) -> tuple[int, int, int]:
@@ -325,9 +331,10 @@ def localize(
     least member of their cell, and asks the merge engine to merge the cells
     of each pair in place. Cells only grow, so a state that is not the least
     of its cell in ``init`` never becomes so, and only those of ``init`` are
-    scanned. An agent ``ctx`` lacks raises ``ValueError``.
+    scanned. An agent ``ctx`` lacks, or a ``ctx`` built for a supervisor
+    with another number of states, raises ``ValueError``.
     """
-    _check_agent(ctx, agent)
+    _check_agent(ctx, agent, sup)
     n = sup.n_states
     if init is None:
         init = Cover.singleton(n)
@@ -445,9 +452,10 @@ def is_control_congruence(
     Cellmates must be pairwise control consistent and step into one cell on
     each event both enable. Only the cells :func:`_flawed_cells` names hold
     a failing pair, and only those are scanned pair by pair, in id order;
-    the first failing pair is the witness. An agent ``ctx`` lacks raises
+    the first failing pair is the witness. An agent ``ctx`` lacks, or a
+    ``ctx`` built for a supervisor with another number of states, raises
     ``ValueError``."""
-    _check_agent(ctx, agent)
+    _check_agent(ctx, agent, sup)
     if len(cover.cell_of) != sup.n_states:
         return CoverVerdict(False, "cover size does not match the supervisor")
     cells, flawed = _flawed_cells(sup, ctx, agent, cover)

@@ -48,13 +48,12 @@ class _Counts:
     events on which they step into two or more cells.
 
     A cell whose control summary clashes with itself also keeps that
-    summary, with how many members carry each disabled bit and each marking
-    class (the events with counts are its enabled OR), until it no longer
-    clashes; removing a member clears a bit whose count reaches 0. Members
+    summary and its member list. Each removal re-summarizes the members
+    left, and once their summary stops clashing both are dropped. Members
     only leave, and ``_clash`` is monotone, so the summary of any other cell
     can never clash and is not kept."""
 
-    __slots__ = ("size", "steps", "split", "summary", "offs", "classes")
+    __slots__ = ("size", "steps", "split", "summary", "members")
 
     def __init__(self, cell, succ, cell_of):
         self.size = len(cell)
@@ -70,23 +69,12 @@ class _Counts:
         self.steps = steps
         self.split = sum(1 << ev for ev, targets in steps.items() if len(targets) > 1)
         self.summary: tuple[int, int, int] | None = None
+        self.members: list[int] | None = None
 
-    def keep(self, summary, members) -> None:
-        """Keep the cell's ``summary``, which clashes with itself, counting
-        the bits of ``members``, the summaries of its members alone."""
-        self.summary = summary
-        self.offs: dict[int, int] = {}
-        self.classes: dict[int, int] = {}
-        for _, off, bit in members:
-            _count(self.offs, off)
-            _count(self.classes, bit)
-
-    def remove(self, row, cell_of, mine) -> None:
-        """Take out the member with successor row ``row`` and, when the
-        summary is kept, summary ``mine``."""
+    def remove(self, x, row, cell_of, ctx, agent) -> None:
+        """Take out member ``x``, whose successor row is ``row``."""
         self.size -= 1
         steps = self.steps
-        unused = 0
         for ev, t in row.items():
             targets = steps[ev]
             t = cell_of[t]
@@ -98,13 +86,13 @@ class _Counts:
                 self.split &= ~(1 << ev)
             elif not targets:
                 del steps[ev]
-                unused |= 1 << ev
-        if self.summary is not None:
-            on, off, classes = self.summary
-            off ^= _count(self.offs, mine[1], -1)
-            classes ^= _count(self.classes, mine[2], -1)
-            summary = (on ^ unused, off, classes)
-            self.summary = summary if _clash(summary, summary) else None
+        if self.members is not None:
+            self.members.remove(x)
+            summary = _summary(ctx, agent, self.members)
+            if _clash(summary, summary):
+                self.summary = summary
+            else:
+                self.summary = self.members = None
 
     def move(self, ev: int, old: int, new: int) -> None:
         """One member's successor on ``ev`` moved from cell old to cell new."""
@@ -118,22 +106,6 @@ class _Counts:
             self.split |= 1 << ev
         else:
             self.split &= ~(1 << ev)
-
-
-def _count(counts: dict[int, int], mask: int, by: int = 1) -> int:
-    """Add ``by`` to the count of each bit of ``mask``; returns the bits
-    whose count fell to 0, which are deleted."""
-    zeroed = 0
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        left = counts.get(bit, 0) + by
-        if left:
-            counts[bit] = left
-        else:
-            del counts[bit]
-            zeroed |= bit
-    return zeroed
 
 
 def isolate(
@@ -155,7 +127,13 @@ def isolate(
     state set, is a control congruence for the variant system, and never
     merges cells: every output cell is contained in a carried-over cell.
     Pass ``carried`` to reuse a precomputed carry-over; a cover of the wrong
-    size, or an agent ``ctx`` lacks, raises ``ValueError``.
+    size, an agent ``ctx`` lacks, or a ``ctx`` built for a supervisor with
+    another number of states than ``variant`` raises ``ValueError``.
+
+    ``ctx`` must not withhold from ``agent`` an event a state enables in
+    that same state, as :func:`~suploc.context.build_context` guarantees.
+    Such a state clashes with every summary that holds it, so it would be
+    evicted even where the pairwise rule keeps it.
 
     Only a cell :func:`_flawed_cells` names can hold a state to evict, so
     when there is none the carried cover is returned as it is. Otherwise
@@ -168,7 +146,7 @@ def isolate(
     cells are as they were, so none of them can clash and the sweep skips
     them. New singletons get no counters, since isolation never merges.
     """
-    _check_agent(ctx, agent)
+    _check_agent(ctx, agent, variant)
     if carried is None:
         carried = carry_over_cover(base_cover, base, variant)
     elif len(carried.cell_of) != variant.n_states:
@@ -181,9 +159,9 @@ def isolate(
     cell_of = list(carried.cell_of)
     counts: list[_Counts | None] = [None] * len(cells)
     for pos, summary in flawed.items():
-        counts[pos] = _Counts(cells[pos], succ, cell_of)
+        kept = counts[pos] = _Counts(cells[pos], succ, cell_of)
         if _clash(summary, summary):
-            counts[pos].keep(summary, [_summary(ctx, agent, (x,)) for x in cells[pos]])
+            kept.summary, kept.members = summary, cells[pos]
     clean = {pos: cell for pos, cell in enumerate(cells) if len(cell) > 1 and counts[pos] is None}
     preds: list[list[tuple[int, int]]] | None = None
 
@@ -202,7 +180,7 @@ def isolate(
                 for p, out in enumerate(succ):
                     for ev, y in out.items():
                         preds[y].append((p, ev))
-            home.remove(row, cell_of, mine)
+            home.remove(x, row, cell_of, ctx, agent)
             old = cell_of[x]
             new = len(counts)
             counts.append(None)

@@ -157,6 +157,10 @@ def test_bench_rejects_bad_arguments():
         run_bench(runs=0)
     with pytest.raises(ValueError, match="unknown variant 'v9'"):
         run_bench(variants=("v9",), levels=2)
+    # an empty list used to localize the base system and return a report
+    # whose overall_pct_change divides by zero
+    with pytest.raises(ValueError, match="^no variant given$"):
+        run_bench(variants=(), levels=2)
     # a repeated variant would run, print and average its rows twice
     with pytest.raises(ValueError, match="variant 'v1' given twice"):
         run_bench(variants=("v1", "v1"), levels=2, runs=1, seed=3)

@@ -5,8 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suploc import localization
-from suploc.automata import Automaton, EventTable, FormatError, apply_state_order
-from suploc.context import ControlContext, build_context
+from suploc.automata import (
+    Automaton,
+    EventTable,
+    FormatError,
+    apply_state_order,
+    reachable_trim,
+    sync_product,
+)
+from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
+from suploc.context import ControlContext, agents_from_table, build_context
 from suploc.localization import (
     Cover,
     InvalidCoverError,
@@ -379,6 +387,40 @@ def test_unknown_agent_message_lists_agents_that_are_not_a_range():
     ctx = ControlContext([0], {1: [0], 3: [0]}, [False], [False])
     with pytest.raises(ValueError, match=r"^unknown agent 2: the context has agents 1, 3$"):
         localize(Automaton(["p"], EventTable(("a",), (True,), (1,)), [], 0), ctx, 2)
+
+
+@pytest.fixture(scope="module")
+def tower2():
+    """Supervisor and own context of the two-level tower's base (38 states),
+    v4 (30) and v5 (49)."""
+    systems = {}
+    for variant in ("base", "v4", "v5"):
+        system = gen_cmt(CmtConfig(2, 1, variant=variant))
+        sup = synthesize_cmt(system)
+        plant = reachable_trim(sync_product(system.plants))
+        systems[variant] = sup, build_context(plant, sup, agents_from_table(sup.alphabet))
+    return systems
+
+
+@pytest.mark.parametrize("variant", ["v4", "v5"])
+@pytest.mark.parametrize("call", ["localize", "isolate", "is_control_congruence"])
+def test_context_of_another_supervisor_is_refused(tower2, call, variant):
+    # the base context is larger than v4's supervisor and smaller than v5's:
+    # v5 used to raise IndexError, and v4 got a 2-cell cover for agent 1
+    # that the same wrong context called valid and its own context refutes
+    base_ctx = tower2["base"][1]
+    sup, ctx = tower2[variant]
+    cover = localize(sup, ctx, 1)
+    run = {
+        "localize": lambda: localize(sup, base_ctx, 1),
+        "isolate": lambda: isolate(cover, sup, sup, base_ctx, 1),
+        "is_control_congruence": lambda: is_control_congruence(sup, base_ctx, 1, cover),
+    }[call]
+    with pytest.raises(ValueError) as info:
+        run()
+    assert str(info.value) == (
+        f"the context has tables for 38 states, the supervisor has {sup.n_states}"
+    )
 
 
 def test_localize_corpus(corpus_sup, corpus_ctx):

@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suploc import transform
 from suploc.automata import Automaton, EventTable
@@ -271,6 +273,36 @@ def hand_isolate(n, edges, cells, disabled=None, marked=()):
     assert carry_over_cover(cover, sup, sup) == cover
     assert_isolate_matches_reference(cover, sup, sup, ctx, 1)
     return isolate(cover, sup, sup, ctx, 1).cells()
+
+
+@st.composite
+def small_isolate_cases(draw):
+    """A supervisor of 2-6 states over events a, b, c, all agent 1's, with
+    random edges, markings and plant markings; disabled masks that avoid
+    each state's enabled events, as ``build_context``'s do; a base cover and
+    a carried partition. Returns (supervisor, context, base cover, carried)."""
+    n = draw(st.integers(2, 6))
+    state = st.integers(0, n - 1)
+    edges = [(x, ev, draw(state)) for x in range(n) for ev in (A, B, C) if draw(st.booleans())]
+    marked = [x for x in range(n) if draw(st.booleans())]
+    table = EventTable(("a", "b", "c"), (True, True, True), (1, 1, 1))
+    sup = Automaton([f"s{x}" for x in range(n)], table, edges, 0, marked)
+    enabled = [sum(1 << ev for ev in row) for row in sup.succ_maps]
+    off = [draw(st.integers(0, 7)) & ~on for on in enabled]
+    plant_marked = [draw(st.booleans()) for _ in range(n)]
+    ctx = ControlContext(enabled, {1: off}, [x in marked for x in range(n)], plant_marked)
+    partition = st.lists(state, min_size=n, max_size=n).map(Cover)
+    return sup, ctx, draw(partition), draw(partition)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_isolate_cases())
+def test_isolate_matches_reference_on_small_systems(case):
+    sup, ctx, base_cover, carried = case
+    want = reference_isolate(base_cover, sup, sup, ctx, 1)
+    assert isolate(base_cover, sup, sup, ctx, 1) == want
+    want = reference_isolate(base_cover, sup, sup, ctx, 1, carried=carried)
+    assert isolate(base_cover, sup, sup, ctx, 1, carried=carried) == want
 
 
 def test_isolate_evicts_state_with_self_loop():
