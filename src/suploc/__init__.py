@@ -44,17 +44,11 @@ from .localization import (
     write_cover,
 )
 from .rng import SplitMix64
-from .transform import (
-    AgentMapping,
-    carry_over_cover,
-    isolate,
-    tsl,
-)
+from .transform import carry_over_cover, isolate, tsl
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentMapping",
     "AgentSpec",
     "Automaton",
     "BenchReport",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import and_, getitem, itemgetter
 from pathlib import Path
@@ -42,7 +42,6 @@ class EventTable:
     events: tuple[str, ...]
     controllable: tuple[bool, ...]
     agent_of: tuple[int, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
@@ -50,12 +49,12 @@ class EventTable:
         object.__setattr__(self, "agent_of", tuple(int(a) for a in self.agent_of))
         if not (len(self.events) == len(self.controllable) == len(self.agent_of)):
             raise ValueError("events, controllable and agent_of must have equal lengths")
-        index: dict[str, int] = {}
-        for pos, name in enumerate(self.events):
+        seen: set[str] = set()
+        for name in self.events:
             _check_token(name, "event")
-            if name in index:
+            if name in seen:
                 raise ValueError(f"duplicate event name {name!r}")
-            index[name] = pos
+            seen.add(name)
         owned: set[int] = set()
         for agent in self.agent_of:
             if agent < 1:
@@ -63,7 +62,6 @@ class EventTable:
             owned.add(agent)
         if owned and owned != set(range(1, max(owned) + 1)):
             raise ValueError("agent indices must be contiguous from 1")
-        object.__setattr__(self, "_index", index)
 
     @property
     def n_events(self) -> int:
@@ -72,12 +70,6 @@ class EventTable:
     @property
     def n_agents(self) -> int:
         return max(self.agent_of, default=0)
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValueError(f"unknown event {name!r}") from None
 
 
 class Automaton:
@@ -158,10 +150,6 @@ class Automaton:
     @property
     def n_transitions(self) -> int:
         return sum(len(row) for row in self.succ_maps)
-
-    def out(self, state: int):
-        """(event, target) pairs at ``state``, ascending by event."""
-        return self.succ_maps[state].items()
 
     def index_of(self, name: str) -> int:
         try:
@@ -440,7 +428,7 @@ def reachable_trim(a: Automaton) -> Automaton:
     queue = deque((a.initial,))
     while queue:
         x = queue.popleft()
-        for _, y in a.out(x):
+        for y in a.succ_maps[x].values():
             if y not in seen:
                 seen.add(y)
                 queue.append(y)

@@ -161,12 +161,6 @@ class BenchReport:
             )
         return "\n".join(lines) + "\n"
 
-    def aggregate(self, variant: str, agent: int) -> BenchAggregate:
-        for agg in self.aggregates:
-            if agg.variant == variant and agg.agent == agent:
-                return agg
-        raise KeyError((variant, agent))
-
     @property
     def overall_pct_change(self) -> float:
         return sum(a.pct_change for a in self.aggregates) / len(self.aggregates)

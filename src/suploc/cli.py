@@ -33,7 +33,7 @@ from .localization import (
     localize,
     save_cover,
 )
-from .transform import AgentMapping, isolate, tsl
+from .transform import isolate, tsl
 
 
 def _load_plants(paths):
@@ -148,7 +148,7 @@ def _cmd_isolate(args) -> int:
     return 0
 
 
-def _parse_mapping(path, n_variant: int, n_base: int) -> AgentMapping:
+def _parse_mapping(path, n_variant: int, n_base: int) -> tuple[int, ...]:
     entries = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -168,7 +168,7 @@ def _parse_mapping(path, n_variant: int, n_base: int) -> AgentMapping:
         if not 0 <= b <= n_base:
             raise FormatError(f"base agent {b} not in 0..{n_base}", lineno)
         entries[k] = b
-    return AgentMapping(tuple(entries.get(k, 0) for k in range(1, n_variant + 1)))
+    return tuple(entries.get(k, 0) for k in range(1, n_variant + 1))
 
 
 def _cmd_tsl(args) -> int:
@@ -179,9 +179,9 @@ def _cmd_tsl(args) -> int:
     if args.mapping:
         mapping = _parse_mapping(args.mapping, len(agents), len(base_covers))
     else:
-        mapping = AgentMapping.identity(len(agents), len(base_covers))
+        mapping = tuple(k if k <= len(base_covers) else 0 for k in range(1, len(agents) + 1))
     ctx = build_context(plant, sup, agents)
-    supervisors, covers = tsl(base_covers, base_sup, plant, sup, agents, mapping, ctx=ctx)
+    supervisors, covers = tsl(base_covers, base_sup, sup, ctx, mapping)
     if not _all_congruent(sup, ctx, zip((spec.agent_index for spec in agents), covers)):
         return 1
     prefix = args.out_prefix or Path(args.sup).stem

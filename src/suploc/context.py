@@ -35,15 +35,10 @@ class SynthesisEmptyError(RuntimeError):
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """One agent's event alphabet and its locally controllable subset."""
+    """One agent's index and its locally controllable events."""
 
     agent_index: int
-    events: frozenset
     controllable: frozenset
-
-    def __post_init__(self):
-        if not self.controllable <= self.events:
-            raise ValueError("controllable events must belong to the agent's alphabet")
 
 
 def agents_from_table(table: EventTable) -> tuple[AgentSpec, ...]:
@@ -51,11 +46,11 @@ def agents_from_table(table: EventTable) -> tuple[AgentSpec, ...]:
     return tuple(
         AgentSpec(
             agent_index=k,
-            events=frozenset(events),
-            controllable=frozenset(e for e in events if table.controllable[e]),
+            controllable=frozenset(
+                e for e, owner in enumerate(table.agent_of) if owner == k and table.controllable[e]
+            ),
         )
         for k in range(1, table.n_agents + 1)
-        for events in [[e for e, owner in enumerate(table.agent_of) if owner == k]]
     )
 
 

@@ -212,7 +212,7 @@ def _pair_clash(
             f"not control consistent for agent {agent}"
         )
     succ_y = sup.succ_maps[y]
-    for ev, tx in sup.out(x):
+    for ev, tx in sup.succ_maps[x].items():
         ty = succ_y.get(ev)
         if ty is not None and cell_of[tx] != cell_of[ty]:
             return (

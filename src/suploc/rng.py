@@ -40,10 +40,6 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
 
-    def chance(self, num: int, den: int) -> bool:
-        """True with probability num/den."""
-        return self.below(den) < num
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by below()."""
         for i in range(len(items) - 1, 0, -1):

@@ -12,11 +12,11 @@ still allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
+from operator import and_
 
 from .automata import Automaton
-from .context import ControlContext, build_context
+from .context import ControlContext
 from .localization import (
     Cover,
     LocalSupervisor,
@@ -127,13 +127,11 @@ def isolate(
     state set, is a control congruence for the variant system, and never
     merges cells: every output cell is contained in a carried-over cell.
     Pass ``carried`` to reuse a precomputed carry-over; a cover of the wrong
-    size, an agent ``ctx`` lacks, or a ``ctx`` built for a supervisor with
-    another number of states than ``variant`` raises ``ValueError``.
-
-    ``ctx`` must not withhold from ``agent`` an event a state enables in
-    that same state, as :func:`~suploc.context.build_context` guarantees.
-    Such a state clashes with every summary that holds it, so it would be
-    evicted even where the pairwise rule keeps it.
+    size, an agent ``ctx`` lacks, a ``ctx`` built for a supervisor with
+    another number of states than ``variant``, or a ``ctx`` that withholds
+    from ``agent`` an event some state enables in that same state (which
+    :func:`~suploc.context.build_context` never builds) raises
+    ``ValueError``.
 
     Only a cell :func:`_flawed_cells` names can hold a state to evict, so
     when there is none the carried cover is returned as it is. Otherwise
@@ -147,6 +145,11 @@ def isolate(
     them. New singletons get no counters, since isolation never merges.
     """
     _check_agent(ctx, agent, variant)
+    if any(map(and_, ctx.enabled, ctx.disabled[agent])):
+        x = next(x for x, bits in enumerate(map(and_, ctx.enabled, ctx.disabled[agent])) if bits)
+        raise ValueError(
+            f"state {variant.states[x]!r} enables an event the context withholds from agent {agent}"
+        )
     if carried is None:
         carried = carry_over_cover(base_cover, base, variant)
     elif len(carried.cell_of) != variant.n_states:
@@ -202,66 +205,37 @@ def isolate(
     return Cover(cell_of)
 
 
-@dataclass(frozen=True)
-class AgentMapping:
-    """Maps each variant agent to a base agent, or to 0 for none."""
-
-    base_agent_of: tuple[int, ...]
-
-    @classmethod
-    def identity(cls, n_variant: int, n_base: int | None = None) -> "AgentMapping":
-        """Agent k maps to base agent k where that exists, otherwise to 0."""
-        if n_base is None:
-            n_base = n_variant
-        return cls(tuple(k if k <= n_base else 0 for k in range(1, n_variant + 1)))
-
-    def base_agent(self, variant_agent: int) -> int:
-        if not 1 <= variant_agent <= len(self.base_agent_of):
-            raise ValueError(f"variant agent {variant_agent} out of range")
-        return self.base_agent_of[variant_agent - 1]
-
-    def validate(self, n_base: int) -> None:
-        for k, b in enumerate(self.base_agent_of, start=1):
-            if not 0 <= b <= n_base:
-                raise ValueError(f"mapping of agent {k} references unknown base agent {b}")
-
-
 def tsl(
     base_covers,
     base_sup: Automaton,
-    variant_plant: Automaton,
     variant_sup: Automaton,
-    agents,
-    mapping: AgentMapping,
-    *,
-    ctx: ControlContext | None = None,
+    ctx: ControlContext,
+    mapping,
 ) -> tuple[list[LocalSupervisor], list[Cover]]:
     """Transformational localization of the variant system.
 
-    For each variant agent, the initial partition is either the isolated
-    carry-over of the mapped base congruence or, when the mapping is 0, the
-    singleton partition; the localization loop then merges cells, and the
-    quotient automaton becomes the agent's local supervisor. Returns the
-    local supervisors and the final covers (the covers seed the next round
-    when the system is edited again). Pass ``ctx`` to reuse a precomputed
-    variant control context.
+    The variant agents are those ``ctx`` has tables for, ascending;
+    ``mapping[k-1]`` is variant agent k's base agent, or 0 for none. For each
+    variant agent, the initial partition is either the isolated carry-over
+    of the mapped base congruence or, when the mapping is 0, the singleton
+    partition; the localization loop then merges cells, and the quotient
+    automaton becomes the agent's local supervisor. Returns the local
+    supervisors and the final covers (the covers seed the next round when
+    the system is edited again).
     """
     base_covers = list(base_covers)
-    agents = list(agents)
-    mapping.validate(len(base_covers))
-    if len(mapping.base_agent_of) != len(agents):
+    agents = sorted(ctx.disabled)
+    for k, b in enumerate(mapping, start=1):
+        if not 0 <= b <= len(base_covers):
+            raise ValueError(f"mapping of agent {k} references unknown base agent {b}")
+    if len(mapping) != len(agents):
         raise ValueError("mapping length does not match the variant agent list")
-    if ctx is None:
-        ctx = build_context(variant_plant, variant_sup, agents)
     supervisors: list[LocalSupervisor] = []
     covers: list[Cover] = []
-    for spec in agents:
-        k = spec.agent_index
-        mapped = mapping.base_agent(k)
-        if mapped != 0:
+    for k, mapped in zip(agents, mapping):
+        init = None
+        if mapped:
             init = isolate(base_covers[mapped - 1], base_sup, variant_sup, ctx, k)
-        else:
-            init = Cover.singleton(variant_sup.n_states)
         cover = localize(variant_sup, ctx, k, init)
         supervisors.append(build_local_supervisor(variant_sup, cover, k))
         covers.append(cover)

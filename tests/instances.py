@@ -28,7 +28,7 @@ def random_table(rng: SplitMix64, max_events: int = 5, max_agents: int = 3) -> E
     n_ag = 1 + rng.below(min(max_agents, n_ev))
     agents = [1 + (i % n_ag) for i in range(n_ev)]
     rng.shuffle(agents)
-    controllable = [rng.chance(7, 10) for _ in range(n_ev)]
+    controllable = [rng.below(10) < 7 for _ in range(n_ev)]
     names = [f"e{i}" for i in range(n_ev)]
     return EventTable(tuple(names), tuple(controllable), tuple(agents))
 
@@ -38,9 +38,9 @@ def random_plant(rng: SplitMix64, table: EventTable, max_states: int = 12) -> Au
     triples = []
     for x in range(n):
         for e in range(table.n_events):
-            if rng.chance(1, 2):
+            if rng.below(2) < 1:
                 triples.append((x, e, rng.below(n)))
-    marked = [x for x in range(n) if rng.chance(3, 10)]
+    marked = [x for x in range(n) if rng.below(10) < 3]
     aut = Automaton([f"s{x}" for x in range(n)], table, triples, 0, marked)
     return reachable_trim(aut)
 
@@ -50,7 +50,7 @@ def supervisor_from(rng: SplitMix64, plant: Automaton) -> Automaton:
     table = plant.alphabet
     triples = []
     for src, ev, dst in plant.iter_transitions():
-        if table.controllable[ev] and rng.chance(35, 100):
+        if table.controllable[ev] and rng.below(100) < 35:
             continue
         triples.append((src, ev, dst))
     sup = Automaton(plant.states, table, triples, plant.initial, plant.marked)
@@ -141,7 +141,7 @@ def mutate_system(rng: SplitMix64, plant: Automaton, sup: Automaton):
             continue
         states.append(name)
         trans[(src, ev)] = name
-        if rng.chance(1, 2):
+        if rng.below(2) < 1:
             ev2 = rng.below(n_ev)
             if (name, ev2) not in trans:
                 trans[(name, ev2)] = states[rng.below(len(states))]
@@ -205,7 +205,7 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
             return False
         if (x in a.marked) != (y in b.marked):
             return False
-        for ev, nx in a.out(x):
+        for ev, nx in a.succ_maps[x].items():
             ny = b.succ_maps[y].get(ev)
             if nx in pair_of:
                 if pair_of[nx] != ny:
@@ -230,7 +230,7 @@ def reference_product(automata):
     while queue:
         t = queue.popleft()
         row = {}
-        for ev, d0 in first.out(t[0]):
+        for ev, d0 in first.succ_maps[t[0]].items():
             dst = [d0]
             for a, comp in zip(rest, t[1:]):
                 nxt = a.succ_maps[comp].get(ev)
@@ -259,7 +259,7 @@ def language_upto(a: Automaton, max_len: int) -> set[tuple[str, ...]]:
         words.add(prefix)
         if len(prefix) == max_len:
             return
-        for ev, y in a.out(x):
+        for ev, y in a.succ_maps[x].items():
             walk(y, prefix + (events[ev],))
 
     walk(a.initial, ())
@@ -276,7 +276,7 @@ def marked_language_upto(a: Automaton, max_len: int) -> set[tuple[str, ...]]:
             words.add(prefix)
         if len(prefix) == max_len:
             return
-        for ev, y in a.out(x):
+        for ev, y in a.succ_maps[x].items():
             walk(y, prefix + (events[ev],))
 
     walk(a.initial, ())
@@ -410,7 +410,7 @@ def replay_counterexample(plant: Automaton, sup: Automaton, locs, verdict: Equiv
     def run(components, trace):
         cursor = [a.initial for a in components]
         for name in trace:
-            ev = plant.alphabet.index(name)
+            ev = plant.alphabet.events.index(name)
             nxt = [a.succ_maps[c].get(ev) for a, c in zip(components, cursor)]
             if any(n is None for n in nxt):
                 return None

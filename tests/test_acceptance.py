@@ -31,7 +31,7 @@ from suploc.context import build_context
 from suploc.equivalence import check_control_equivalence
 from suploc.localization import build_local_supervisor, is_control_congruence, localize
 from suploc.rng import SplitMix64
-from suploc.transform import AgentMapping, carry_over_cover, isolate, tsl
+from suploc.transform import carry_over_cover, isolate, tsl
 
 from .instances import (
     controlled_behavior,
@@ -85,10 +85,9 @@ def random_corpus():
         sups, covers = tsl(
             [base_covers[s.agent_index] for s in agents],
             sup,
-            variant_plant,
             variant_sup,
-            agents,
-            AgentMapping.identity(len(agents)),
+            variant_ctx,
+            tuple(s.agent_index for s in agents),
         )
         instances.append(
             Instance(
@@ -240,10 +239,11 @@ def test_criterion_6_relative_speed(bench_report):
 
 
 def test_criterion_7_cell_count_structure(bench_report):
+    aggregates = {(a.variant, a.agent): a for a in bench_report.aggregates}
     for agent in (1, 2, 3, 4):
-        v1 = bench_report.aggregate("v1", agent)
+        v1 = aggregates["v1", agent]
         assert v1.cells_initial_guess == v1.cells_isolated == v1.cells_tsl
-        v2 = bench_report.aggregate("v2", agent)
+        v2 = aggregates["v2", agent]
         assert v2.cells_isolated > v2.cells_tsl
         assert v2.cells_tsl >= v2.cells_sl
     report(7, "variant 1 isolates and merges nothing; variant 2 isolates "

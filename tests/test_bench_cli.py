@@ -230,7 +230,7 @@ def test_cli_full_transformational_pipeline(tmp_path):
 
 
 def test_cli_tsl_builds_the_variant_context_once(tmp_path, monkeypatch):
-    from suploc import cli, context, transform
+    from suploc import cli, context
 
     calls = []
 
@@ -239,7 +239,6 @@ def test_cli_tsl_builds_the_variant_context_once(tmp_path, monkeypatch):
         return context.build_context(*args)
 
     monkeypatch.setattr(cli, "build_context", counted)
-    monkeypatch.setattr(transform, "build_context", counted)
     base_cover = tmp_path / "base.cover"
     base_cover.write_text("cell 0: x0 x3 x4\ncell 1: x1 x2\n", encoding="utf-8")
     assert run_cli(
@@ -305,15 +304,14 @@ def test_cli_check_equiv_rejects_loc_over_other_events(tmp_path, capsys, monkeyp
      ("localize", "--sup"), ("isolate", "--sup"), ("tsl", "--sup")],
 )
 def test_cli_names_file_over_other_events(tmp_path, capsys, monkeypatch, command, flag):
-    from suploc import cli, transform
+    from suploc import cli
     from suploc.automata import Automaton, EventTable, save_automaton
 
     def too_early(*args):
         raise AssertionError("a product or context was built before the event tables were checked")
 
-    for module, name in [(cli, "sync_product"), (cli, "synthesize_monolithic"),
-                         (cli, "build_context"), (transform, "build_context")]:
-        monkeypatch.setattr(module, name, too_early)
+    for name in ["sync_product", "synthesize_monolithic", "build_context"]:
+        monkeypatch.setattr(cli, name, too_early)
     one_event = Automaton(["q"], EventTable(("z",), (True,), (1,)), [(0, 0, 0)], 0, [0])
     other = tmp_path / "one_event.aut"
     save_automaton(one_event, other)
@@ -362,7 +360,7 @@ def test_cli_tsl_refuses_non_congruence(tmp_path, capsys, monkeypatch):
     from suploc.localization import Cover
 
     # one cell for every state: example1's agent 1 needs two cells
-    def one_cell(base_covers, base_sup, plant, sup, agents, mapping, *, ctx=None):
+    def one_cell(base_covers, base_sup, sup, ctx, mapping):
         return [None], [Cover([0] * sup.n_states)]
 
     monkeypatch.setattr(cli, "tsl", one_cell)

@@ -4,7 +4,6 @@ import pytest
 
 from suploc.automata import Automaton, EventTable, _event_mask, _mask_events, reachable_trim
 from suploc.context import (
-    AgentSpec,
     SynthesisEmptyError,
     agents_from_table,
     build_context,
@@ -19,16 +18,11 @@ def names(table, mask):
     return sorted(table.events[e] for e in _mask_events(mask))
 
 
-def test_agent_spec_validation():
-    with pytest.raises(ValueError):
-        AgentSpec(1, frozenset({0}), frozenset({0, 1}))
-
-
 def test_agents_from_table():
     table = EventTable(("a", "b", "c"), (True, False, True), (1, 1, 2))
     a1, a2 = agents_from_table(table)
-    assert a1.events == {0, 1} and a1.controllable == {0}
-    assert a2.events == {2} and a2.controllable == {2}
+    assert a1.agent_index == 1 and a1.controllable == {0}
+    assert a2.agent_index == 2 and a2.controllable == {2}
 
 
 def test_supervisor_equal_to_plant_has_no_disablements(corpus_plant, corpus_agents):
@@ -55,7 +49,7 @@ def test_variant_adds_one_disablement(corpus_variant_ctx, corpus_sup):
 
 def test_enabled_comes_from_supervisor(corpus_ctx, corpus_sup):
     for x in range(corpus_sup.n_states):
-        assert corpus_ctx.enabled[x] == _event_mask(e for e, _ in corpus_sup.out(x))
+        assert corpus_ctx.enabled[x] == _event_mask(e for e, _ in corpus_sup.succ_maps[x].items())
 
 
 def test_tables_are_int_masks(corpus_ctx, corpus_variant_ctx):
@@ -94,7 +88,7 @@ def test_alphabet_mismatch_rejected(corpus_sup, corpus_agents):
 def test_supervisor_outside_plant_rejected(corpus_plant, corpus_sup, corpus_agents):
     # the plant lacks a at x3; a supervisor taking it there is not a
     # sub-behavior of the plant
-    extra = (corpus_sup.index_of("x3"), corpus_sup.alphabet.index("a"), 0)
+    extra = (corpus_sup.index_of("x3"), corpus_sup.alphabet.events.index("a"), 0)
     sup = Automaton(
         corpus_sup.states,
         corpus_sup.alphabet,
@@ -119,7 +113,7 @@ def _oracle_disabled(plant, sup, agent_spec, depth):
                 out[x].add(e)
         if length == 0:
             return
-        for e, y in sup.out(x):
+        for e, y in sup.succ_maps[x].items():
             p = plant.succ_maps[q].get(e)
             if p is not None:
                 walk(y, p, length - 1)
@@ -157,7 +151,7 @@ def test_plant_marked_only_for_jointly_reachable(corpus_plant, corpus_agents):
     sup = Automaton(
         ["x0", "x1"],
         table,
-        [(0, table.index("a"), 1)],
+        [(0, table.events.index("a"), 1)],
         0,
         [1],
     )
@@ -221,7 +215,7 @@ def test_synthesis_output_controllable_and_nonblocking(cmt_systems, cmt_supervis
                     continue
                 if plant.succ_maps[q].get(e) is not None:
                     assert sup.succ_maps[x].get(e) is not None, "uncontrollable event withheld"
-            for e, y in sup.out(x):
+            for e, y in sup.succ_maps[x].items():
                 p = plant.succ_maps[q].get(e)
                 assert p is not None, "supervisor exceeds plant"
                 if (y, p) not in pairs:
@@ -233,7 +227,7 @@ def test_synthesis_output_controllable_and_nonblocking(cmt_systems, cmt_supervis
         while changed:
             changed = False
             for x in range(sup.n_states):
-                if x not in co and any(y in co for _, y in sup.out(x)):
+                if x not in co and any(y in co for y in sup.succ_maps[x].values()):
                     co.add(x)
                     changed = True
         assert co == set(range(sup.n_states))
@@ -260,7 +254,7 @@ def test_random_synthesized_supervisors_controllable_nonblocking():
         while changed:
             changed = False
             for x in range(sup.n_states):
-                if x not in co and any(y in co for _, y in sup.out(x)):
+                if x not in co and any(y in co for y in sup.succ_maps[x].values()):
                     co.add(x)
                     changed = True
         assert co == set(range(sup.n_states))

@@ -93,7 +93,7 @@ def test_joint_bfs_agrees_with_trace_enumeration():
             build_local_supervisor(sup, localize(sup, ctx, s.agent_index), s.agent_index)
             for s in agents
         ]
-        if rng.chance(1, 3) and locs:
+        if rng.below(3) < 1 and locs:
             # damage one local supervisor to exercise the negative path
             table = plant.alphabet
             allow_all = Automaton(

@@ -30,7 +30,7 @@ from suploc.localization import (
     write_cover,
 )
 from suploc.rng import SplitMix64
-from suploc.transform import AgentMapping, carry_over_cover, isolate, tsl
+from suploc.transform import carry_over_cover, isolate, tsl
 
 from .instances import (
     is_maximally_reduced,
@@ -217,13 +217,13 @@ def test_summary_clash_is_any_inconsistent_pair():
     n = 8
     enabled = [rng.below(8) for _ in range(n)]
     disabled = [rng.below(8) & ~on for on in enabled]
-    marked = [rng.chance(1, 2) for _ in range(n)]
-    plant_marked = [rng.chance(1, 2) for _ in range(n)]
+    marked = [rng.below(2) < 1 for _ in range(n)]
+    plant_marked = [rng.below(2) < 1 for _ in range(n)]
     ctx = ControlContext(enabled, {1: disabled}, marked, plant_marked)
     outcomes = {True: 0, False: 0}
     for _ in range(2000):
-        s = [x for x in range(n) if rng.chance(1, 3)]
-        t = [x for x in range(n) if rng.chance(1, 3)]
+        s = [x for x in range(n) if rng.below(3) < 1]
+        t = [x for x in range(n) if rng.below(3) < 1]
         want = any(not reference_control_consistent(ctx, 1, x, y) for x in s for y in t)
         assert _clash(_summary(ctx, 1, s), _summary(ctx, 1, t)) == want
         outcomes[want] += 1
@@ -335,7 +335,8 @@ def test_check_merge_matches_reference_engine(engine_outcomes):
         variant_plant, variant_sup = mutate_system(rng, plant, sup)
         ctx = build_context(plant, sup, agents)
         covers = [localize(sup, ctx, s.agent_index) for s in agents]
-        tsl(covers, sup, variant_plant, variant_sup, agents, AgentMapping.identity(len(agents)))
+        variant_ctx = build_context(variant_plant, variant_sup, agents)
+        tsl(covers, sup, variant_sup, variant_ctx, tuple(s.agent_index for s in agents))
     for seed, position in [(2, 94), (3, 175)]:
         plant, sup, agents = next(
             system for i, system in enumerate(systems_corpus(seed, 200)) if i == position
@@ -356,8 +357,9 @@ def test_check_merge_matches_reference_engine_on_tower(engine_outcomes):
     covers = [localize(sup, ctx, spec.agent_index) for spec in agents]
     for variant in ("v1", "v2", "v3", "v4", "v5"):
         variant_plant, variant_sup, variant_agents = tower3(variant)
-        mapping = AgentMapping.identity(len(variant_agents), len(covers))
-        tsl(covers, sup, variant_plant, variant_sup, variant_agents, mapping)
+        variant_ctx = build_context(variant_plant, variant_sup, variant_agents)
+        mapping = tuple(k if k <= len(covers) else 0 for k in range(1, len(variant_agents) + 1))
+        tsl(covers, sup, variant_sup, variant_ctx, mapping)
     assert engine_outcomes["accepted"] > 500 and engine_outcomes["rejected"] > 3000, engine_outcomes
 
 
@@ -475,9 +477,9 @@ def test_localize_and_tsl_congruent_over_corpus_sweep():
             ctx = build_context(plant, sup, agents)
             covers = [localize(sup, ctx, spec.agent_index) for spec in agents]
             variant_plant, variant_sup = mutate_system(rng, plant, sup)
-            mapping = AgentMapping.identity(len(agents))
-            _, variant_covers = tsl(covers, sup, variant_plant, variant_sup, agents, mapping)
             variant_ctx = build_context(variant_plant, variant_sup, agents)
+            mapping = tuple(s.agent_index for s in agents)
+            _, variant_covers = tsl(covers, sup, variant_sup, variant_ctx, mapping)
             for spec, cover, variant_cover in zip(agents, covers, variant_covers):
                 k = spec.agent_index
                 verdict = is_control_congruence(sup, ctx, k, cover)
@@ -529,11 +531,11 @@ def test_corpus_local_supervisor(corpus_sup, corpus_ctx):
     y0, y1 = idx["x0"], idx["x1"]
     assert aut.initial == y0
     t = aut.alphabet
-    assert aut.succ_maps[y0].get(t.index("a")) == y1
-    assert aut.succ_maps[y0].get(t.index("d")) == y1
-    assert aut.succ_maps[y0].get(t.index("e")) == y0
-    assert aut.succ_maps[y1].get(t.index("c")) == y0
-    assert aut.succ_maps[y1].get(t.index("b")) == y1
+    assert aut.succ_maps[y0].get(t.events.index("a")) == y1
+    assert aut.succ_maps[y0].get(t.events.index("d")) == y1
+    assert aut.succ_maps[y0].get(t.events.index("e")) == y0
+    assert aut.succ_maps[y1].get(t.events.index("c")) == y0
+    assert aut.succ_maps[y1].get(t.events.index("b")) == y1
 
 
 def test_variant_local_supervisor(corpus_sup, corpus_variant_ctx):
@@ -642,7 +644,7 @@ def nearby_partitions(rng, cover):
     a, b = rng.below(cover.n_cells), rng.below(cover.n_cells)
     return [
         Cover([rng.below(parts) for _ in range(n)]),
-        Cover([n if c == split and rng.chance(1, 2) else c for c in cover.cell_of]),
+        Cover([n if c == split and rng.below(2) < 1 else c for c in cover.cell_of]),
         Cover([a if c == b else c for c in cover.cell_of]),
     ]
 
@@ -671,8 +673,8 @@ def test_congruence_check_matches_pair_scan_on_corpus():
         ctx = build_context(plant, sup, agents)
         variant_ctx = build_context(variant_plant, variant_sup, agents)
         covers = [localize(sup, ctx, s.agent_index) for s in agents]
-        mapping = AgentMapping.identity(len(agents))
-        _, tsl_covers = tsl(covers, sup, variant_plant, variant_sup, agents, mapping)
+        mapping = tuple(s.agent_index for s in agents)
+        _, tsl_covers = tsl(covers, sup, variant_sup, variant_ctx, mapping)
         for spec, cover, tsl_cover in zip(agents, covers, tsl_covers):
             k = spec.agent_index
             carried = carry_over_cover(cover, sup, variant_sup)

@@ -12,12 +12,7 @@ from suploc.context import ControlContext, agents_from_table, build_context
 from suploc.equivalence import check_control_equivalence
 from suploc.localization import Cover, is_control_congruence, localize, write_cover
 from suploc.rng import SplitMix64
-from suploc.transform import (
-    AgentMapping,
-    carry_over_cover,
-    isolate,
-    tsl,
-)
+from suploc.transform import carry_over_cover, isolate, tsl
 
 from .instances import (
     is_maximally_reduced,
@@ -104,67 +99,34 @@ def test_isolate_never_merges_on_random_edits():
 
 
 def test_tsl_identity_mapping_pipeline(
-    corpus_sup, corpus_plant, corpus_variant_plant, corpus_ctx, corpus_agents
+    corpus_sup, corpus_variant_plant, corpus_ctx, corpus_variant_ctx
 ):
     base_cover = localize(corpus_sup, corpus_ctx, 1)
-    sups, covers = tsl(
-        [base_cover],
-        corpus_sup,
-        corpus_variant_plant,
-        corpus_sup,
-        corpus_agents,
-        AgentMapping.identity(1),
-    )
+    sups, covers = tsl([base_cover], corpus_sup, corpus_sup, corpus_variant_ctx, (1,))
     assert named_cells(covers[0], corpus_sup) == [["x0"], ["x1", "x2", "x3", "x4"]]
     assert sups[0].automaton.n_states == 2
     verdict = check_control_equivalence(corpus_variant_plant, corpus_sup, sups)
     assert verdict
 
 
-def test_tsl_zero_mapping_equals_from_scratch(
-    corpus_sup, corpus_variant_plant, corpus_agents
-):
-    ctx = build_context(corpus_variant_plant, corpus_sup, corpus_agents)
-    sups, covers = tsl(
-        [],
-        corpus_sup,
-        corpus_variant_plant,
-        corpus_sup,
-        corpus_agents,
-        AgentMapping((0,)),
-    )
-    scratch = localize(corpus_sup, ctx, 1)
+def test_tsl_zero_mapping_equals_from_scratch(corpus_sup, corpus_variant_ctx):
+    sups, covers = tsl([], corpus_sup, corpus_sup, corpus_variant_ctx, (0,))
+    scratch = localize(corpus_sup, corpus_variant_ctx, 1)
     assert covers[0] == scratch
 
 
-def test_tsl_idempotent_with_variant_as_its_own_base(
-    corpus_sup, corpus_variant_plant, corpus_agents
-):
-    ctx = build_context(corpus_variant_plant, corpus_sup, corpus_agents)
-    first = localize(corpus_sup, ctx, 1)
-    sups, covers = tsl(
-        [first],
-        corpus_sup,
-        corpus_variant_plant,
-        corpus_sup,
-        corpus_agents,
-        AgentMapping.identity(1),
-    )
+def test_tsl_idempotent_with_variant_as_its_own_base(corpus_sup, corpus_variant_ctx):
+    first = localize(corpus_sup, corpus_variant_ctx, 1)
+    sups, covers = tsl([first], corpus_sup, corpus_sup, corpus_variant_ctx, (1,))
     assert covers[0] == first
 
 
-def test_tsl_invalid_mapping_rejected(corpus_sup, corpus_variant_plant, corpus_agents):
+def test_tsl_invalid_mapping_rejected(corpus_sup, corpus_variant_ctx):
     with pytest.raises(ValueError, match="unknown base agent"):
-        tsl(
-            [Cover.singleton(5)],
-            corpus_sup,
-            corpus_variant_plant,
-            corpus_sup,
-            corpus_agents,
-            AgentMapping((4,)),
-        )
-    with pytest.raises(ValueError, match="out of range"):
-        AgentMapping((1,)).base_agent(2)
+        tsl([Cover.singleton(5)], corpus_sup, corpus_sup, corpus_variant_ctx, (4,))
+    # corpus_variant_ctx has tables for one agent
+    with pytest.raises(ValueError, match="mapping length does not match"):
+        tsl([Cover.singleton(5)], corpus_sup, corpus_sup, corpus_variant_ctx, (1, 1))
 
 
 def test_tsl_outputs_reduced_and_equivalent_on_random_edits():
@@ -174,15 +136,10 @@ def test_tsl_outputs_reduced_and_equivalent_on_random_edits():
         variant_plant, variant_sup = mutate_system(rng, plant, sup)
         base_ctx = build_context(plant, sup, agents)
         base_covers = [localize(sup, base_ctx, s.agent_index) for s in agents]
-        sups, covers = tsl(
-            base_covers,
-            sup,
-            variant_plant,
-            variant_sup,
-            agents,
-            AgentMapping.identity(len(agents)),
-        )
         ctx = build_context(variant_plant, variant_sup, agents)
+        sups, covers = tsl(
+            base_covers, sup, variant_sup, ctx, tuple(s.agent_index for s in agents)
+        )
         for spec, cover in zip(agents, covers):
             k = spec.agent_index
             verdict = is_control_congruence(variant_sup, ctx, k, cover)
@@ -257,18 +214,24 @@ def test_isolate_matches_reference_on_tower(tower3_base):
 A, B, C = 0, 1, 2  # events of the hand-built systems, all agent 1's
 
 
-def hand_isolate(n, edges, cells, disabled=None, marked=()):
-    """``isolate`` of ``cells`` on a hand-built supervisor over states s0..,
-    with ``disabled`` mapping a state to the mask of events agent 1 may not
-    take there. Base and variant are the same supervisor, so the carried
-    cover is ``cells``. Checked against the reference with and without
-    ``carried=``; returns the output's cells."""
+def hand_system(n, edges, disabled=None, marked=()):
+    """A hand-built supervisor over states s0.. and its context, with
+    ``disabled`` mapping a state to the mask of events agent 1 may not take
+    there, and every state plant-marked."""
     table = EventTable(("a", "b", "c"), (True, True, True), (1, 1, 1))
     sup = Automaton([f"s{x}" for x in range(n)], table, edges, 0, marked)
     enabled = [sum(1 << ev for ev in row) for row in sup.succ_maps]
     off = [(disabled or {}).get(x, 0) for x in range(n)]
     is_marked = [x in marked for x in range(n)]
-    ctx = ControlContext(enabled, {1: off}, is_marked, [True] * n)
+    return sup, ControlContext(enabled, {1: off}, is_marked, [True] * n)
+
+
+def hand_isolate(n, edges, cells, disabled=None, marked=()):
+    """``isolate`` of ``cells`` on :func:`hand_system`'s supervisor. Base
+    and variant are the same supervisor, so the carried cover is ``cells``.
+    Checked against the reference with and without ``carried=``; returns
+    the output's cells."""
+    sup, ctx = hand_system(n, edges, disabled, marked)
     cover = Cover.from_cells(cells, n)
     assert carry_over_cover(cover, sup, sup) == cover
     assert_isolate_matches_reference(cover, sup, sup, ctx, 1)
@@ -352,6 +315,16 @@ def test_isolate_marking_class_shared_by_two_members():
     assert hand_isolate(5, [], cells, marked=[2]) == [[0], [1], [2], [3, 4]]
 
 
+def test_isolate_refuses_a_context_that_withholds_an_enabled_event():
+    # s1 enables b, and the context withholds b from agent 1 at s1 as well,
+    # which build_context never does
+    sup, ctx = hand_system(3, [(1, B, 0)], {1: 1 << B})
+    cover = Cover.from_cells([[0], [1, 2]], 3)
+    message = "state 's1' enables an event the context withholds from agent 1"
+    with pytest.raises(ValueError, match=message):
+        isolate(cover, sup, sup, ctx, 1)
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """The cells ``isolate`` builds counters for, in the order it does."""
@@ -411,6 +384,7 @@ def test_tower_covers_match_golden(tower3_base, variant):
         assert covers_digest(base_covers, base_sup) == TOWER3_COVER_SHA256["base"]
         return
     plant, sup, agents = tower3(variant)
-    mapping = AgentMapping.identity(len(agents), len(base_covers))
-    _, covers = tsl(base_covers, base_sup, plant, sup, agents, mapping)
+    ctx = build_context(plant, sup, agents)
+    mapping = tuple(k if k <= len(base_covers) else 0 for k in range(1, len(agents) + 1))
+    _, covers = tsl(base_covers, base_sup, sup, ctx, mapping)
     assert covers_digest(covers, sup) == TOWER3_COVER_SHA256[variant]
