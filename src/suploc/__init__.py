@@ -33,9 +33,7 @@ from .localization import (
     Cover,
     CoverVerdict,
     InvalidCoverError,
-    LocalSupervisor,
     build_local_supervisor,
-    control_consistent,
     is_control_congruence,
     load_cover,
     localize,
@@ -62,7 +60,6 @@ __all__ = [
     "EventTable",
     "FormatError",
     "InvalidCoverError",
-    "LocalSupervisor",
     "SplitMix64",
     "SynthesisEmptyError",
     "agents_from_table",
@@ -71,7 +68,6 @@ __all__ = [
     "build_local_supervisor",
     "carry_over_cover",
     "check_control_equivalence",
-    "control_consistent",
     "gen_cmt",
     "is_control_congruence",
     "isolate",

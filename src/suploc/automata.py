@@ -82,7 +82,7 @@ class Automaton:
     all operations in this package return new automata.
     """
 
-    __slots__ = ("states", "alphabet", "initial", "marked", "succ_maps", "_name_index")
+    __slots__ = ("states", "alphabet", "initial", "marked", "succ_maps", "_name_index", "_preds")
 
     def __init__(
         self,
@@ -141,6 +141,7 @@ class Automaton:
         self.marked = frozenset(marked)
         self.succ_maps = tuple(rows)
         self._name_index = name_index
+        self._preds = None
         return self
 
     @property
@@ -150,6 +151,17 @@ class Automaton:
     @property
     def n_transitions(self) -> int:
         return sum(len(row) for row in self.succ_maps)
+
+    def predecessors(self) -> list[list[tuple[int, int]]]:
+        """``predecessors()[y]``: the (source, event) pair of each transition
+        into y, by ascending source; built on first use and kept."""
+        if self._preds is None:
+            preds: list[list[tuple[int, int]]] = [[] for _ in self.succ_maps]
+            for p, out in enumerate(self.succ_maps):
+                for ev, y in out.items():
+                    preds[y].append((p, ev))
+            self._preds = preds
+        return self._preds
 
     def index_of(self, name: str) -> int:
         try:

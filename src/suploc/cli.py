@@ -26,7 +26,6 @@ from .context import SynthesisEmptyError, agents_from_table, build_context, synt
 from .equivalence import check_control_equivalence
 from .localization import (
     InvalidCoverError,
-    LocalSupervisor,
     build_local_supervisor,
     is_control_congruence,
     load_cover,
@@ -116,7 +115,7 @@ def _save_agent(prefix, sup, k, cover, loc) -> None:
     cover_path = f"{prefix}.agent{k}.cover"
     loc_path = f"{prefix}.agent{k}.loc.aut"
     save_cover(cover, sup, cover_path)
-    save_automaton(loc.automaton, loc_path)
+    save_automaton(loc, loc_path)
     print(f"agent {k}: {cover.n_cells} cells -> {cover_path}, {loc_path}")
 
 
@@ -194,10 +193,7 @@ def _cmd_check_equiv(args) -> int:
     plants = _load_plants(args.plant)
     table = plants[0].alphabet
     sup = _load_over(table, "--sup", args.sup)
-    locs = [
-        LocalSupervisor(_load_over(table, "--loc", path), i + 1)
-        for i, path in enumerate(args.loc)
-    ]
+    locs = [_load_over(table, "--loc", path) for path in args.loc]
     plant = sync_product(plants)
     verdict = check_control_equivalence(plant, sup, locs)
     if verdict:

@@ -60,7 +60,7 @@ def check_control_equivalence(plant: Automaton, sup: Automaton, locs) -> Equival
     monolithic enabled set (supervisor and plant) equals the local one (plant
     and every local supervisor), and so do the two marked flags.
     """
-    comps = [sup, plant, *(loc.automaton for loc in locs)]
+    comps = [sup, plant, *locs]
     order, rows, masks = _product(comps)
     loc_masks = masks[2:]
     loc_marked = [a.marked for a in comps[2:]]

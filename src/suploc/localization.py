@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from pathlib import Path
 
 from .automata import Automaton, FormatError
@@ -61,7 +61,8 @@ class Cover:
                     raise ValueError(f"state {x} appears in two cells")
                 cell_of[x] = ident
         if -1 in cell_of:
-            raise ValueError("cells do not cover every state")
+            x = cell_of.index(-1)
+            raise ValueError(f"cells do not cover every state: state {x} is in no cell")
         return cls(cell_of)
 
     @property
@@ -116,10 +117,12 @@ def parse_cover(text: str, automaton: Automaton) -> Cover:
                 raise FormatError(f"state {automaton.states[x]!r} appears {where}", lineno)
             line_of[x] = lineno
         cells.append(members)
-    try:
-        return Cover.from_cells(cells, automaton.n_states)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    if len(line_of) < automaton.n_states:
+        x = next(x for x in range(automaton.n_states) if x not in line_of)
+        raise FormatError(
+            f"cells do not cover every state: state {automaton.states[x]!r} is in no cell"
+        )
+    return Cover.from_cells(cells, automaton.n_states)
 
 
 def load_cover(path, automaton: Automaton) -> Cover:
@@ -131,68 +134,99 @@ def save_cover(cover: Cover, automaton: Automaton, path) -> None:
 
 
 class _Cells:
-    """Cells of a cover under merging, for one agent.
+    """Cells of a control congruence under merging, for one agent.
 
     ``_cell[x]`` is the slot of state x's cell, and each slot keeps its
-    cell's member list, least member and control :func:`_summary`. Slots
-    start as the cover's cell ids. A union relabels the members of the
-    smaller cell and ORs its summary into the kept one, so a state is
-    relabeled at most log2(n) times, and returns a record from which
-    :meth:`undo` splits the cells again.
+    cell's member list, least member, control :func:`_summary` and row
+    ``{event: the successor of one member}``. The cells form a congruence,
+    so every member's successor on an event lies in the cell of the row's;
+    a cover that is not one raises :class:`InvalidCoverError` with the
+    witness of :func:`is_control_congruence`. A union relabels the members
+    of the smaller cell, so a state is relabeled at most log2(n) times.
     """
 
-    __slots__ = ("_cell", "_min", "_members", "_sum")
+    __slots__ = ("_cell", "_min", "_members", "_sum", "_row")
 
-    def __init__(self, cover: Cover, ctx: ControlContext, agent: int):
-        self._cell = list(cover.cell_of)
+    def __init__(self, sup: Automaton, ctx: ControlContext, agent: int, cover: Cover):
+        cell = self._cell = list(cover.cell_of)
         self._members = cover.cells()
         self._min = [members[0] for members in self._members]
         self._sum = [_summary(ctx, agent, members) for members in self._members]
+        rows = self._row = [None] * len(self._members)
+        split = False
+        for x, out in enumerate(sup.succ_maps):
+            row = rows[cell[x]]
+            if row is None:
+                rows[cell[x]] = dict(out)
+                continue
+            for ev, y in out.items():
+                if cell[row.setdefault(ev, y)] != cell[y]:
+                    split = True
+        if split or any(len(m) > 1 and _clash(s, s) for m, s in zip(self._members, self._sum)):
+            verdict = is_control_congruence(sup, ctx, agent, cover)
+            if not verdict:
+                raise InvalidCoverError(f"cover is not a control congruence: {verdict.witness}")
 
-    def union(self, a: int, b: int) -> tuple[int, int, int, int, tuple[int, int, int]]:
-        """Unite the cells in slots a and b; returns the undo record."""
+    def union(self, a: int, b: int, floor: int, pending: list[tuple[int, int]]):
+        """Unite the cells in slots a and b, and append to ``pending`` the
+        two successors of each event both rows hold that lie in two cells
+        other than a and b; returns the record :meth:`undo` takes. When a
+        and b, or two such cells, are not control consistent or hold a
+        least member below ``floor``, nothing changes and None is returned.
+        """
+        cell = self._cell
+        cell_min = self._min
+        sums = self._sum
+        if cell_min[a] < floor or cell_min[b] < floor or _clash(sums[a], sums[b]):
+            return None
         members = self._members
         if len(members[a]) < len(members[b]):
             a, b = b, a
-        kept = self._sum[a]
-        record = (a, b, len(members[a]), self._min[a], kept)
-        cell = self._cell
+        row = self._row[a]
+        width = len(row)
+        # An event only the emptied row holds is appended to the kept row,
+        # whose insertion order lets undo pop exactly those events.
+        for ev, y in self._row[b].items():
+            z = row.setdefault(ev, y)
+            c, d = cell[z], cell[y]
+            if c != d and not (c in (a, b) and d in (a, b)):
+                if cell_min[c] < floor or cell_min[d] < floor or _clash(sums[c], sums[d]):
+                    while len(row) > width:
+                        row.popitem()
+                    return None
+                pending.append((z, y))
+        kept = sums[a]
+        record = (a, b, len(members[a]), width, cell_min[a], kept)
         for m in members[b]:
             cell[m] = a
         members[a].extend(members[b])
         members[b] = []
-        if self._min[b] < self._min[a]:
-            self._min[a] = self._min[b]
-        gone = self._sum[b]
-        self._sum[a] = (kept[0] | gone[0], kept[1] | gone[1], kept[2] | gone[2])
+        if cell_min[b] < cell_min[a]:
+            cell_min[a] = cell_min[b]
+        gone = sums[b]
+        sums[a] = (kept[0] | gone[0], kept[1] | gone[1], kept[2] | gone[2])
         return record
 
     def undo(self, records) -> None:
         """Split the cells of ``records``' unions again, latest first. An
-        emptied slot keeps its summary, so only the kept one is restored."""
+        emptied slot keeps its summary and row, so only the kept ones are
+        restored."""
         members = self._members
         cell = self._cell
-        for a, b, size, least, summary in reversed(records):
+        for a, b, size, width, least, summary in reversed(records):
             moved = members[a][size:]
             del members[a][size:]
             members[b] = moved
             for m in moved:
                 cell[m] = b
+            row = self._row[a]
+            while len(row) > width:
+                row.popitem()
             self._min[a] = least
             self._sum[a] = summary
 
     def to_cover(self) -> Cover:
         return Cover(self._cell)
-
-
-def control_consistent(ctx: ControlContext, agent: int, x: int, y: int) -> bool:
-    """Whether two supervisor states may share a cell for ``agent``.
-
-    Holds iff neither state enables an event the supervisor withholds from
-    the agent in the other state, and the markings agree whenever the
-    plant-marking indicators agree. Symmetric in x and y.
-    """
-    return not _clash(_summary(ctx, agent, (x,)), _summary(ctx, agent, (y,)))
 
 
 def _pair_clash(
@@ -206,7 +240,7 @@ def _pair_clash(
     control congruence iff every pair of cellmates passes this test.
     """
     names = sup.states
-    if not control_consistent(ctx, agent, x, y):
+    if _clash(_summary(ctx, agent, (x,)), _summary(ctx, agent, (y,))):
         return (
             f"states {names[x]!r} and {names[y]!r} share a cell but are "
             f"not control consistent for agent {agent}"
@@ -265,55 +299,33 @@ def _clash(s: tuple[int, int, int], t: tuple[int, int, int]) -> bool:
     return bool(s[0] & t[1] or t[0] & s[1] or (s[2] << 1 & t[2] | t[2] << 1 & s[2]) & 0b1010)
 
 
-def _check_merge(x_i: int, x_j: int, floor: int, sup: Automaton, cells: _Cells) -> bool:
+def _check_merge(x_i: int, x_j: int, floor: int, cells: _Cells) -> bool:
     """Merge the two cells of ``x_i`` and ``x_j`` in place, with every merge
     that entails; returns whether the merge is accepted.
 
-    A merge is a congruence closure: the successors of each new pair of
-    cellmates on an event both enable must share a cell too. It is refused
-    when two cells it would unite are not control consistent, or when it
-    would unite a cell whose least member is below ``floor``; every union is
-    then undone, so ``cells`` is exactly as before.
-
-    Each call of the textbook recursion is a generator ``explore(ca, cb)`` on
-    an explicit stack, so call depth cannot overflow. The driver loop tests
-    each pair of cells, the caller's and every one a frame yields, on the
-    floor and the kept summaries before it builds the pair's frame. A frame
-    unites its two cells, then walks the pairs of the two cells as they
-    were, yielding the cells of each successor pair on a shared event that
-    lies in two cells. Every pair of the final cell is covered once, by the
-    frame that united its two cells, and the closure does not depend on
+    A merge is a congruence closure, kept on a stack of state pairs whose
+    cells must be united: first the caller's pair, then, for each union, one
+    pair per event both united rows hold whose successors lie in two cells.
+    It is refused when two cells it would unite are not control consistent,
+    or when it would unite a cell whose least member is below ``floor``;
+    every union is then undone, so ``cells`` is exactly as before. A pair is
+    tested when a union queues it, before any member moves, since the
+    closure must unite its cells and cells only grow, and again when it is
+    popped. The closure is the least congruence coarser than the cells and
+    the caller's pair, so neither the verdict nor the merged cells depend on
     visit order.
     """
-    succ = sup.succ_maps
     cell = cells._cell
-    members = cells._members
-    cell_min = cells._min
-    sums = cells._sum
-    records: list[tuple[int, int, int, int, tuple[int, int, int]]] = []
-
-    def explore(ca: int, cb: int):
-        pairs = product(members[ca], members[cb])  # copies both member lists
-        records.append(cells.union(ca, cb))
-        for xp, xq in pairs:
-            sy = succ[xq]
-            for ev, sp in succ[xp].items():
-                sq = sy.get(ev)
-                if sq is not None and cell[sp] != cell[sq]:
-                    yield cell[sp], cell[sq]
-
-    # The caller's pair is tested like any pair a frame yields.
-    stack = [iter([(cell[x_i], cell[x_j])])]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            continue
-        ca, cb = step
-        if cell_min[ca] < floor or cell_min[cb] < floor or _clash(sums[ca], sums[cb]):
-            cells.undo(records)
-            return False
-        stack.append(explore(ca, cb))
+    records = []
+    pending = [(x_i, x_j)]
+    while pending:
+        x, y = pending.pop()
+        if cell[x] != cell[y]:
+            record = cells.union(cell[x], cell[y], floor, pending)
+            if record is None:
+                cells.undo(records)
+                return False
+            records.append(record)
     return True
 
 
@@ -326,13 +338,15 @@ def localize(
     """Merge cells of ``init`` into a maximally reduced control congruence.
 
     ``init`` must itself be a control congruence for the current system (the
-    singleton partition, the default, always is). The loop scans candidate
-    state pairs in ascending index order, skipping states that are not the
-    least member of their cell, and asks the merge engine to merge the cells
-    of each pair in place. Cells only grow, so a state that is not the least
-    of its cell in ``init`` never becomes so, and only those of ``init`` are
-    scanned. An agent ``ctx`` lacks, or a ``ctx`` built for a supervisor
-    with another number of states, raises ``ValueError``.
+    singleton partition, the default, always is); one that is not raises
+    :class:`InvalidCoverError` naming a pair of cellmates that fails. The
+    loop scans candidate state pairs in ascending index order, skipping
+    states that are not the least member of their cell, and asks the merge
+    engine to merge the cells of each pair in place. Cells only grow, so a
+    state that is not the least of its cell in ``init`` never becomes so,
+    and only those of ``init`` are scanned. An agent ``ctx`` lacks, or a
+    ``ctx`` built for a supervisor with another number of states, raises
+    ``ValueError``.
     """
     _check_agent(ctx, agent, sup)
     n = sup.n_states
@@ -340,7 +354,7 @@ def localize(
         init = Cover.singleton(n)
     if len(init.cell_of) != n:
         raise ValueError("init cover size does not match the supervisor")
-    cells = _Cells(init, ctx, agent)
+    cells = _Cells(sup, ctx, agent, init)
     cell = cells._cell
     cell_min = cells._min
     leaders = cell_min[:]
@@ -349,28 +363,49 @@ def localize(
             continue
         for j in leaders[pos + 1 :]:
             if j == cell_min[cell[j]]:
-                _check_merge(i, j, i, sup, cells)
+                _check_merge(i, j, i, cells)
     return cells.to_cover()
 
 
-@dataclass(frozen=True)
-class LocalSupervisor:
-    """Quotient automaton of a control congruence for one agent.
+def _flaw(sup: Automaton, ctx: ControlContext, agent: int, cell_of, cell):
+    """The summary of ``cell`` if it may hold a pair of states that may not
+    share a cell of ``cell_of``, else None. It may iff it has two or more
+    states and its summary clashes with itself or its members step into two
+    cells on one event."""
+    if len(cell) < 2:
+        return None
+    summary = _summary(ctx, agent, cell)
+    if _clash(summary, summary):
+        return summary
+    row: dict[int, int] = {}
+    for x in cell:
+        for ev, y in sup.succ_maps[x].items():
+            tgt = cell_of[y]
+            if row.setdefault(ev, tgt) != tgt:
+                return summary
+    return None
 
-    Each state stands for one cell of the congruence and is named after the
-    cell's least-indexed member state.
+
+def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> Automaton:
+    """Build the quotient automaton of a control congruence, the local
+    supervisor of the agent whose cover it is (``agent`` does not change it).
+
+    Each state stands for one cell and is named after the cell's least
+    member. A cell steps to the cell containing any member's successor; the
+    congruence successor condition guarantees this is well defined, and a
+    conflict (two members stepping into different cells on one event) raises
+    :class:`InvalidCoverError` naming the first such cell. The initial cell
+    contains the supervisor's initial state; a cell is marked iff it
+    contains a marked state.
     """
-
-    automaton: Automaton
-    agent: int
-
-
-def _quotient_rows(sup: Automaton, cover: Cover):
-    """The ``{event: target cell}`` row of each cell, filled in state order,
-    and ``{cell: event}`` naming, for each cell whose members step into two
-    cells on one event, the first such event met."""
+    if len(cover.cell_of) != sup.n_states:
+        raise ValueError("cover size does not match the supervisor")
+    # Quotient state k is cell k of the cover; its leader is its least member.
     cell_pos = cover.cell_of
-    rows: list[dict[int, int]] = [{} for _ in range(cover.n_cells)]
+    leaders = [cell[0] for cell in cover.cells()]
+    # Rows are filled in state order; splits names, for each cell whose
+    # members step into two cells on one event, the first such event met.
+    rows: list[dict[int, int]] = [{} for _ in leaders]
     splits: dict[int, int] = {}
     for x, pos in enumerate(cell_pos):
         row = rows[pos]
@@ -378,40 +413,6 @@ def _quotient_rows(sup: Automaton, cover: Cover):
             tgt = cell_pos[y]
             if row.setdefault(ev, tgt) != tgt:
                 splits.setdefault(pos, ev)
-    return rows, splits
-
-
-def _flawed_cells(sup: Automaton, ctx: ControlContext, agent: int, cover: Cover):
-    """The cells of ``cover``, and the summary of each cell that holds a
-    pair of states that may not share a cell, by ascending id: a cell of two
-    or more states whose summary clashes with itself, or whose members step
-    into two cells on one event. No other cell holds such a pair."""
-    splits = _quotient_rows(sup, cover)[1]
-    cells = cover.cells()
-    flawed = {}
-    for pos, cell in enumerate(cells):
-        if len(cell) > 1:
-            s = _summary(ctx, agent, cell)
-            if pos in splits or _clash(s, s):
-                flawed[pos] = s
-    return cells, flawed
-
-
-def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> LocalSupervisor:
-    """Build the quotient automaton of a control congruence.
-
-    A cell steps to the cell containing any member's successor; the
-    congruence successor condition guarantees this is well defined, and a
-    conflict (two members stepping into different cells on one event) raises
-    :class:`InvalidCoverError`. The initial cell contains the supervisor's
-    initial state; a cell is marked iff it contains a marked state.
-    """
-    if len(cover.cell_of) != sup.n_states:
-        raise ValueError("cover size does not match the supervisor")
-    # Quotient state k is cell k of the cover; its leader is its least member.
-    cell_pos = cover.cell_of
-    leaders = [cell[0] for cell in cover.cells()]
-    rows, splits = _quotient_rows(sup, cover)
     if splits:
         pos = min(splits)
         raise InvalidCoverError(
@@ -423,14 +424,13 @@ def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> LocalSup
     for pos, x in enumerate(leaders):
         if len(rows[pos]) > len(sup.succ_maps[x]):
             rows[pos] = dict(sorted(rows[pos].items()))
-    aut = Automaton.__new__(Automaton)._from_rows(
+    return Automaton.__new__(Automaton)._from_rows(
         [sup.states[x] for x in leaders],
         sup.alphabet,
         rows,
         cell_pos[sup.initial],
         [cell_pos[x] for x in sup.marked],
     )
-    return LocalSupervisor(automaton=aut, agent=agent)
 
 
 @dataclass(frozen=True)
@@ -450,18 +450,18 @@ def is_control_congruence(
     """Check both congruence conditions in O(states + transitions).
 
     Cellmates must be pairwise control consistent and step into one cell on
-    each event both enable. Only the cells :func:`_flawed_cells` names hold
-    a failing pair, and only those are scanned pair by pair, in id order;
-    the first failing pair is the witness. An agent ``ctx`` lacks, or a
-    ``ctx`` built for a supervisor with another number of states, raises
-    ``ValueError``."""
+    each event both enable. Only the cells :func:`_flaw` names can hold a
+    failing pair, and only those are scanned pair by pair, in id order; the
+    first failing pair is the witness. An agent ``ctx``
+    lacks, or a ``ctx`` built for a supervisor with another number of
+    states, raises ``ValueError``."""
     _check_agent(ctx, agent, sup)
     if len(cover.cell_of) != sup.n_states:
         return CoverVerdict(False, "cover size does not match the supervisor")
-    cells, flawed = _flawed_cells(sup, ctx, agent, cover)
-    for pos in flawed:
-        for x, y in combinations(cells[pos], 2):
-            witness = _pair_clash(sup, ctx, agent, cover.cell_of, x, y)
-            if witness is not None:
-                return CoverVerdict(False, witness)
+    for cell in cover.cells():
+        if _flaw(sup, ctx, agent, cover.cell_of, cell):
+            for x, y in combinations(cell, 2):
+                witness = _pair_clash(sup, ctx, agent, cover.cell_of, x, y)
+                if witness is not None:
+                    return CoverVerdict(False, witness)
     return CoverVerdict(True)

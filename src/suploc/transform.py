@@ -19,10 +19,9 @@ from .automata import Automaton
 from .context import ControlContext
 from .localization import (
     Cover,
-    LocalSupervisor,
     _check_agent,
     _clash,
-    _flawed_cells,
+    _flaw,
     _summary,
     build_local_supervisor,
     localize,
@@ -47,7 +46,7 @@ class _Counts:
     members step into each cell on each event, and the mask ``split`` of the
     events on which they step into two or more cells.
 
-    A cell whose control summary clashes with itself also keeps that
+    A cell whose control ``summary`` clashes with itself also keeps that
     summary and its member list. Each removal re-summarizes the members
     left, and once their summary stops clashing both are dropped. Members
     only leave, and ``_clash`` is monotone, so the summary of any other cell
@@ -55,7 +54,7 @@ class _Counts:
 
     __slots__ = ("size", "steps", "split", "summary", "members")
 
-    def __init__(self, cell, succ, cell_of):
+    def __init__(self, cell, succ, cell_of, summary):
         self.size = len(cell)
         steps: dict[int, dict[int, int]] = {}
         for x in cell:
@@ -68,8 +67,10 @@ class _Counts:
                     targets[t] = targets.get(t, 0) + 1
         self.steps = steps
         self.split = sum(1 << ev for ev, targets in steps.items() if len(targets) > 1)
-        self.summary: tuple[int, int, int] | None = None
-        self.members: list[int] | None = None
+        if summary and _clash(summary, summary):
+            self.summary, self.members = summary, cell
+        else:
+            self.summary = self.members = None
 
     def remove(self, x, row, cell_of, ctx, agent) -> None:
         """Take out member ``x``, whose successor row is ``row``."""
@@ -133,11 +134,11 @@ def isolate(
     :func:`~suploc.context.build_context` never builds) raises
     ``ValueError``.
 
-    Only a cell :func:`_flawed_cells` names can hold a state to evict, so
-    when there is none the carried cover is returned as it is. Otherwise
-    each flawed cell gets :class:`_Counts`. A state clashes with a cellmate
-    iff its summary clashes with its cell's or it enables an event on which
-    the members step into two cells. An eviction takes the state out of its
+    Only a cell :func:`_flaw` names can hold a state to evict, so when
+    there is none the carried cover is returned as it is. Otherwise each
+    flawed cell gets :class:`_Counts`. A state clashes with a cellmate iff
+    its summary clashes with its cell's or it enables an event on which the
+    members step into two cells. An eviction takes the state out of its
     cell's counters and moves each predecessor's count on that event to the
     state's new cell. A cell without counters is counted just before such a
     move first touches it; until then its members and their successors'
@@ -154,19 +155,19 @@ def isolate(
         carried = carry_over_cover(base_cover, base, variant)
     elif len(carried.cell_of) != variant.n_states:
         raise ValueError("carried cover size does not match the variant supervisor")
-    cells, flawed = _flawed_cells(variant, ctx, agent, carried)
-    if not flawed:
-        return carried
     succ = variant.succ_maps
-    enabled = ctx.enabled
     cell_of = list(carried.cell_of)
-    counts: list[_Counts | None] = [None] * len(cells)
-    for pos, summary in flawed.items():
-        kept = counts[pos] = _Counts(cells[pos], succ, cell_of)
-        if _clash(summary, summary):
-            kept.summary, kept.members = summary, cells[pos]
-    clean = {pos: cell for pos, cell in enumerate(cells) if len(cell) > 1 and counts[pos] is None}
-    preds: list[list[tuple[int, int]]] | None = None
+    counts: list[_Counts | None] = []
+    clean = {}
+    for pos, cell in enumerate(carried.cells()):
+        summary = _flaw(variant, ctx, agent, cell_of, cell)
+        counts.append(summary and _Counts(cell, succ, cell_of, summary))
+        if summary is None and len(cell) > 1:
+            clean[pos] = cell
+    if not any(counts):
+        return carried
+    preds = variant.predecessors()
+    enabled = ctx.enabled
 
     changed = True
     while changed:
@@ -178,11 +179,6 @@ def isolate(
             mine = home.summary and _summary(ctx, agent, (x,))
             if not (enabled[x] & home.split or mine and _clash(mine, home.summary)):
                 continue
-            if preds is None:
-                preds = [[] for _ in succ]
-                for p, out in enumerate(succ):
-                    for ev, y in out.items():
-                        preds[y].append((p, ev))
             home.remove(x, row, cell_of, ctx, agent)
             old = cell_of[x]
             new = len(counts)
@@ -198,7 +194,7 @@ def isolate(
                     cell = clean.pop(cell_of[p], None)
                     if cell is None:
                         continue
-                    kept = counts[cell_of[p]] = _Counts(cell, succ, cell_of)
+                    kept = counts[cell_of[p]] = _Counts(cell, succ, cell_of, None)
                 kept.move(ev, old, new)
             cell_of[x] = new
             changed = True
@@ -211,7 +207,7 @@ def tsl(
     variant_sup: Automaton,
     ctx: ControlContext,
     mapping,
-) -> tuple[list[LocalSupervisor], list[Cover]]:
+) -> tuple[list[Automaton], list[Cover]]:
     """Transformational localization of the variant system.
 
     The variant agents are those ``ctx`` has tables for, ascending;
@@ -230,7 +226,7 @@ def tsl(
             raise ValueError(f"mapping of agent {k} references unknown base agent {b}")
     if len(mapping) != len(agents):
         raise ValueError("mapping length does not match the variant agent list")
-    supervisors: list[LocalSupervisor] = []
+    supervisors: list[Automaton] = []
     covers: list[Cover] = []
     for k, mapped in zip(agents, mapping):
         init = None

@@ -18,7 +18,7 @@ from suploc.automata import Automaton, EventTable, reachable_trim, sync_product
 from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
 from suploc.context import agents_from_table
 from suploc.equivalence import EquivalenceVerdict
-from suploc.localization import Cover, CoverVerdict, _pair_clash
+from suploc.localization import Cover, CoverVerdict, _clash, _pair_clash, _summary
 from suploc.rng import SplitMix64
 from suploc.transform import carry_over_cover
 
@@ -70,12 +70,17 @@ def systems_corpus(seed: int, count: int, max_states: int = 12):
         yield random_system(rng, max_states)
 
 
-def tower3(variant):
-    """The unshuffled three-level, one-animal tower of ``variant``:
+def tower(levels, variant):
+    """The unshuffled one-animal tower of ``levels`` levels and ``variant``:
     (plant product, synthesized supervisor, agents)."""
-    system = gen_cmt(CmtConfig(3, 1, variant=variant))
+    system = gen_cmt(CmtConfig(levels, 1, variant=variant))
     sup = synthesize_cmt(system)
     return reachable_trim(sync_product(system.plants)), sup, agents_from_table(sup.alphabet)
+
+
+def tower3(variant):
+    """The unshuffled three-level, one-animal tower of ``variant``."""
+    return tower(3, variant)
 
 
 def _as_description(plant: Automaton, sup: Automaton):
@@ -290,7 +295,7 @@ def controlled_behavior(plant: Automaton, locs) -> Automaton:
     same structure carries both the language and the marked language of the
     controlled system.
     """
-    return sync_product([plant] + [loc.automaton for loc in locs])
+    return sync_product([plant] + list(locs))
 
 
 def reference_check_control_equivalence(plant: Automaton, sup: Automaton, locs) -> EquivalenceVerdict:
@@ -404,7 +409,7 @@ def replay_counterexample(plant: Automaton, sup: Automaton, locs, verdict: Equiv
     """
     if verdict.equivalent or verdict.counterexample is None:
         return False
-    side_locs = [plant] + [loc.automaton for loc in locs]
+    side_locs = [plant] + list(locs)
     side_mono = [sup, plant]
 
     def run(components, trace):
@@ -433,10 +438,18 @@ def replay_counterexample(plant: Automaton, sup: Automaton, locs, verdict: Equiv
     return marked_locs != marked_mono
 
 
+def control_consistent(ctx, agent, x, y):
+    """Whether two supervisor states may share a cell for ``agent``, by
+    their one-state summaries: neither enables an event the supervisor
+    withholds from the agent in the other, and the markings agree whenever
+    the plant-marking indicators agree. Symmetric in x and y."""
+    return not _clash(_summary(ctx, agent, (x,)), _summary(ctx, agent, (y,)))
+
+
 def reference_control_consistent(ctx, agent, x, y):
     """Whether two supervisor states may share a cell for ``agent``, by the
-    pairwise rule: the same contract as
-    ``suploc.localization.control_consistent``, kept as its oracle."""
+    pairwise rule: the same contract as :func:`control_consistent`, kept as
+    its oracle."""
     dis = ctx.disabled[agent]
     if ctx.enabled[x] & dis[y] or ctx.enabled[y] & dis[x]:
         return False

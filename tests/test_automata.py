@@ -332,8 +332,8 @@ def trusted_outputs(plant, sup, agents, rng):
     ctx = build_context(plant, sup, agents)
     for spec in agents:
         cover = localize(sup, ctx, spec.agent_index)
-        yield build_local_supervisor(sup, cover, spec.agent_index).automaton
-    yield build_local_supervisor(sup, Cover.singleton(sup.n_states), 1).automaton
+        yield build_local_supervisor(sup, cover, spec.agent_index)
+    yield build_local_supervisor(sup, Cover.singleton(sup.n_states), 1)
 
 
 def test_trusted_construction_matches_checked_on_corpus():

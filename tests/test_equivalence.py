@@ -3,7 +3,7 @@
 from suploc.automata import Automaton, reachable_trim, sync_product
 from suploc.context import build_context
 from suploc.equivalence import check_control_equivalence
-from suploc.localization import LocalSupervisor, build_local_supervisor, localize
+from suploc.localization import build_local_supervisor, localize
 from suploc.rng import SplitMix64
 
 from .instances import (
@@ -19,16 +19,12 @@ from .instances import (
 )
 
 
-def as_loc(aut, agent=1):
-    return LocalSupervisor(aut, agent)
-
-
 def test_controlled_behavior_empty_supervisor_list(corpus_plant):
     assert controlled_behavior(corpus_plant, []) == reachable_trim(corpus_plant)
 
 
 def test_controlled_behavior_with_monolithic_as_local(corpus_plant, corpus_sup):
-    prod = controlled_behavior(corpus_plant, [as_loc(corpus_sup)])
+    prod = controlled_behavior(corpus_plant, [corpus_sup])
     assert isomorphic(prod, sync_product([corpus_sup, corpus_plant]))
 
 
@@ -55,14 +51,14 @@ def test_permissive_mutant_detected(corpus_plant, corpus_sup, corpus_ctx):
     allow_all = Automaton(
         ["top"], table, [(0, e, 0) for e in range(table.n_events)], 0, [0]
     )
-    verdict = check_control_equivalence(corpus_plant, corpus_sup, [as_loc(allow_all)])
+    verdict = check_control_equivalence(corpus_plant, corpus_sup, [allow_all])
     assert not verdict
     assert verdict.failed == "language"
     assert "admit behavior" in verdict.direction
     assert verdict.counterexample[-1] in ("a", "c")  # first extra enabled event
-    assert replay_counterexample(corpus_plant, corpus_sup, [as_loc(allow_all)], verdict)
+    assert replay_counterexample(corpus_plant, corpus_sup, [allow_all], verdict)
     # cross-check by exhaustive enumeration
-    closed = controlled_behavior(corpus_plant, [as_loc(allow_all)])
+    closed = controlled_behavior(corpus_plant, [allow_all])
     reference = sync_product([corpus_sup, corpus_plant])
     assert language_upto(closed, 6) != language_upto(reference, 6)
     assert verdict.counterexample in language_upto(closed, 6)
@@ -76,10 +72,10 @@ def test_marking_discrepancy_detected():
     plant = Automaton(["p", "q"], table, [(0, 0, 1)], 0, [1])
     sup = Automaton(["p", "q"], table, [(0, 0, 1)], 0, [])
     liberal = Automaton(["top"], table, [(0, 0, 0)], 0, [0])
-    verdict = check_control_equivalence(plant, sup, [as_loc(liberal)])
+    verdict = check_control_equivalence(plant, sup, [liberal])
     assert not verdict
     assert verdict.failed == "marked-language"
-    assert replay_counterexample(plant, sup, [as_loc(liberal)], verdict)
+    assert replay_counterexample(plant, sup, [liberal], verdict)
 
 
 def test_joint_bfs_agrees_with_trace_enumeration():
@@ -99,7 +95,7 @@ def test_joint_bfs_agrees_with_trace_enumeration():
             allow_all = Automaton(
                 ["top"], table, [(0, e, 0) for e in range(table.n_events)], 0, [0]
             )
-            locs[rng.below(len(locs))] = as_loc(allow_all)
+            locs[rng.below(len(locs))] = allow_all
         verdict = check_control_equivalence(plant, sup, locs)
         closed = controlled_behavior(plant, locs)
         reference = sync_product([sup, plant])
@@ -133,9 +129,9 @@ def test_verdicts_match_pair_traversal_reference():
         sides = [
             locs,
             locs[:-1],
-            [as_loc(random_plant(rng, plant.alphabet))],
-            [as_loc(supervisor_from(rng, plant))] + locs[1:],
-            [as_loc(sup)],
+            [random_plant(rng, plant.alphabet)],
+            [supervisor_from(rng, plant)] + locs[1:],
+            [sup],
             [],
         ]
         for side in sides:

@@ -23,7 +23,6 @@ from suploc.localization import (
     _clash,
     _summary,
     build_local_supervisor,
-    control_consistent,
     is_control_congruence,
     localize,
     parse_cover,
@@ -33,6 +32,7 @@ from suploc.rng import SplitMix64
 from suploc.transform import carry_over_cover, isolate, tsl
 
 from .instances import (
+    control_consistent,
     is_maximally_reduced,
     isomorphic,
     mutate_system,
@@ -49,13 +49,14 @@ def named_cells(cover, aut):
 
 
 def snapshot(cells):
-    """Everything a ``_Cells`` holds: slots, member lists, least members and
-    summaries."""
+    """Everything a ``_Cells`` holds: slots, member lists, least members,
+    summaries and rows."""
     return (
         list(cells._cell),
         [list(m) for m in cells._members],
         list(cells._min),
         list(cells._sum),
+        [dict(row) for row in cells._row],
     )
 
 
@@ -67,7 +68,7 @@ def checked_merge(engine, x_i, x_j, floor, sup, ctx, cells, agent):
     engine's verdict."""
     state = snapshot(cells)
     want = reference_merge_closure(x_i, x_j, floor, sup, ctx, agent, cells.to_cover())
-    accepted = engine(x_i, x_j, floor, sup, cells)
+    accepted = engine(x_i, x_j, floor, cells)
     assert accepted == (want is not None)
     if accepted:
         assert cells.to_cover() == want
@@ -82,7 +83,7 @@ def checked_merge(engine, x_i, x_j, floor, sup, ctx, cells, agent):
 def engine_commit(x_i, x_j, floor, sup, ctx, cover, agent):
     """The cover the engine commits for merging x_i and x_j in ``cover``,
     or None when it rejects, checked against the naive closure."""
-    cells = _Cells(cover, ctx, agent)
+    cells = _Cells(sup, ctx, agent, cover)
     if checked_merge(_check_merge, x_i, x_j, floor, sup, ctx, cells, agent):
         return cells.to_cover()
     return None
@@ -127,6 +128,16 @@ def test_cover_from_cells_rejects_bad_partitions():
         Cover.from_cells([[0, 1], [1, 2]], 3)
     with pytest.raises(ValueError, match="cover every state"):
         Cover.from_cells([[0, 1]], 3)
+    with pytest.raises(ValueError) as info:
+        Cover.from_cells([[0], [2, 4]], 5)
+    assert str(info.value) == "cells do not cover every state: state 1 is in no cell"
+
+
+def test_parse_cover_names_the_first_missing_state(corpus_sup):
+    with pytest.raises(FormatError) as info:
+        parse_cover("cell 0: x0 x3\ncell 1: x1\n", corpus_sup)
+    assert str(info.value) == "cells do not cover every state: state 'x2' is in no cell"
+    assert info.value.line is None
 
 
 def test_cover_serialization_roundtrip(corpus_sup):
@@ -279,10 +290,10 @@ def test_check_merge_symmetric_on_random_instances():
         j = i + 1 + rng.below(n - i - 1)
         for spec in agents:
             k = spec.agent_index
-            forward = _Cells(Cover.singleton(n), ctx, k)
-            backward = _Cells(Cover.singleton(n), ctx, k)
-            p1 = _check_merge(i, j, i, sup, forward)
-            p2 = _check_merge(j, i, i, sup, backward)
+            forward = _Cells(sup, ctx, k, Cover.singleton(n))
+            backward = _Cells(sup, ctx, k, Cover.singleton(n))
+            p1 = _check_merge(i, j, i, forward)
+            p2 = _check_merge(j, i, i, backward)
             assert p1 == p2
             assert forward.to_cover() == backward.to_cover()
 
@@ -292,11 +303,11 @@ def test_check_merge_refuses_first_pair_below_floor(corpus_sup, corpus_ctx):
     # is refused and the cells are left as they were, although the same
     # union is accepted when the floor admits x0
     paired = Cover.from_cells([[0, 3], [1], [2], [4]], 5)
-    cells = _Cells(paired, corpus_ctx, 1)
+    cells = _Cells(corpus_sup, corpus_ctx, 1, paired)
     state = snapshot(cells)
-    assert not _check_merge(3, 4, 3, corpus_sup, cells)
+    assert not _check_merge(3, 4, 3, cells)
     assert snapshot(cells) == state
-    assert _check_merge(3, 4, 0, corpus_sup, cells)
+    assert _check_merge(3, 4, 0, cells)
     assert cells.to_cover() == Cover.from_cells([[0, 3, 4], [1], [2]], 5)
 
 
@@ -304,21 +315,21 @@ def test_check_merge_refuses_first_pair_below_floor(corpus_sup, corpus_ctx):
 def engine_outcomes(monkeypatch):
     # every engine call made while the fixture is active must agree with the
     # naive congruence closure on the same cells: both reject, or both commit
-    # the same cover. The engine takes no context or agent, so each
-    # ``_Cells`` made meanwhile is recorded with the ones it was built for;
-    # holding it keeps its id from being reused.
+    # the same cover. The engine takes no supervisor, context or agent, so
+    # each ``_Cells`` made meanwhile is recorded with the ones it was built
+    # for; holding it keeps its id from being reused.
     engine = localization._check_merge
     make_cells = localization._Cells
     built = {}
     outcomes = {"accepted": 0, "rejected": 0}
 
-    def recorded(cover, ctx, agent):
-        cells = make_cells(cover, ctx, agent)
-        built[id(cells)] = (cells, ctx, agent)
+    def recorded(sup, ctx, agent, cover):
+        cells = make_cells(sup, ctx, agent, cover)
+        built[id(cells)] = (cells, sup, ctx, agent)
         return cells
 
-    def checked(x_i, x_j, floor, sup, cells):
-        _, ctx, agent = built[id(cells)]
+    def checked(x_i, x_j, floor, cells):
+        _, sup, ctx, agent = built[id(cells)]
         got = checked_merge(engine, x_i, x_j, floor, sup, ctx, cells, agent)
         outcomes["accepted" if got else "rejected"] += 1
         return got
@@ -436,6 +447,34 @@ def test_localize_is_fixed_point_on_own_output(corpus_sup, corpus_ctx):
     assert again == cover
 
 
+@pytest.mark.parametrize(
+    "cells, reason",
+    [
+        # {x1,x2} step on c into x3 and x4, which are apart
+        ([[0], [1, 2], [3], [4]], "step to two cells on 'c'"),
+        # c is withheld at x0 but enabled at x1
+        ([[0, 1], [2], [3], [4]], "not control consistent"),
+    ],
+)
+def test_localize_refuses_an_init_that_is_not_a_congruence(corpus_sup, corpus_ctx, cells, reason):
+    init = Cover.from_cells(cells, 5)
+    witness = is_control_congruence(corpus_sup, corpus_ctx, 1, init).witness
+    assert reason in witness
+    with pytest.raises(InvalidCoverError) as info:
+        localize(corpus_sup, corpus_ctx, 1, init)
+    assert str(info.value) == f"cover is not a control congruence: {witness}"
+
+
+def test_localize_refuses_the_base_cover_under_the_variant_context(
+    corpus_sup, corpus_ctx, corpus_variant_ctx
+):
+    # the edit makes x0 and x3 clash, so the base cover must be isolated
+    # before it can seed the variant's localization
+    cover = localize(corpus_sup, corpus_ctx, 1)
+    with pytest.raises(InvalidCoverError, match="states 'x0' and 'x3' share a cell"):
+        localize(corpus_sup, corpus_variant_ctx, 1, cover)
+
+
 def test_localize_variant_from_isolated_cover(corpus_sup, corpus_variant_ctx):
     init = Cover.from_cells([[0], [1, 2], [3, 4]], 5)
     cover = localize(corpus_sup, corpus_variant_ctx, 1, init)
@@ -519,13 +558,13 @@ def test_localize_robust_under_permutation(corpus_plant, corpus_sup, corpus_agen
 
 def test_singleton_cover_gives_isomorphic_quotient(corpus_sup):
     loc = build_local_supervisor(corpus_sup, Cover.singleton(5), 1)
-    assert isomorphic(loc.automaton, corpus_sup)
+    assert isomorphic(loc, corpus_sup)
 
 
 def test_corpus_local_supervisor(corpus_sup, corpus_ctx):
     cover = localize(corpus_sup, corpus_ctx, 1)
     loc = build_local_supervisor(corpus_sup, cover, 1)
-    aut = loc.automaton
+    aut = loc
     assert aut.n_states == 2
     idx = {name: i for i, name in enumerate(aut.states)}
     y0, y1 = idx["x0"], idx["x1"]
@@ -542,7 +581,7 @@ def test_variant_local_supervisor(corpus_sup, corpus_variant_ctx):
     init = Cover.from_cells([[0], [1, 2], [3, 4]], 5)
     cover = localize(corpus_sup, corpus_variant_ctx, 1, init)
     loc = build_local_supervisor(corpus_sup, cover, 1)
-    assert loc.automaton.n_states == 2
+    assert loc.n_states == 2
 
 
 def test_invalid_cover_reported_during_construction(corpus_sup):

@@ -19,6 +19,7 @@ from .instances import (
     mutate_system,
     reference_isolate,
     systems_corpus,
+    tower,
     tower3,
 )
 
@@ -104,7 +105,7 @@ def test_tsl_identity_mapping_pipeline(
     base_cover = localize(corpus_sup, corpus_ctx, 1)
     sups, covers = tsl([base_cover], corpus_sup, corpus_sup, corpus_variant_ctx, (1,))
     assert named_cells(covers[0], corpus_sup) == [["x0"], ["x1", "x2", "x3", "x4"]]
-    assert sups[0].automaton.n_states == 2
+    assert sups[0].n_states == 2
     verdict = check_control_equivalence(corpus_variant_plant, corpus_sup, sups)
     assert verdict
 
@@ -388,3 +389,49 @@ def test_tower_covers_match_golden(tower3_base, variant):
     mapping = tuple(k if k <= len(base_covers) else 0 for k in range(1, len(agents) + 1))
     _, covers = tsl(base_covers, base_sup, sup, ctx, mapping)
     assert covers_digest(covers, sup) == TOWER3_COVER_SHA256[variant]
+
+
+@pytest.fixture(scope="module")
+def tower2_systems():
+    """(plant, supervisor, context) of the two-level tower's base and
+    variants."""
+    systems = {}
+    for variant in ("base", "v1", "v2", "v3", "v4", "v5"):
+        plant, sup, agents = tower(2, variant)
+        systems[variant] = plant, sup, build_context(plant, sup, agents)
+    return systems
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        ("base", "v2", "v5", "v3", "v1", "v4", "base"),
+        ("base", "v5", "v1", "v2", "v4", "v3", "base"),
+    ],
+)
+def test_tsl_edit_chain_on_two_level_tower(tower2_systems, chain):
+    # the system is edited round after round, and each round relocalizes the
+    # previous round's covers with the identity mapping, so the merge engine
+    # starts from cells that earlier rounds merged
+    plant, sup, ctx = tower2_systems[chain[0]]
+    covers = [localize(sup, ctx, k) for k in sorted(ctx.disabled)]
+    for variant in chain[1:]:
+        base_sup = sup
+        plant, sup, ctx = tower2_systems[variant]
+        agents = sorted(ctx.disabled)
+        mapping = tuple(k if k <= len(covers) else 0 for k in agents)
+        locs, covers = tsl(covers, base_sup, sup, ctx, mapping)
+        for k, cover in zip(agents, covers):
+            verdict = is_control_congruence(sup, ctx, k, cover)
+            assert verdict, (variant, k, verdict.witness)
+            assert is_maximally_reduced(sup, ctx, k, cover), (variant, k)
+        verdict = check_control_equivalence(plant, sup, locs)
+        assert verdict, (variant, verdict.direction, verdict.counterexample)
+
+
+@pytest.mark.parametrize("variant", ["base", "v1", "v2", "v3", "v4", "v5"])
+def test_tsl_of_an_unchanged_system_returns_its_covers(tower2_systems, variant):
+    plant, sup, ctx = tower2_systems[variant]
+    agents = sorted(ctx.disabled)
+    covers = [localize(sup, ctx, k) for k in agents]
+    assert tsl(covers, sup, sup, ctx, tuple(agents))[1] == covers
