@@ -131,16 +131,18 @@ class Automaton:
         construction for names joined, projected or copied from valid names.
         """
         states = tuple(states)
-        name_index: dict[str, int] = {}
-        for pos, name in enumerate(states):
-            if name_index.setdefault(name, pos) != pos:
-                raise ValueError(f"duplicate state name {name!r}")
+        if len(set(states)) != len(states):
+            seen: set[str] = set()
+            for name in states:
+                if name in seen:
+                    raise ValueError(f"duplicate state name {name!r}")
+                seen.add(name)
         self.states = states
         self.alphabet = alphabet
         self.initial = initial
         self.marked = frozenset(marked)
         self.succ_maps = tuple(rows)
-        self._name_index = name_index
+        self._name_index = None
         self._preds = None
         return self
 
@@ -164,6 +166,10 @@ class Automaton:
         return self._preds
 
     def index_of(self, name: str) -> int:
+        """The position of the state named ``name``; the name index is built
+        on first use and kept."""
+        if self._name_index is None:
+            self._name_index = {state: pos for pos, state in enumerate(self.states)}
         try:
             return self._name_index[name]
         except KeyError:
@@ -366,16 +372,21 @@ def _mask_events(mask: int) -> tuple[int, ...]:
 def _product(automata: Sequence[Automaton]):
     """Breadth-first reachable synchronous product over one shared alphabet.
 
-    Returns the component-state tuples in discovery order (index 0 is the
-    initial tuple), per tuple its ``{event: target index}`` row with events
-    ascending, and per component the event mask of each of its states. An
-    event is enabled in a product state iff it is
-    enabled in every component: the enabled set is the AND of the components'
-    event masks, and each target tuple is read from the components' successor
-    rows. The masks of all component states are computed up front; a lazy
-    fill costs more per product state than it saves when, as in the
-    equivalence check's closed loops, nearly every product state brings a
-    new component state.
+    Returns ``(order, rows, masks)``: the component-state tuples in discovery
+    order (index 0 is the initial tuple), a generator that yields, per tuple
+    of ``order`` in turn, its ``{event: target index}`` row with events
+    ascending, and per component the event mask of each of its states.
+    ``order`` grows as rows are drawn: ``order[i]`` is there when row ``i``
+    is drawn, and every target of a drawn row is there too, so the list is
+    complete once the generator is exhausted. Callers that need every row keep
+    them (``list(rows)``); one that reads each row once keeps none.
+
+    An event is enabled in a product state iff it is enabled in every
+    component: the enabled set is the AND of the components' event masks,
+    and each target tuple is read from the components' successor rows. The
+    masks of all component states are computed up front; a lazy fill costs
+    more per product state than it saves when, as in the equivalence check's
+    closed loops, nearly every product state brings a new component state.
     """
     first = automata[0]
     for a in automata[1:]:
@@ -387,19 +398,21 @@ def _product(automata: Sequence[Automaton]):
     init = tuple(a.initial for a in automata)
     index: dict[tuple[int, ...], int] = {init: 0}
     order: list[tuple[int, ...]] = [init]
-    rows: list[dict[int, int]] = []
-    for t in order:  # grows while it is walked: breadth-first order
-        comp_rows = list(map(getitem, succs, t))
-        row: dict[int, int] = {}
-        for ev in _mask_events(reduce(and_, map(getitem, masks, t))):
-            tt = tuple(map(targets[ev], comp_rows))
-            tgt = index.get(tt)
-            if tgt is None:
-                tgt = index[tt] = len(order)
-                order.append(tt)
-            row[ev] = tgt
-        rows.append(row)
-    return order, rows, masks
+
+    def rows():
+        for t in order:  # grows while it is walked: breadth-first order
+            comp_rows = list(map(getitem, succs, t))
+            row: dict[int, int] = {}
+            for ev in _mask_events(reduce(and_, map(getitem, masks, t))):
+                tt = tuple(map(targets[ev], comp_rows))
+                tgt = index.get(tt)
+                if tgt is None:
+                    tgt = index[tt] = len(order)
+                    order.append(tt)
+                row[ev] = tgt
+            yield row
+
+    return order, rows(), masks
 
 
 def _tuple_names(automata: Sequence[Automaton], order) -> list[str]:
@@ -425,6 +438,7 @@ def sync_product(automata: Sequence[Automaton]) -> Automaton:
     if not automata:
         raise ValueError("sync_product needs at least one automaton")
     order, rows, _ = _product(automata)
+    rows = list(rows)
     marked = [i for i, m in enumerate(_tuple_marked(automata, order)) if m]
     return Automaton.__new__(Automaton)._from_rows(
         _tuple_names(automata, order), automata[0].alphabet, rows, 0, marked

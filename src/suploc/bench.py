@@ -17,6 +17,7 @@ work for both procedures), as is quotient-automaton construction.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -54,6 +55,9 @@ CSV_COLUMNS = (
 # The CSV columns that ``BenchReport.to_json`` summarizes per (variant, agent).
 JSON_COLUMNS = CSV_COLUMNS[3:]
 
+# The timed sections of one agent's pipeline, by the column holding their time.
+TIMED_COLUMNS = ("sl_seconds", "isolate_seconds", "init_localize_seconds")
+
 
 class EquivalenceGateError(RuntimeError):
     """A produced supervisor set failed the control-equivalence gate."""
@@ -72,6 +76,9 @@ class BenchRow:
     cells_initial_guess: int
     cells_isolated: int
     cells_tsl: int
+    # Per section of ``TIMED_COLUMNS``, the generation-2 garbage collections
+    # that started inside it; a collection's pause counts in that section's time.
+    gen2_collections: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,9 @@ class BenchReport:
 
     def to_json(self) -> str:
         """The environment, the protocol and, per (variant, agent), the
-        median, min and max over the runs of each column of ``JSON_COLUMNS``.
+        median, min and max over the runs of each column of ``JSON_COLUMNS``
+        and, per timed column, the total over the runs of generation-2
+        collections that started in that section (``gen2_collections``).
         The environment names the commit of the code, as :func:`_git_commit`
         finds it."""
         results = []
@@ -126,6 +135,9 @@ class BenchReport:
                     "min": min(values),
                     "max": max(values),
                 }
+            entry["gen2_collections"] = dict(
+                zip(TIMED_COLUMNS, map(sum, zip(*(r.gen2_collections for r in sub))))
+            )
             results.append(entry)
         document = {
             "environment": {
@@ -232,7 +244,9 @@ def run_bench(
     """Run the full protocol and aggregate means per (variant, agent).
 
     Agent pipelines run one after another so wall-clock numbers are
-    uncontaminated. An empty variant list, or an unknown or repeated
+    uncontaminated. Each row also counts, per timed section, the
+    generation-2 garbage collections that started inside it, since their
+    pauses are part of that section's time. An empty variant list, or an unknown or repeated
     variant, raises ``ValueError`` before any system is generated.
     """
     if runs < 1:
@@ -263,65 +277,84 @@ def run_bench(
     n_agents = base.system.table.n_agents
     rows: list[BenchRow] = []
 
-    for run in range(1, runs + 1):
-        order = rng.permutation(base.sup.n_states)
-        base_sup = apply_state_order(base.sup, order)
-        base_ctx = build_context(base.plant, base_sup, base.system.agents)
-        base_covers = [
-            localize(base_sup, base_ctx, k) for k in range(1, n_agents + 1)
-        ]
-        for item in prepared:
-            variant_sup = apply_state_order(
-                item.sup, _variant_order(base_sup, item.sup, rng)
-            )
-            ctx = build_context(item.plant, variant_sup, item.system.agents)
+    # The start time of every generation-2 collection; after each agent the
+    # ones inside its timed sections are counted and the list is emptied.
+    gen2_starts: list[float] = []
 
-            covers_sl: list[Cover] = []
-            covers_tsl: list[Cover] = []
-            for k in range(1, n_agents + 1):
-                t0 = time.perf_counter()
-                cover_sl = localize(variant_sup, ctx, k)
-                t1 = time.perf_counter()
-                carried = carry_over_cover(base_covers[k - 1], base_sup, variant_sup)
-                cover_iso = isolate(
-                    base_covers[k - 1], base_sup, variant_sup, ctx, k, carried=carried
-                )
-                t2 = time.perf_counter()
-                cover_tsl = localize(variant_sup, ctx, k, cover_iso)
-                t3 = time.perf_counter()
-                rows.append(
-                    BenchRow(
-                        variant=item.name,
-                        agent=k,
-                        run=run,
-                        sl_seconds=t1 - t0,
-                        isolate_seconds=t2 - t1,
-                        init_localize_seconds=t3 - t2,
-                        tsl_seconds=(t2 - t1) + (t3 - t2),
-                        cells_sl=cover_sl.n_cells,
-                        cells_initial_guess=carried.n_cells,
-                        cells_isolated=cover_iso.n_cells,
-                        cells_tsl=cover_tsl.n_cells,
-                    )
-                )
-                covers_sl.append(cover_sl)
-                covers_tsl.append(cover_tsl)
+    def note_gen2(phase, info):
+        if phase == "start" and info["generation"] == 2:
+            gen2_starts.append(time.perf_counter())
 
-            for side, covers in (
-                ("from-scratch", covers_sl),
-                ("transformational", covers_tsl),
-            ):
-                locs = [
-                    build_local_supervisor(variant_sup, cover, k)
-                    for k, cover in enumerate(covers, start=1)
-                ]
-                verdict = check_control_equivalence(item.plant, variant_sup, locs)
-                if not verdict:
-                    raise EquivalenceGateError(
-                        f"{side} supervisors for {item.name} run {run} are not control "
-                        f"equivalent: {verdict.direction}; trace {verdict.counterexample}"
+    gc.callbacks.append(note_gen2)
+    try:
+        for run in range(1, runs + 1):
+            order = rng.permutation(base.sup.n_states)
+            base_sup = apply_state_order(base.sup, order)
+            base_ctx = build_context(base.plant, base_sup, base.system.agents)
+            base_covers = [
+                localize(base_sup, base_ctx, k) for k in range(1, n_agents + 1)
+            ]
+            for item in prepared:
+                variant_sup = apply_state_order(
+                    item.sup, _variant_order(base_sup, item.sup, rng)
+                )
+                ctx = build_context(item.plant, variant_sup, item.system.agents)
+
+                covers_sl: list[Cover] = []
+                covers_tsl: list[Cover] = []
+                for k in range(1, n_agents + 1):
+                    t0 = time.perf_counter()
+                    cover_sl = localize(variant_sup, ctx, k)
+                    t1 = time.perf_counter()
+                    carried = carry_over_cover(base_covers[k - 1], base_sup, variant_sup)
+                    cover_iso = isolate(
+                        base_covers[k - 1], base_sup, variant_sup, ctx, k, carried=carried
                     )
-            say(f"run {run}/{runs} {item.name}: ok")
+                    t2 = time.perf_counter()
+                    cover_tsl = localize(variant_sup, ctx, k, cover_iso)
+                    t3 = time.perf_counter()
+                    bounds = (t0, t1, t2, t3)
+                    gen2 = tuple(
+                        sum(lo <= at < hi for at in gen2_starts)
+                        for lo, hi in zip(bounds, bounds[1:])
+                    )
+                    gen2_starts.clear()
+                    rows.append(
+                        BenchRow(
+                            variant=item.name,
+                            agent=k,
+                            run=run,
+                            sl_seconds=t1 - t0,
+                            isolate_seconds=t2 - t1,
+                            init_localize_seconds=t3 - t2,
+                            tsl_seconds=(t2 - t1) + (t3 - t2),
+                            cells_sl=cover_sl.n_cells,
+                            cells_initial_guess=carried.n_cells,
+                            cells_isolated=cover_iso.n_cells,
+                            cells_tsl=cover_tsl.n_cells,
+                            gen2_collections=gen2,
+                        )
+                    )
+                    covers_sl.append(cover_sl)
+                    covers_tsl.append(cover_tsl)
+
+                for side, covers in (
+                    ("from-scratch", covers_sl),
+                    ("transformational", covers_tsl),
+                ):
+                    locs = [
+                        build_local_supervisor(variant_sup, cover, k)
+                        for k, cover in enumerate(covers, start=1)
+                    ]
+                    verdict = check_control_equivalence(item.plant, variant_sup, locs)
+                    if not verdict:
+                        raise EquivalenceGateError(
+                            f"{side} supervisors for {item.name} run {run} are not control "
+                            f"equivalent: {verdict.direction}; trace {verdict.counterexample}"
+                        )
+                say(f"run {run}/{runs} {item.name}: ok")
+    finally:
+        gc.callbacks.remove(note_gen2)
 
     aggregates = []
     for (variant, agent), sub in _groups(rows).items():

@@ -158,6 +158,7 @@ def synthesize_monolithic(plants, requirements=()) -> Automaton:
     table = plants[0].alphabet
     comps = plants + requirements
     order, succ, masks = _product(comps)
+    succ = list(succ)
     n = len(order)
     n_plants = len(plants)
     unc = _event_mask(e for e in range(table.n_events) if not table.controllable[e])

@@ -37,14 +37,16 @@ class EquivalenceVerdict:
         return self.equivalent
 
 
-def _trace_to(rows, pos: int, events) -> tuple[str, ...]:
-    """Event names of the breadth-first path to tuple ``pos``: each tuple's
-    parent is the first (source, event) of ``rows[:pos]`` that reaches it."""
+def _trace_to(comps, pos: int) -> tuple[str, ...]:
+    """Event names of the breadth-first path to tuple ``pos`` of the product
+    of ``comps``, which is walked again up to ``pos``: each tuple's parent is
+    the first (source, event) of the rows before ``pos`` that reaches it."""
     parent: dict[int, tuple[int, int]] = {}
-    for src in range(pos):
-        for ev, tgt in rows[src].items():
+    for src, row in zip(range(pos), _product(comps)[1]):
+        for ev, tgt in row.items():
             if tgt not in parent:
                 parent[tgt] = (src, ev)
+    events = comps[0].alphabet.events
     rev = []
     while pos:
         pos, ev = parent[pos]
@@ -58,15 +60,17 @@ def check_control_equivalence(plant: Automaton, sup: Automaton, locs) -> Equival
     Walks the product of ``sup``, ``plant`` and every local supervisor in
     breadth-first order. The two sides are equivalent iff at every tuple the
     monolithic enabled set (supervisor and plant) equals the local one (plant
-    and every local supervisor), and so do the two marked flags.
+    and every local supervisor), and so do the two marked flags. Each tuple
+    is checked as its row is drawn and no row is kept; only a mismatch walks
+    the product again, up to the failing tuple, for the counterexample.
     """
     comps = [sup, plant, *locs]
     order, rows, masks = _product(comps)
     loc_masks = masks[2:]
     loc_marked = [a.marked for a in comps[2:]]
     events = plant.alphabet.events
-    for pos, t in enumerate(order):
-        s, p, *ls = t
+    for pos, _ in enumerate(rows):
+        s, p, *ls = order[pos]
         plant_mask = masks[1][p]
         mono = masks[0][s] & plant_mask
         local = reduce(and_, map(getitem, loc_masks, ls), plant_mask)
@@ -80,7 +84,7 @@ def check_control_equivalence(plant: Automaton, sup: Automaton, locs) -> Equival
             ev = _mask_events(extra)[0]
             return EquivalenceVerdict(
                 equivalent=False,
-                counterexample=_trace_to(rows, pos, events) + (events[ev],),
+                counterexample=_trace_to(comps, pos) + (events[ev],),
                 failed="language",
                 direction=direction,
             )
@@ -95,7 +99,7 @@ def check_control_equivalence(plant: Automaton, sup: Automaton, locs) -> Equival
             )
             return EquivalenceVerdict(
                 equivalent=False,
-                counterexample=_trace_to(rows, pos, events),
+                counterexample=_trace_to(comps, pos),
                 failed="marked-language",
                 direction=direction,
             )

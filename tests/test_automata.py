@@ -168,6 +168,7 @@ def test_product_matches_step_oracle():
             kinds_seen.add(min(kind, 2))
             comps.append(dead if kind == 0 else loops if kind == 1 else random_plant(rng, table, 8))
         order, rows, masks = _product(comps)
+        rows = list(rows)
         ref_order, ref_rows = reference_product(comps)
         assert order == ref_order
         assert masks == [[sum(1 << ev for ev in row) for row in a.succ_maps] for a in comps]
@@ -309,7 +310,9 @@ def assert_as_if_checked(a):
     transitions, and every row keeps its events ascending."""
     checked = Automaton(a.states, a.alphabet, a.iter_transitions(), a.initial, a.marked)
     assert a == checked
-    assert a._name_index == checked._name_index
+    assert checked._name_index is None
+    positions = list(range(a.n_states))
+    assert list(map(a.index_of, a.states)) == list(map(checked.index_of, a.states)) == positions
     assert all(list(row) == sorted(row) for row in a.succ_maps)
 
 
@@ -341,6 +344,21 @@ def test_trusted_construction_matches_checked_on_corpus():
     for plant, sup, agents in systems_corpus(11, 60):
         for a in trusted_outputs(plant, sup, agents, rng):
             assert_as_if_checked(a)
+
+
+def test_name_index_is_built_on_first_lookup_and_kept():
+    rng = SplitMix64(7)
+    for plant, sup, agents in systems_corpus(11, 30):
+        for a in trusted_outputs(plant, sup, agents, rng):
+            assert a._name_index is None
+            assert [a.index_of(name) for name in a.states] == list(range(a.n_states))
+            index = a._name_index
+            assert a.index_of(a.states[-1]) == a.n_states - 1
+            assert a._name_index is index
+            missing = "no-such-state"
+            assert missing not in a.states
+            with pytest.raises(ValueError, match=r"^unknown state 'no-such-state'$"):
+                a.index_of(missing)
 
 
 def test_trusted_construction_matches_checked_on_tower(cmt_systems, cmt_plants, cmt_supervisors):

@@ -1,6 +1,7 @@
 """Benchmark harness schema and determinism, and the command-line interface."""
 
 import csv
+import gc
 import io
 import json
 import os
@@ -15,8 +16,17 @@ import pytest
 
 import suploc
 
-from suploc.bench import CSV_COLUMNS, JSON_COLUMNS, BenchReport, _git_commit, run_bench
+from suploc.bench import (
+    CSV_COLUMNS,
+    JSON_COLUMNS,
+    TIMED_COLUMNS,
+    BenchReport,
+    EquivalenceGateError,
+    _git_commit,
+    run_bench,
+)
 from suploc.cli import main
+from suploc.equivalence import EquivalenceVerdict
 
 DATA = Path(__file__).parent / "data"
 
@@ -68,7 +78,7 @@ def test_report_json_schema(small_report):
         (a.variant, a.agent) for a in small_report.aggregates
     ]
     for entry in results:
-        assert set(entry) == {"variant", "agent", *JSON_COLUMNS}
+        assert set(entry) == {"variant", "agent", *JSON_COLUMNS, "gen2_collections"}
         rows = [
             r for r in small_report.rows
             if (r.variant, r.agent) == (entry["variant"], entry["agent"])
@@ -78,6 +88,10 @@ def test_report_json_schema(small_report):
             assert entry[column] == {
                 "median": statistics.median(values), "min": min(values), "max": max(values),
             }
+        assert entry["gen2_collections"] == {
+            column: sum(r.gen2_collections[i] for r in rows)
+            for i, column in enumerate(TIMED_COLUMNS)
+        }
 
 
 def test_report_json_spreads_over_runs():
@@ -127,6 +141,56 @@ def test_markdown_table_contains_all_rows(small_report):
     lines = md.strip().splitlines()
     assert len(lines) == 2 + len(small_report.aggregates)
     assert lines[0].startswith("| variant | agent |")
+
+
+def test_bench_counts_gen2_collections_per_timed_section(monkeypatch):
+    # Each patched call announces 100 generation-2 starts to the collector's
+    # callbacks, and as many generation-0 starts and generation-2 stops,
+    # which must not count. A real collection in the run adds a few at most,
+    # so a section's count divided by 100 is the number of patched calls it
+    # saw. The base covers are localized outside every timed section.
+    from suploc import bench
+
+    def announce():
+        for callback in list(gc.callbacks):
+            for _ in range(100):
+                callback("start", {"generation": 2, "collected": 0, "uncollectable": 0})
+                callback("start", {"generation": 0, "collected": 0, "uncollectable": 0})
+                callback("stop", {"generation": 2, "collected": 0, "uncollectable": 0})
+
+    real_localize, real_isolate = bench.localize, bench.isolate
+
+    def localize(sup, ctx, agent, init=None):
+        if agent == 1:
+            announce()
+        return real_localize(sup, ctx, agent, init)
+
+    def isolate(*args, **kwargs):
+        if args[4] == 2:
+            announce()
+        return real_isolate(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "localize", localize)
+    monkeypatch.setattr(bench, "isolate", isolate)
+    callbacks = list(gc.callbacks)
+    report = run_bench(variants=("v1", "v3"), levels=2, runs=2, seed=5)
+    assert gc.callbacks == callbacks
+    expected = {1: (1, 0, 1), 2: (0, 1, 0)}
+    for row in report.rows:
+        assert tuple(n // 100 for n in row.gen2_collections) == expected[row.agent]
+    assert "gen2" not in report.to_csv() + report.to_markdown()
+    for entry in json.loads(report.to_json())["results"]:
+        totals = entry["gen2_collections"]
+        assert list(totals) == list(TIMED_COLUMNS)
+        assert tuple(n // 100 for n in totals.values()) == tuple(
+            2 * n for n in expected[entry["agent"]]
+        )
+    # the callback is also removed when the run fails
+    failing = EquivalenceVerdict(False, ("a",), "language", "local supervisors forbid")
+    monkeypatch.setattr(bench, "check_control_equivalence", lambda *args: failing)
+    with pytest.raises(EquivalenceGateError):
+        run_bench(variants=("v1",), levels=2, runs=1, seed=5)
+    assert gc.callbacks == callbacks
 
 
 def test_base_as_variant_is_a_fixed_point():

@@ -1,5 +1,7 @@
 """Control equivalence: closed-loop comparison and counterexamples."""
 
+import weakref
+
 from suploc.automata import Automaton, reachable_trim, sync_product
 from suploc.context import build_context
 from suploc.equivalence import check_control_equivalence
@@ -16,6 +18,7 @@ from .instances import (
     replay_counterexample,
     supervisor_from,
     systems_corpus,
+    tower,
 )
 
 
@@ -159,3 +162,92 @@ def test_check_builds_one_product_and_no_automaton(monkeypatch, corpus_plant, co
     monkeypatch.setattr(automata.Automaton, "_from_rows", no_automaton)
     assert check_control_equivalence(corpus_plant, corpus_sup, [loc])
     assert products == [3]
+
+
+# ---------------------------------------------------------------------------
+# the check streams the product: it keeps no row
+
+
+class _Row(dict):
+    """A product row that a weak reference can watch."""
+
+
+def watch_rows(monkeypatch):
+    """Route the check's product through a wrapper that yields each kernel
+    row as a ``_Row``. Returns, per product walk, the weak references to the
+    rows it drew, and, each time the check asks for another row, how many
+    drawn rows are still alive."""
+    from suploc import automata, equivalence
+
+    walks, alive = [], []
+
+    def product(comps):
+        order, rows, masks = automata._product(comps)
+        refs = []
+        walks.append(refs)
+
+        def watched():
+            for plain in rows:
+                row = _Row(plain)
+                refs.append(weakref.ref(row))
+                del plain
+                yield row
+                del row
+                alive.append(sum(ref() is not None for walk in walks for ref in walk))
+
+        return order, watched(), masks
+
+    monkeypatch.setattr(equivalence, "_product", product)
+    return walks, alive
+
+
+def test_check_keeps_no_row_on_an_equivalent_tower(monkeypatch):
+    plant, sup, agents = tower(3, "v5")
+    ctx = build_context(plant, sup, agents)
+    locs = [
+        build_local_supervisor(sup, localize(sup, ctx, s.agent_index), s.agent_index)
+        for s in agents
+    ]
+    walks, alive = watch_rows(monkeypatch)
+    assert check_control_equivalence(plant, sup, locs)
+    (walk,) = walks
+    assert len(walk) == sync_product([sup, plant, *locs]).n_states > 100
+    # only the row the check holds in its loop is alive when it asks for the next
+    assert len(alive) == len(walk) and max(alive) == 1
+    assert all(ref() is None for ref in walk)
+
+
+def test_check_stops_at_the_first_mismatch(monkeypatch):
+    from suploc import automata
+
+    rng = SplitMix64(17)
+    walks, _ = watch_rows(monkeypatch)
+    mismatches = streamed = 0
+    for plant, sup, agents in systems_corpus(59, 60):
+        ctx = build_context(plant, sup, agents)
+        locs = [
+            build_local_supervisor(sup, localize(sup, ctx, s.agent_index), s.agent_index)
+            for s in agents
+        ]
+        for side in (locs[:-1], [supervisor_from(rng, plant)] + locs[1:]):
+            walks.clear()
+            verdict = check_control_equivalence(plant, sup, side)
+            if verdict:
+                assert len(walks) == 1
+                continue
+            # the failing tuple: where the trace leads, before a language
+            # failure's extra event
+            comps = [sup, plant, *side]
+            order, rows, _ = automata._product(comps)
+            rows = list(rows)
+            events = plant.alphabet.events
+            trace = verdict.counterexample
+            pos = 0
+            for name in trace[:-1] if verdict.failed == "language" else trace:
+                pos = rows[pos][events.index(name)]
+            check, again = walks
+            assert len(check) <= pos + 1
+            assert len(again) == pos
+            mismatches += 1
+            streamed += len(rows) > pos + 1
+    assert mismatches >= 50 and streamed >= 30, (mismatches, streamed)
