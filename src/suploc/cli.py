@@ -21,7 +21,7 @@ from .automata import (
     sync_product,
 )
 from .bench import BENCH_VARIANTS, EquivalenceGateError, run_bench
-from .cmt import VARIANTS, CmtConfig, gen_cmt
+from .cmt import VARIANTS, CmtConfig, _animal_tags, gen_cmt
 from .context import SynthesisEmptyError, agents_from_table, build_context, synthesize_monolithic
 from .equivalence import check_control_equivalence
 from .localization import (
@@ -63,11 +63,8 @@ def _cmd_gen_cmt(args) -> int:
     system = gen_cmt(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kinds = ["cat", "mouse"] if cfg.animals == 1 else [
-        f"cat{i}" for i in range(1, cfg.animals + 1)
-    ] + [f"mouse{i}" for i in range(1, cfg.animals + 1)]
-    for name, plant in zip(kinds, system.plants):
-        save_automaton(plant, out / f"{name}.aut")
+    for (tag, kind), plant in zip(_animal_tags(cfg), system.plants):
+        save_automaton(plant, out / f"{kind}{tag[1:]}.aut")
     for i, req in enumerate(system.requirements):
         save_automaton(req, out / f"req_{i:03d}.aut")
     lines = []

@@ -367,23 +367,75 @@ def localize(
     return cells.to_cover()
 
 
-def _flaw(sup: Automaton, ctx: ControlContext, agent: int, cell_of, cell):
-    """The summary of ``cell`` if it may hold a pair of states that may not
-    share a cell of ``cell_of``, else None. It may iff it has two or more
-    states and its summary clashes with itself or its members step into two
-    cells on one event."""
-    if len(cell) < 2:
-        return None
-    summary = _summary(ctx, agent, cell)
-    if _clash(summary, summary):
-        return summary
-    row: dict[int, int] = {}
-    for x in cell:
-        for ev, y in sup.succ_maps[x].items():
-            tgt = cell_of[y]
-            if row.setdefault(ev, tgt) != tgt:
-                return summary
-    return None
+class _Counts:
+    """The counters of one cell of two or more states: its size, how many
+    members step into each cell on each event, and the mask ``split`` of the
+    events on which they step into two or more cells.
+
+    A cell whose control summary clashes with itself also keeps that
+    ``summary`` and its member list; other cells keep None. The cell is
+    flawed, and may hold a pair of states that may not share it, iff
+    ``split`` is nonzero or it keeps a summary. Each removal re-summarizes
+    the members left, and once their summary stops clashing both are
+    dropped. Members only leave, and :func:`_clash` is monotone, so the
+    summary of any other cell can never clash and is not kept."""
+
+    __slots__ = ("size", "steps", "split", "summary", "members")
+
+    def __init__(self, cell, succ, cell_of, ctx: ControlContext, agent: int):
+        self.size = len(cell)
+        steps: dict[int, dict[int, int]] = {}
+        for x in cell:
+            for ev, t in succ[x].items():
+                t = cell_of[t]
+                targets = steps.get(ev)
+                if targets is None:
+                    steps[ev] = {t: 1}
+                else:
+                    targets[t] = targets.get(t, 0) + 1
+        self.steps = steps
+        self.split = sum(1 << ev for ev, targets in steps.items() if len(targets) > 1)
+        summary = _summary(ctx, agent, cell)
+        if _clash(summary, summary):
+            self.summary, self.members = summary, cell
+        else:
+            self.summary = self.members = None
+
+    def remove(self, x, row, cell_of, ctx, agent) -> None:
+        """Take out member ``x``, whose successor row is ``row``."""
+        self.size -= 1
+        steps = self.steps
+        for ev, t in row.items():
+            targets = steps[ev]
+            t = cell_of[t]
+            if targets[t] > 1:
+                targets[t] -= 1
+                continue
+            del targets[t]
+            if len(targets) == 1:
+                self.split &= ~(1 << ev)
+            elif not targets:
+                del steps[ev]
+        if self.members is not None:
+            self.members.remove(x)
+            summary = _summary(ctx, agent, self.members)
+            if _clash(summary, summary):
+                self.summary = summary
+            else:
+                self.summary = self.members = None
+
+    def move(self, ev: int, old: int, new: int) -> None:
+        """One member's successor on ``ev`` moved from cell old to cell new."""
+        targets = self.steps[ev]
+        if targets[old] > 1:
+            targets[old] -= 1
+        else:
+            del targets[old]
+        targets[new] = targets.get(new, 0) + 1
+        if len(targets) > 1:
+            self.split |= 1 << ev
+        else:
+            self.split &= ~(1 << ev)
 
 
 def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> Automaton:
@@ -450,16 +502,19 @@ def is_control_congruence(
     """Check both congruence conditions in O(states + transitions).
 
     Cellmates must be pairwise control consistent and step into one cell on
-    each event both enable. Only the cells :func:`_flaw` names can hold a
-    failing pair, and only those are scanned pair by pair, in id order; the
-    first failing pair is the witness. An agent ``ctx``
-    lacks, or a ``ctx`` built for a supervisor with another number of
-    states, raises ``ValueError``."""
+    each event both enable. Each cell of two or more states gets
+    :class:`_Counts`; only the cells they show flawed can hold a failing
+    pair, and only those are scanned pair by pair, in id order; the first
+    failing pair is the witness. An agent ``ctx`` lacks, or a ``ctx`` built
+    for a supervisor with another number of states, raises ``ValueError``."""
     _check_agent(ctx, agent, sup)
     if len(cover.cell_of) != sup.n_states:
         return CoverVerdict(False, "cover size does not match the supervisor")
     for cell in cover.cells():
-        if _flaw(sup, ctx, agent, cover.cell_of, cell):
+        if len(cell) < 2:
+            continue
+        counts = _Counts(cell, sup.succ_maps, cover.cell_of, ctx, agent)
+        if counts.split or counts.summary:
             for x, y in combinations(cell, 2):
                 witness = _pair_clash(sup, ctx, agent, cover.cell_of, x, y)
                 if witness is not None:

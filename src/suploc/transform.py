@@ -21,7 +21,7 @@ from .localization import (
     Cover,
     _check_agent,
     _clash,
-    _flaw,
+    _Counts,
     _summary,
     build_local_supervisor,
     localize,
@@ -39,74 +39,6 @@ def carry_over_cover(base_cover: Cover, base: Automaton, variant: Automaton) -> 
     base_cell = dict(zip(base.states, base_cover.cell_of))
     fresh = count(base_cover.n_cells)
     return Cover(base_cell[name] if name in base_cell else next(fresh) for name in variant.states)
-
-
-class _Counts:
-    """The counters ``isolate`` keeps for one cell: its size, how many
-    members step into each cell on each event, and the mask ``split`` of the
-    events on which they step into two or more cells.
-
-    A cell whose control ``summary`` clashes with itself also keeps that
-    summary and its member list. Each removal re-summarizes the members
-    left, and once their summary stops clashing both are dropped. Members
-    only leave, and ``_clash`` is monotone, so the summary of any other cell
-    can never clash and is not kept."""
-
-    __slots__ = ("size", "steps", "split", "summary", "members")
-
-    def __init__(self, cell, succ, cell_of, summary):
-        self.size = len(cell)
-        steps: dict[int, dict[int, int]] = {}
-        for x in cell:
-            for ev, t in succ[x].items():
-                t = cell_of[t]
-                targets = steps.get(ev)
-                if targets is None:
-                    steps[ev] = {t: 1}
-                else:
-                    targets[t] = targets.get(t, 0) + 1
-        self.steps = steps
-        self.split = sum(1 << ev for ev, targets in steps.items() if len(targets) > 1)
-        if summary and _clash(summary, summary):
-            self.summary, self.members = summary, cell
-        else:
-            self.summary = self.members = None
-
-    def remove(self, x, row, cell_of, ctx, agent) -> None:
-        """Take out member ``x``, whose successor row is ``row``."""
-        self.size -= 1
-        steps = self.steps
-        for ev, t in row.items():
-            targets = steps[ev]
-            t = cell_of[t]
-            if targets[t] > 1:
-                targets[t] -= 1
-                continue
-            del targets[t]
-            if len(targets) == 1:
-                self.split &= ~(1 << ev)
-            elif not targets:
-                del steps[ev]
-        if self.members is not None:
-            self.members.remove(x)
-            summary = _summary(ctx, agent, self.members)
-            if _clash(summary, summary):
-                self.summary = summary
-            else:
-                self.summary = self.members = None
-
-    def move(self, ev: int, old: int, new: int) -> None:
-        """One member's successor on ``ev`` moved from cell old to cell new."""
-        targets = self.steps[ev]
-        if targets[old] > 1:
-            targets[old] -= 1
-        else:
-            del targets[old]
-        targets[new] = targets.get(new, 0) + 1
-        if len(targets) > 1:
-            self.split |= 1 << ev
-        else:
-            self.split &= ~(1 << ev)
 
 
 def isolate(
@@ -134,16 +66,13 @@ def isolate(
     :func:`~suploc.context.build_context` never builds) raises
     ``ValueError``.
 
-    Only a cell :func:`_flaw` names can hold a state to evict, so when
-    there is none the carried cover is returned as it is. Otherwise each
-    flawed cell gets :class:`_Counts`. A state clashes with a cellmate iff
-    its summary clashes with its cell's or it enables an event on which the
-    members step into two cells. An eviction takes the state out of its
-    cell's counters and moves each predecessor's count on that event to the
-    state's new cell. A cell without counters is counted just before such a
-    move first touches it; until then its members and their successors'
-    cells are as they were, so none of them can clash and the sweep skips
-    them. New singletons get no counters, since isolation never merges.
+    Each carried cell of two or more states gets :class:`_Counts` before
+    the sweep, and when none is flawed the carried cover is returned as it
+    is. A state clashes with a cellmate iff its summary clashes with its
+    cell's or it enables an event on which the members step into two cells.
+    An eviction takes the state out of its cell's counters and moves each
+    predecessor's count on that event to the state's new cell. New
+    singletons get no counters, since isolation never merges.
     """
     _check_agent(ctx, agent, variant)
     if any(map(and_, ctx.enabled, ctx.disabled[agent])):
@@ -157,14 +86,11 @@ def isolate(
         raise ValueError("carried cover size does not match the variant supervisor")
     succ = variant.succ_maps
     cell_of = list(carried.cell_of)
-    counts: list[_Counts | None] = []
-    clean = {}
-    for pos, cell in enumerate(carried.cells()):
-        summary = _flaw(variant, ctx, agent, cell_of, cell)
-        counts.append(summary and _Counts(cell, succ, cell_of, summary))
-        if summary is None and len(cell) > 1:
-            clean[pos] = cell
-    if not any(counts):
+    counts = [
+        _Counts(cell, succ, cell_of, ctx, agent) if len(cell) > 1 else None
+        for cell in carried.cells()
+    ]
+    if not any(c.split or c.summary for c in counts if c):
         return carried
     preds = variant.predecessors()
     enabled = ctx.enabled
@@ -183,19 +109,11 @@ def isolate(
             old = cell_of[x]
             new = len(counts)
             counts.append(None)
-            # x stays in its old cell until its predecessors have moved, so
-            # that a clean cell counted here counts the move once. A
-            # self-loop of x left the counters with x.
+            # A self-loop of x left the counters with x.
             for p, ev in preds[x]:
-                if p == x:
-                    continue
                 kept = counts[cell_of[p]]
-                if kept is None:
-                    cell = clean.pop(cell_of[p], None)
-                    if cell is None:
-                        continue
-                    kept = counts[cell_of[p]] = _Counts(cell, succ, cell_of, None)
-                kept.move(ev, old, new)
+                if kept is not None and p != x:
+                    kept.move(ev, old, new)
             cell_of[x] = new
             changed = True
     return Cover(cell_of)

@@ -496,30 +496,33 @@ def test_cli_isolate_refuses_non_congruence(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_gen_cmt_files_parse_and_synthesize(tmp_path):
-    out = tmp_path / "cmt"
-    assert run_cli(
-        "gen-cmt", "--levels", "2", "--animals", "1", "--variant", "base",
-        "--out", str(out),
-    ) == 0
-    plants = sorted(p.name for p in out.glob("*.aut") if not p.name.startswith("req"))
-    assert plants == ["cat.aut", "mouse.aut"]
-    reqs = sorted(out.glob("req_*.aut"))
-    assert len(reqs) == 10
-    assert (out / "agents.txt").exists()
-    sup_path = tmp_path / "sup.aut"
-    code = run_cli(
-        "synthesize",
-        "--plant", str(out / "cat.aut"),
-        "--plant", str(out / "mouse.aut"),
-        *[arg for r in reqs for arg in ("--req", str(r))],
-        "--name-components", "2",
-        "--out", str(sup_path),
-    )
-    assert code == 0
     from suploc.automata import load_automaton
 
-    sup = load_automaton(sup_path)
-    assert sup.states[sup.initial] == "L1R1|L2R5"
+    for animals, want in [
+        (1, ["cat.aut", "mouse.aut"]),
+        (2, ["cat1.aut", "cat2.aut", "mouse1.aut", "mouse2.aut"]),
+    ]:
+        out = tmp_path / f"cmt{animals}"
+        assert run_cli(
+            "gen-cmt", "--levels", "2", "--animals", str(animals), "--variant", "base",
+            "--out", str(out),
+        ) == 0
+        plants = sorted(p.name for p in out.glob("*.aut") if not p.name.startswith("req"))
+        assert plants == want
+        reqs = sorted(out.glob("req_*.aut"))
+        assert len(reqs) == 10
+        assert (out / "agents.txt").exists()
+        sup_path = tmp_path / f"sup{animals}.aut"
+        code = run_cli(
+            "synthesize",
+            *[arg for name in plants for arg in ("--plant", str(out / name))],
+            *[arg for r in reqs for arg in ("--req", str(r))],
+            "--name-components", str(2 * animals),
+            "--out", str(sup_path),
+        )
+        assert code == 0
+        sup = load_automaton(sup_path)
+        assert sup.states[sup.initial] == "|".join(["L1R1"] * animals + ["L2R5"] * animals)
 
 
 @pytest.mark.parametrize("count", ["-1", "-12"])

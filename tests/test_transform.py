@@ -1,6 +1,7 @@
 """Carry-over, conflict isolation, and the transformational pipeline."""
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -340,7 +341,7 @@ def counted(monkeypatch):
     return cells
 
 
-def test_isolate_counts_a_clean_cell_when_a_move_first_touches_it(counted):
+def test_isolate_evicts_later_in_the_sweep_from_a_cell_a_move_splits(counted):
     # s1 enables b, which s2 may not take. {s3,s4,s5} steps into {s1,s2} on
     # a, so it is clean until s1 leaves; then s3 steps into {s1} and s4 and
     # s5 into {s2}, and s3, later in the same sweep, must go too
@@ -357,25 +358,28 @@ def test_isolate_rescans_a_clean_cell_met_before_the_move(counted):
     edges = [(1, A, 4), (2, A, 5), (3, A, 5), (4, B, 0)]
     cells = [[0], [1, 2, 3], [4, 5]]
     assert hand_isolate(6, edges, cells, {5: 1 << B}) == [[0], [1], [2, 3], [4], [5]]
-    assert counted == [[4, 5], [1, 2, 3]] * 3
+    assert counted == [[1, 2, 3], [4, 5]] * 3
 
 
-def test_isolate_of_an_edit_that_breaks_no_cell_counts_nothing(
+def test_isolate_of_an_edit_that_breaks_no_cell_returns_the_carried_cover_itself(
     cmt_plants, cmt_supervisors, counted
 ):
-    # four-level v1: every carried cell is still a congruence cell, so no
-    # counters are built and the carried cover itself comes back
+    # four-level v1: every carried cell is still a congruence cell, so each
+    # cell of two or more states is counted once and the carried cover
+    # itself comes back
     base_sup, sup = cmt_supervisors["base"], cmt_supervisors["v1"]
     base_ctx = build_context(cmt_plants["base"], base_sup, agents_from_table(base_sup.alphabet))
     agents = agents_from_table(sup.alphabet)
     ctx = build_context(cmt_plants["v1"], sup, agents)
+    want = []
     for spec in agents:
         k = spec.agent_index
         base_cover = localize(base_sup, base_ctx, k)
         carried = carry_over_cover(base_cover, base_sup, sup)
         assert carried.n_cells > 1
         assert isolate(base_cover, base_sup, sup, ctx, k, carried=carried) is carried
-    assert counted == []
+        want += [cell for cell in carried.cells() if len(cell) > 1]
+    assert counted == want
 
 
 @pytest.mark.parametrize("variant", sorted(TOWER3_COVER_SHA256))
@@ -435,3 +439,59 @@ def test_tsl_of_an_unchanged_system_returns_its_covers(tower2_systems, variant):
     agents = sorted(ctx.disabled)
     covers = [localize(sup, ctx, k) for k in agents]
     assert tsl(covers, sup, sup, ctx, tuple(agents))[1] == covers
+
+
+def reversed_names(sup):
+    """``sup`` with every state name reversed and every state at its index."""
+    return Automaton(
+        [name[::-1] for name in sup.states],
+        sup.alphabet,
+        sup.iter_transitions(),
+        sup.initial,
+        sup.marked,
+    )
+
+
+def test_renaming_states_keeps_every_cover_and_verdict(tower2_systems):
+    # reversing the names changes their order but no index, so localize,
+    # isolate and tsl give the same covers, and is_control_congruence the
+    # same verdicts, its witnesses naming the renamed states
+    base_sup, base_ctx = tower2_systems["base"][1:]
+    renamed_base = reversed_names(base_sup)
+    base_covers = [localize(base_sup, base_ctx, k) for k in sorted(base_ctx.disabled)]
+    invalid = 0
+    for variant in ("base", "v1", "v2", "v3", "v4", "v5"):
+        plant, sup, ctx = tower2_systems[variant]
+        renamed = reversed_names(sup)
+        renamed_ctx = build_context(plant, renamed, agents_from_table(renamed.alphabet))
+        names = set(sup.states)
+
+        def expected(witness):
+            """``witness`` with each state name in it reversed."""
+            if witness is None:
+                return None
+            return re.sub(
+                r"'([^']*)'", lambda m: repr(m[1][::-1]) if m[1] in names else m[0], witness
+            )
+
+        agents = sorted(ctx.disabled)
+        mapping = tuple(k if k <= len(base_covers) else 0 for k in agents)
+        _, covers = tsl(base_covers, base_sup, sup, ctx, mapping)
+        assert tsl(base_covers, renamed_base, renamed, renamed_ctx, mapping)[1] == covers
+        for k, mapped in zip(agents, mapping):
+            sl_cover = localize(sup, ctx, k)
+            assert localize(renamed, renamed_ctx, k) == sl_cover
+            checked = [sl_cover, covers[k - 1]]
+            if mapped:
+                base_cover = base_covers[mapped - 1]
+                carried = carry_over_cover(base_cover, base_sup, sup)
+                assert carry_over_cover(base_cover, renamed_base, renamed) == carried
+                isolated = isolate(base_cover, base_sup, sup, ctx, k)
+                assert isolate(base_cover, renamed_base, renamed, renamed_ctx, k) == isolated
+                checked += [carried, isolated]
+            for cover in checked:
+                verdict = is_control_congruence(sup, ctx, k, cover)
+                again = is_control_congruence(renamed, renamed_ctx, k, cover)
+                assert (again.valid, again.witness) == (verdict.valid, expected(verdict.witness))
+                invalid += not verdict
+    assert invalid == 4
