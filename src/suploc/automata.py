@@ -12,7 +12,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, getitem, itemgetter
+from operator import and_, getitem
 from pathlib import Path
 
 
@@ -79,10 +79,15 @@ class Automaton:
     index, supplied to the constructor as an iterable of (src, event, dst)
     index triples. ``succ_maps[x]`` is state x's ``{event: target}`` row,
     kept in ascending event order. Instances are immutable by convention;
-    all operations in this package return new automata.
+    all operations in this package return new automata. Tables derived from
+    the rows (name index, predecessors, event masks, moving mask) are built
+    on first use and kept.
     """
 
-    __slots__ = ("states", "alphabet", "initial", "marked", "succ_maps", "_name_index", "_preds")
+    __slots__ = (
+        "states", "alphabet", "initial", "marked", "succ_maps",
+        "_name_index", "_preds", "_masks", "_moving",
+    )
 
     def __init__(
         self,
@@ -144,6 +149,8 @@ class Automaton:
         self.succ_maps = tuple(rows)
         self._name_index = None
         self._preds = None
+        self._masks = None
+        self._moving = None
         return self
 
     @property
@@ -164,6 +171,31 @@ class Automaton:
                     preds[y].append((p, ev))
             self._preds = preds
         return self._preds
+
+    def event_masks(self) -> tuple[int, ...]:
+        """``event_masks()[x]``: the mask of the events state x enables, bit
+        ``e`` standing for event index ``e``; built on first use and kept."""
+        if self._masks is None:
+            self._masks = tuple(map(_event_mask, self.succ_maps))
+        return self._masks
+
+    def moving_mask(self) -> int:
+        """The mask of the events on which some state leaves itself; on every
+        other event each state that enables it self-loops. Built on first use
+        and kept. The row scan reads only rows that enable an event not yet
+        known to move, and stops once every event of the alphabet is known to."""
+        if self._moving is None:
+            every = (1 << self.alphabet.n_events) - 1
+            moving = 0
+            for x, (row, mask) in enumerate(zip(self.succ_maps, self.event_masks())):
+                if mask & ~moving:
+                    for ev, y in row.items():
+                        if y != x:
+                            moving |= 1 << ev
+                    if moving == every:
+                        break
+            self._moving = moving
+        return self._moving
 
     def index_of(self, name: str) -> int:
         """The position of the state named ``name``; the name index is built
@@ -372,39 +404,43 @@ def _mask_events(mask: int) -> tuple[int, ...]:
 def _product(automata: Sequence[Automaton]):
     """Breadth-first reachable synchronous product over one shared alphabet.
 
-    Returns ``(order, rows, masks)``: the component-state tuples in discovery
-    order (index 0 is the initial tuple), a generator that yields, per tuple
-    of ``order`` in turn, its ``{event: target index}`` row with events
-    ascending, and per component the event mask of each of its states.
-    ``order`` grows as rows are drawn: ``order[i]`` is there when row ``i``
-    is drawn, and every target of a drawn row is there too, so the list is
-    complete once the generator is exhausted. Callers that need every row keep
-    them (``list(rows)``); one that reads each row once keeps none.
+    Returns ``(order, rows)``: the component-state tuples in discovery order
+    (index 0 is the initial tuple) and a generator that yields, per tuple of
+    ``order`` in turn, its ``{event: target index}`` row with events
+    ascending. ``order`` grows as rows are drawn: ``order[i]`` is there when
+    row ``i`` is drawn, and every target of a drawn row is there too, so the
+    list is complete once the generator is exhausted. Callers that need every
+    row keep them (``list(rows)``); one that reads each row once keeps none.
 
     An event is enabled in a product state iff it is enabled in every
-    component: the enabled set is the AND of the components' event masks,
-    and each target tuple is read from the components' successor rows. The
-    masks of all component states are computed up front; a lazy fill costs
-    more per product state than it saves when, as in the equivalence check's
-    closed loops, nearly every product state brings a new component state.
+    component: the enabled set is the AND of the components' event masks
+    (``Automaton.event_masks``, kept by each component). A component whose
+    ``moving_mask`` lacks an event self-loops on it wherever it enables it,
+    so ``movers[ev]`` lists the (position, rows) of the components that can
+    move on ``ev``, and a target tuple is the source tuple with only those
+    positions stepped.
     """
     first = automata[0]
     for a in automata[1:]:
         if a.alphabet != first.alphabet:
             raise ValueError("alphabet mismatch between product components")
-    succs = [a.succ_maps for a in automata]
-    masks = [[_event_mask(row) for row in a.succ_maps] for a in automata]
-    targets = [itemgetter(ev) for ev in range(first.alphabet.n_events)]
+    masks = [a.event_masks() for a in automata]
+    movers = [[] for _ in range(first.alphabet.n_events)]
+    for i, a in enumerate(automata):
+        for ev in _mask_events(a.moving_mask()):
+            movers[ev].append((i, a.succ_maps))
     init = tuple(a.initial for a in automata)
     index: dict[tuple[int, ...], int] = {init: 0}
     order: list[tuple[int, ...]] = [init]
 
     def rows():
         for t in order:  # grows while it is walked: breadth-first order
-            comp_rows = list(map(getitem, succs, t))
             row: dict[int, int] = {}
             for ev in _mask_events(reduce(and_, map(getitem, masks, t))):
-                tt = tuple(map(targets[ev], comp_rows))
+                moved = list(t)
+                for i, succ in movers[ev]:
+                    moved[i] = succ[t[i]][ev]
+                tt = tuple(moved)
                 tgt = index.get(tt)
                 if tgt is None:
                     tgt = index[tt] = len(order)
@@ -412,7 +448,7 @@ def _product(automata: Sequence[Automaton]):
                 row[ev] = tgt
             yield row
 
-    return order, rows(), masks
+    return order, rows()
 
 
 def _tuple_names(automata: Sequence[Automaton], order) -> list[str]:
@@ -437,7 +473,7 @@ def sync_product(automata: Sequence[Automaton]) -> Automaton:
     """
     if not automata:
         raise ValueError("sync_product needs at least one automaton")
-    order, rows, _ = _product(automata)
+    order, rows = _product(automata)
     rows = list(rows)
     marked = [i for i, m in enumerate(_tuple_marked(automata, order)) if m]
     return Automaton.__new__(Automaton)._from_rows(

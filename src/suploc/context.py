@@ -89,8 +89,8 @@ def build_context(plant: Automaton, sup: Automaton, agents) -> ControlContext:
     if plant.alphabet != sup.alphabet:
         raise ValueError("plant and supervisor must share one event table")
     n = sup.n_states
-    enabled = tuple(_event_mask(row) for row in sup.succ_maps)
-    plant_masks = [_event_mask(row) for row in plant.succ_maps]
+    enabled = sup.event_masks()
+    plant_masks = plant.event_masks()
 
     plant_can = [0] * n
     plant_marked = [False] * n
@@ -157,12 +157,12 @@ def synthesize_monolithic(plants, requirements=()) -> Automaton:
         raise ValueError("at least one plant automaton is required")
     table = plants[0].alphabet
     comps = plants + requirements
-    order, succ, masks = _product(comps)
+    order, succ = _product(comps)
     succ = list(succ)
     n = len(order)
     n_plants = len(plants)
     unc = _event_mask(e for e in range(table.n_events) if not table.controllable[e])
-    plant_masks = masks[:n_plants]
+    plant_masks = [a.event_masks() for a in plants]
     bad = [[name == FORBIDDEN_STATE for name in a.states] for a in requirements]
     all_marked = _tuple_marked(comps, order)
 

@@ -65,14 +65,14 @@ def check_control_equivalence(plant: Automaton, sup: Automaton, locs) -> Equival
     the product again, up to the failing tuple, for the counterexample.
     """
     comps = [sup, plant, *locs]
-    order, rows, masks = _product(comps)
-    loc_masks = masks[2:]
+    order, rows = _product(comps)
+    sup_masks, plant_masks, *loc_masks = [a.event_masks() for a in comps]
     loc_marked = [a.marked for a in comps[2:]]
     events = plant.alphabet.events
     for pos, _ in enumerate(rows):
         s, p, *ls = order[pos]
-        plant_mask = masks[1][p]
-        mono = masks[0][s] & plant_mask
+        plant_mask = plant_masks[p]
+        mono = sup_masks[s] & plant_mask
         local = reduce(and_, map(getitem, loc_masks, ls), plant_mask)
         if mono != local:
             extra = local & ~mono

@@ -24,6 +24,7 @@ from suploc.context import (
     build_context,
     synthesize_monolithic,
 )
+from suploc.equivalence import check_control_equivalence
 from suploc.localization import Cover, build_local_supervisor, localize
 from suploc.rng import SplitMix64
 
@@ -167,16 +168,126 @@ def test_product_matches_step_oracle():
             kind = rng.below(4)
             kinds_seen.add(min(kind, 2))
             comps.append(dead if kind == 0 else loops if kind == 1 else random_plant(rng, table, 8))
-        order, rows, masks = _product(comps)
+        order, rows = _product(comps)
         rows = list(rows)
         ref_order, ref_rows = reference_product(comps)
         assert order == ref_order
-        assert masks == [[sum(1 << ev for ev in row) for row in a.succ_maps] for a in comps]
+        assert [a.event_masks() for a in comps] == [
+            tuple(sum(1 << ev for ev in row) for row in a.succ_maps) for a in comps
+        ]
         assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
         # the product is reachable by construction, so trimming is a no-op
         p = sync_product(comps)
         assert reachable_trim(p) is p
     assert kinds_seen == {0, 1, 2}
+
+
+def local_mover(rng, table, own, idle, n):
+    """``n`` states moving only on the events of ``own``. Every other event
+    self-loops: those of ``idle`` at every state, the rest at some states,
+    as a tower plant self-loops on the other animals' events."""
+    triples = []
+    for x in range(n):
+        for e in range(table.n_events):
+            if e in own:
+                if rng.below(3):
+                    triples.append((x, e, rng.below(n)))
+            elif e in idle or rng.below(4):
+                triples.append((x, e, x))
+    return Automaton([f"m{x}" for x in range(n)], table, triples, 0)
+
+
+def every_mover(rng, table, n):
+    """``n`` >= 2 states that leave themselves on every transition and move
+    on every event somewhere."""
+    triples = []
+    for x in range(n):
+        for e in range(table.n_events):
+            if x == e % n or rng.below(2):
+                triples.append((x, e, (x + 1 + rng.below(n - 1)) % n))
+    return Automaton([f"a{x}" for x in range(n)], table, triples, 0)
+
+
+def assert_product_matches_oracle(comps):
+    order, rows = _product(comps)
+    rows = list(rows)
+    ref_order, ref_rows = reference_product(comps)
+    assert order == ref_order
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
+    return rows
+
+
+def test_product_matches_step_oracle_on_local_idle_and_global_events():
+    # Event-local components: each moves on its own events only, and one
+    # idle event moves no component, so a target tuple steps only the
+    # owner's position. Components that move on every event they enable
+    # make every position a mover of every event.
+    rng = SplitMix64(20261019)
+    for _ in range(150):
+        table = random_table(rng, max_events=7)
+        n_ev = table.n_events
+        events = list(range(n_ev))
+        rng.shuffle(events)
+        idle = {events.pop()}
+        comps = []
+        n_comps = 1 + rng.below(min(4, n_ev - 1))
+        for c in range(n_comps):
+            own = set(events[c::n_comps])
+            comps.append(local_mover(rng, table, own, idle, 1 + rng.below(5)))
+            assert comps[-1].moving_mask() & ~sum(1 << e for e in own) == 0
+        rows = assert_product_matches_oracle(comps)
+        (ev,) = idle
+        for pos, row in enumerate(rows):
+            assert row[ev] == pos  # enabled everywhere, moving no component
+
+        full = (1 << n_ev) - 1
+        movers = [every_mover(rng, table, 2 + rng.below(5)) for _ in range(1 + rng.below(3))]
+        assert all(a.moving_mask() == full for a in movers)
+        assert_product_matches_oracle(movers)
+
+
+def test_event_masks_and_moving_mask_are_built_on_first_use_and_kept():
+    rng = SplitMix64(7)
+    for plant, sup, agents in systems_corpus(11, 30):
+        for a in trusted_outputs(plant, sup, agents, rng):
+            assert a._masks is None and a._moving is None
+            fresh = Automaton(a.states, a.alphabet, a.iter_transitions(), a.initial, a.marked)
+            masks = a.event_masks()
+            assert masks == tuple(sum(1 << ev for ev in row) for row in a.succ_maps)
+            assert a.event_masks() is masks
+            moving = a.moving_mask()
+            assert moving == sum(
+                1 << ev for ev in range(a.alphabet.n_events)
+                if any(row.get(ev, x) != x for x, row in enumerate(a.succ_maps))
+            )
+            assert a._moving == moving and a.event_masks() is masks
+            assert a == fresh and fresh == a
+
+
+def test_context_and_equivalence_check_compute_each_mask_once(monkeypatch):
+    from suploc import automata
+
+    rows = []  # every successor row whose mask is computed
+
+    def counted(events):
+        if isinstance(events, dict):
+            rows.append(events)
+        return event_mask(events)
+
+    event_mask = automata._event_mask
+    monkeypatch.setattr(automata, "_event_mask", counted)
+    for plant, sup, agents in systems_corpus(23, 20):
+        rows.clear()
+        ctx = build_context(plant, sup, agents)
+        locs = [
+            build_local_supervisor(sup, localize(sup, ctx, s.agent_index), s.agent_index)
+            for s in agents
+        ]
+        assert ctx.enabled is sup.event_masks()
+        assert len(rows) == sup.n_states + plant.n_states
+        for _ in range(2):
+            check_control_equivalence(plant, sup, locs)
+            assert len(rows) == sup.n_states + plant.n_states + sum(a.n_states for a in locs)
 
 
 def test_sync_product_neutral_element(corpus_sup):

@@ -182,7 +182,7 @@ def watch_rows(monkeypatch):
     walks, alive = [], []
 
     def product(comps):
-        order, rows, masks = automata._product(comps)
+        order, rows = automata._product(comps)
         refs = []
         walks.append(refs)
 
@@ -195,7 +195,7 @@ def watch_rows(monkeypatch):
                 del row
                 alive.append(sum(ref() is not None for walk in walks for ref in walk))
 
-        return order, watched(), masks
+        return order, watched()
 
     monkeypatch.setattr(equivalence, "_product", product)
     return walks, alive
@@ -238,7 +238,7 @@ def test_check_stops_at_the_first_mismatch(monkeypatch):
             # the failing tuple: where the trace leads, before a language
             # failure's extra event
             comps = [sup, plant, *side]
-            order, rows, _ = automata._product(comps)
+            order, rows = automata._product(comps)
             rows = list(rows)
             events = plant.alphabet.events
             trace = verdict.counterexample

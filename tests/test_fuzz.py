@@ -1,0 +1,127 @@
+"""Seeded line-mutation fuzz of the input files: automata, covers and agent
+mappings. A malformed file raises only ``FormatError`` from its parser, and
+the CLI reports it on one line and exits 2."""
+
+import pytest
+
+from suploc.automata import FormatError, parse_automaton, sync_product, write_automaton
+from suploc.cli import _parse_mapping, main
+from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
+from suploc.context import agents_from_table, build_context
+from suploc.localization import localize, parse_cover, write_cover
+from suploc.rng import SplitMix64
+
+JUNK = (
+    "", "#", ":", "cell", "cell 0:", "[EVENTS]", "[STATES]", "[TRANS]", "initial",
+    "marked", "c", "u", "0", "1", "2", "-1", "99", "1.5", "x|y", "[", "\t",
+)
+
+
+def mutate(rng, text):
+    """``text`` after one to three seeded line-level edits: delete, copy or
+    swap lines, replace, drop or copy in a token, cut a line short or put a
+    junk token into it."""
+    lines = text.splitlines()
+    tokens = text.split() or [""]
+    for _ in range(1 + rng.below(3)):
+        if not lines:
+            lines.append(JUNK[rng.below(len(JUNK))])
+            continue
+        at = rng.below(len(lines))
+        words = lines[at].split()
+        op = rng.below(8)
+        if op == 0:
+            del lines[at]
+        elif op == 1:
+            lines.insert(rng.below(len(lines) + 1), lines[at])
+        elif op == 2:
+            other = rng.below(len(lines))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif op == 3 and words:
+            words[rng.below(len(words))] = tokens[rng.below(len(tokens))]
+            lines[at] = " ".join(words)
+        elif op == 4 and words:
+            del words[rng.below(len(words))]
+            lines[at] = " ".join(words)
+        elif op == 5:
+            lines[at] = lines[at][: rng.below(len(lines[at]) + 1)]
+        else:
+            words.insert(rng.below(len(words) + 1), JUNK[rng.below(len(JUNK))])
+            lines[at] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def tower_files(tmp_path_factory):
+    """The two-level tower's base supervisor and covers and its v1 plant and
+    supervisor, written as the CLI reads them, with an identity mapping."""
+    out = tmp_path_factory.mktemp("fuzz")
+    base = gen_cmt(CmtConfig(2, 1, "base"))
+    variant = gen_cmt(CmtConfig(2, 1, "v1"))
+    base_sup = synthesize_cmt(base)
+    agents = agents_from_table(base_sup.alphabet)
+    base_ctx = build_context(sync_product(base.plants), base_sup, agents)
+    files = {
+        "base_sup": write_automaton(base_sup),
+        "plant": write_automaton(sync_product(variant.plants)),
+        "sup": write_automaton(synthesize_cmt(variant)),
+        "mapping": "# variant agent, base agent\n1 1\n2 2\n",
+    }
+    for k in sorted(base_ctx.disabled):
+        files[f"cover{k}"] = write_cover(localize(base_sup, base_ctx, k), base_sup)
+    paths = {}
+    for name, text in files.items():
+        paths[name] = out / name
+        paths[name].write_text(text, encoding="utf-8")
+    return out, files, paths, base_sup
+
+
+def tsl_argv(paths, out):
+    return [
+        "tsl",
+        "--base-cover", str(paths["cover1"]),
+        "--base-cover", str(paths["cover2"]),
+        "--base-sup", str(paths["base_sup"]),
+        "--plant", str(paths["plant"]),
+        "--sup", str(paths["sup"]),
+        "--mapping", str(paths["mapping"]),
+        "--out-prefix", str(out / "variant"),
+    ]
+
+
+@pytest.mark.parametrize("target", ["sup", "cover1", "mapping"])
+def test_mutated_input_raises_only_format_errors_and_exits_2(tower_files, target, capsys):
+    out, files, paths, base_sup = tower_files
+    mutant_path = out / f"mutant-{target}"
+    parse = {
+        "sup": parse_automaton,
+        "cover1": lambda text: parse_cover(text, base_sup),
+        "mapping": lambda text: _parse_mapping(mutant_path, 2, 2),
+    }[target]
+    argv = tsl_argv({**paths, target: mutant_path}, out)
+    rng = SplitMix64(20261019)
+    rejected = 0
+    accepted = 0
+    for _ in range(600):
+        text = mutate(rng, files[target])
+        mutant_path.write_text(text, encoding="utf-8")
+        try:
+            parse(text)
+        except FormatError as exc:
+            error = str(exc)
+            rejected += 1
+        else:
+            error = None
+        # the CLI runs on every accepted mutant and on every tenth rejected one
+        if error is not None and rejected % 10:
+            continue
+        capsys.readouterr()
+        code = main(argv)  # an exception that main lets through fails the test
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if error is None:
+            assert code in (0, 1, 2)
+            accepted += 1
+        else:
+            assert (code, err) == (2, f"error: {error}\n")
+    assert rejected >= 300 and accepted >= 20, (rejected, accepted)

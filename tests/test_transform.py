@@ -8,10 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suploc import transform
-from suploc.automata import Automaton, EventTable
+from suploc.automata import Automaton, EventTable, apply_state_order
 from suploc.context import ControlContext, agents_from_table, build_context
 from suploc.equivalence import check_control_equivalence
-from suploc.localization import Cover, is_control_congruence, localize, write_cover
+from suploc.localization import (
+    Cover,
+    build_local_supervisor,
+    is_control_congruence,
+    localize,
+    write_cover,
+)
 from suploc.rng import SplitMix64
 from suploc.transform import carry_over_cover, isolate, tsl
 
@@ -495,3 +501,38 @@ def test_renaming_states_keeps_every_cover_and_verdict(tower2_systems):
                 assert (again.valid, again.witness) == (verdict.valid, expected(verdict.witness))
                 invalid += not verdict
     assert invalid == 4
+
+
+def test_reindexing_keeps_every_cover_congruent_and_equivalent(tower2_systems):
+    # localize and tsl order their work by state index, so a seeded
+    # reindexing of the base and variant supervisors may change the cells
+    # they find, but each cover stays a control congruence and its
+    # quotients control the plant exactly like the supervisor
+    rng = SplitMix64(20261019)
+    base_plant, base_sup, base_ctx = tower2_systems["base"]
+    unshuffled = {}
+    for variant in ("base", "v1", "v2", "v3", "v4", "v5"):
+        plant, sup, ctx = tower2_systems[variant]
+        unshuffled[variant] = [localize(sup, ctx, k).n_cells for k in sorted(ctx.disabled)]
+    changed = 0
+    for _ in range(3):
+        base = apply_state_order(base_sup, rng.permutation(base_sup.n_states))
+        ctx = build_context(base_plant, base, agents_from_table(base.alphabet))
+        base_covers = [localize(base, ctx, k) for k in sorted(ctx.disabled)]
+        for variant in ("base", "v1", "v2", "v3", "v4", "v5"):
+            plant, sup, _ = tower2_systems[variant]
+            sup = apply_state_order(sup, rng.permutation(sup.n_states))
+            ctx = build_context(plant, sup, agents_from_table(sup.alphabet))
+            agents = sorted(ctx.disabled)
+            mapping = tuple(k if k <= len(base_covers) else 0 for k in agents)
+            sl_covers = [localize(sup, ctx, k) for k in agents]
+            tsl_covers = tsl(base_covers, base, sup, ctx, mapping)[1]
+            changed += [c.n_cells for c in sl_covers] != unshuffled[variant]
+            for covers in (sl_covers, tsl_covers):
+                for k, cover in zip(agents, covers):
+                    verdict = is_control_congruence(sup, ctx, k, cover)
+                    assert verdict, (variant, k, verdict.witness)
+                locs = [build_local_supervisor(sup, c, k) for k, c in zip(agents, covers)]
+                verdict = check_control_equivalence(plant, sup, locs)
+                assert verdict, (variant, verdict.direction, verdict.counterexample)
+    assert changed > 0
