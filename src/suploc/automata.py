@@ -72,6 +72,11 @@ class EventTable:
         return max(self.agent_of, default=0)
 
 
+def _ascending(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """``rows``, with each row given out of event order (as in a hand-written file) sorted."""
+    return [row if list(row) == sorted(row) else dict(sorted(row.items())) for row in rows]
+
+
 class Automaton:
     """Deterministic finite automaton over a shared :class:`EventTable`.
 
@@ -122,10 +127,7 @@ class Automaton:
                     f"on {alphabet.events[ev]!r}"
                 )
             row[ev] = dst
-        # Only rows given out of event order, as in a hand-written file,
-        # are rebuilt.
-        rows = [row if list(row) == sorted(row) else dict(sorted(row.items())) for row in succ]
-        self._from_rows(states, alphabet, rows, initial, marked)
+        self._from_rows(states, alphabet, _ascending(succ), initial, marked)
 
     def _from_rows(self, states, alphabet, rows, initial, marked) -> "Automaton":
         """Set every field from ascending ``{event: target}`` rows, and return
@@ -262,8 +264,7 @@ def parse_automaton(text: str) -> Automaton:
     st_seen: dict[str, int] = {}
     initial: int | None = None
     marked: list[int] = []
-    triples: list[tuple[int, int, int]] = []
-    trans_seen: set[tuple[int, int]] = set()
+    rows: list[dict[int, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -309,6 +310,7 @@ def parse_automaton(text: str) -> Automaton:
                 raise FormatError(f"duplicate state name {name!r}", lineno)
             st_seen[name] = len(st_names)
             st_names.append(name)
+            rows.append({})
             flags = tokens[1:]
             if any(f not in ("initial", "marked") for f in flags) or len(set(flags)) != len(flags):
                 raise FormatError("state flags must be at most one 'initial' and one 'marked'", lineno)
@@ -328,11 +330,10 @@ def parse_automaton(text: str) -> Automaton:
                 raise FormatError(f"undeclared state {dst!r}", lineno)
             if ev not in ev_seen:
                 raise FormatError(f"undeclared event {ev!r}", lineno)
-            key = (st_seen[src], ev_seen[ev])
-            if key in trans_seen:
+            row = rows[st_seen[src]]
+            if ev_seen[ev] in row:
                 raise FormatError(f"duplicate transition from {src!r} on {ev!r}", lineno)
-            trans_seen.add(key)
-            triples.append((st_seen[src], ev_seen[ev], st_seen[dst]))
+            row[ev_seen[ev]] = st_seen[dst]
         else:
             raise FormatError("content before [EVENTS] section", lineno)
 
@@ -346,9 +347,12 @@ def parse_automaton(text: str) -> Automaton:
         raise FormatError("agent indices must be contiguous from 1", lineno)
     try:
         table = EventTable(tuple(ev_names), tuple(ev_ctrl), tuple(ev_agent))
-        return Automaton(st_names, table, triples, initial, marked)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    # Every name, reference and repeat was checked above, line by line.
+    return Automaton.__new__(Automaton)._from_rows(
+        st_names, table, _ascending(rows), initial, marked
+    )
 
 
 def write_automaton(a: Automaton) -> str:

@@ -277,13 +277,13 @@ def run_bench(
     n_agents = base.system.table.n_agents
     rows: list[BenchRow] = []
 
-    # The start time of every generation-2 collection; after each agent the
-    # ones inside its timed sections are counted and the list is emptied.
-    gen2_starts: list[float] = []
+    # How many generation-2 collections have started; read at each section
+    # boundary, its differences count the collections inside each section.
+    gen2_started = [0]
 
     def note_gen2(phase, info):
         if phase == "start" and info["generation"] == 2:
-            gen2_starts.append(time.perf_counter())
+            gen2_started[0] += 1
 
     gc.callbacks.append(note_gen2)
     try:
@@ -303,22 +303,16 @@ def run_bench(
                 covers_sl: list[Cover] = []
                 covers_tsl: list[Cover] = []
                 for k in range(1, n_agents + 1):
-                    t0 = time.perf_counter()
+                    n0, t0 = gen2_started[0], time.perf_counter()
                     cover_sl = localize(variant_sup, ctx, k)
-                    t1 = time.perf_counter()
+                    n1, t1 = gen2_started[0], time.perf_counter()
                     carried = carry_over_cover(base_covers[k - 1], base_sup, variant_sup)
                     cover_iso = isolate(
                         base_covers[k - 1], base_sup, variant_sup, ctx, k, carried=carried
                     )
-                    t2 = time.perf_counter()
+                    n2, t2 = gen2_started[0], time.perf_counter()
                     cover_tsl = localize(variant_sup, ctx, k, cover_iso)
-                    t3 = time.perf_counter()
-                    bounds = (t0, t1, t2, t3)
-                    gen2 = tuple(
-                        sum(lo <= at < hi for at in gen2_starts)
-                        for lo, hi in zip(bounds, bounds[1:])
-                    )
-                    gen2_starts.clear()
+                    n3, t3 = gen2_started[0], time.perf_counter()
                     rows.append(
                         BenchRow(
                             variant=item.name,
@@ -332,7 +326,7 @@ def run_bench(
                             cells_initial_guess=carried.n_cells,
                             cells_isolated=cover_iso.n_cells,
                             cells_tsl=cover_tsl.n_cells,
-                            gen2_collections=gen2,
+                            gen2_collections=(n1 - n0, n2 - n1, n3 - n2),
                         )
                     )
                     covers_sl.append(cover_sl)

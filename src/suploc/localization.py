@@ -96,8 +96,8 @@ def write_cover(cover: Cover, automaton: Automaton) -> str:
 
 
 def parse_cover(text: str, automaton: Automaton) -> Cover:
-    cells: list[list[int]] = []
-    line_of: dict[int, int] = {}
+    # cell_of[x] is the line of x's cell, -1 until x is placed.
+    cell_of = [-1] * automaton.n_states
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,17 +112,16 @@ def parse_cover(text: str, automaton: Automaton) -> Cover:
         if not members:
             raise FormatError("empty cell", lineno)
         for x in members:
-            if x in line_of:
-                where = "twice in one cell" if line_of[x] == lineno else "in two cells"
+            if cell_of[x] != -1:
+                where = "twice in one cell" if cell_of[x] == lineno else "in two cells"
                 raise FormatError(f"state {automaton.states[x]!r} appears {where}", lineno)
-            line_of[x] = lineno
-        cells.append(members)
-    if len(line_of) < automaton.n_states:
-        x = next(x for x in range(automaton.n_states) if x not in line_of)
+            cell_of[x] = lineno
+    if -1 in cell_of:
+        x = cell_of.index(-1)
         raise FormatError(
             f"cells do not cover every state: state {automaton.states[x]!r} is in no cell"
         )
-    return Cover.from_cells(cells, automaton.n_states)
+    return Cover(cell_of)
 
 
 def load_cover(path, automaton: Automaton) -> Cover:
@@ -368,9 +367,9 @@ def localize(
 
 
 class _Counts:
-    """The counters of one cell of two or more states: its size, how many
-    members step into each cell on each event, and the mask ``split`` of the
-    events on which they step into two or more cells.
+    """The counters of one cell of two or more states: how many members
+    step into each cell on each event, and the mask ``split`` of the events
+    on which they step into two or more cells.
 
     A cell whose control summary clashes with itself also keeps that
     ``summary`` and its member list; other cells keep None. The cell is
@@ -380,10 +379,9 @@ class _Counts:
     dropped. Members only leave, and :func:`_clash` is monotone, so the
     summary of any other cell can never clash and is not kept."""
 
-    __slots__ = ("size", "steps", "split", "summary", "members")
+    __slots__ = ("steps", "split", "summary", "members")
 
     def __init__(self, cell, succ, cell_of, ctx: ControlContext, agent: int):
-        self.size = len(cell)
         steps: dict[int, dict[int, int]] = {}
         for x in cell:
             for ev, t in succ[x].items():
@@ -403,7 +401,6 @@ class _Counts:
 
     def remove(self, x, row, cell_of, ctx, agent) -> None:
         """Take out member ``x``, whose successor row is ``row``."""
-        self.size -= 1
         steps = self.steps
         for ev, t in row.items():
             targets = steps[ev]

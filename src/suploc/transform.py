@@ -12,7 +12,7 @@ still allows.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import compress, count
 from operator import and_
 
 from .automata import Automaton
@@ -72,11 +72,12 @@ def isolate(
     cell's or it enables an event on which the members step into two cells.
     An eviction takes the state out of its cell's counters and moves each
     predecessor's count on that event to the state's new cell. New
-    singletons get no counters, since isolation never merges.
+    singletons get no counters, since isolation never merges, and a
+    counted cell left with one member is clean.
     """
     _check_agent(ctx, agent, variant)
-    if any(map(and_, ctx.enabled, ctx.disabled[agent])):
-        x = next(x for x, bits in enumerate(map(and_, ctx.enabled, ctx.disabled[agent])) if bits)
+    x = next(compress(count(), map(and_, ctx.enabled, ctx.disabled[agent])), None)
+    if x is not None:
         raise ValueError(
             f"state {variant.states[x]!r} enables an event the context withholds from agent {agent}"
         )
@@ -100,7 +101,7 @@ def isolate(
         changed = False
         for x, row in enumerate(succ):
             home = counts[cell_of[x]]
-            if home is None or home.size == 1:
+            if home is None:
                 continue
             mine = home.summary and _summary(ctx, agent, (x,))
             if not (enabled[x] & home.split or mine and _clash(mine, home.summary)):

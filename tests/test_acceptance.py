@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import pytest
 
 from suploc.automata import sync_product
-from suploc.bench import run_bench
+from suploc.bench import TIMED_COLUMNS, run_bench
 from suploc.context import build_context
 from suploc.equivalence import check_control_equivalence
 from suploc.localization import build_local_supervisor, is_control_congruence, localize
@@ -220,6 +220,13 @@ def test_criterion_5_tower_calibration(cmt_supervisors):
     report(5, "all six supervisor sizes match the published numbers exactly")
 
 
+def gen2_totals(report, variant, agent):
+    """Per timed section, the generation-2 collections that started in it
+    over the runs of (variant, agent)."""
+    sub = [r.gen2_collections for r in report.rows if (r.variant, r.agent) == (variant, agent)]
+    return dict(zip(TIMED_COLUMNS, map(sum, zip(*sub))))
+
+
 def test_criterion_6_relative_speed(bench_report):
     always_faster = ("v1", "v3", "v4", "v5")
     details = []
@@ -227,7 +234,9 @@ def test_criterion_6_relative_speed(bench_report):
         if agg.variant in always_faster:
             assert agg.tsl_seconds < agg.sl_seconds, (
                 f"{agg.variant} agent {agg.agent}: transformational "
-                f"{agg.tsl_seconds:.3f}s not below from-scratch {agg.sl_seconds:.3f}s"
+                f"{agg.tsl_seconds:.3f}s not below from-scratch {agg.sl_seconds:.3f}s; "
+                f"generation-2 collections: "
+                f"{gen2_totals(bench_report, agg.variant, agg.agent)}"
             )
     overall = bench_report.overall_pct_change
     assert overall < 0.0

@@ -1,14 +1,21 @@
 """Seeded line-mutation fuzz of the input files: automata, covers and agent
 mappings. A malformed file raises only ``FormatError`` from its parser, and
-the CLI reports it on one line and exits 2."""
+the CLI reports it on one line and exits 2. What a parser accepts passes the
+public constructor's checks, which the parsers do not run again."""
 
 import pytest
 
-from suploc.automata import FormatError, parse_automaton, sync_product, write_automaton
+from suploc.automata import (
+    Automaton,
+    FormatError,
+    parse_automaton,
+    sync_product,
+    write_automaton,
+)
 from suploc.cli import _parse_mapping, main
 from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
 from suploc.context import agents_from_table, build_context
-from suploc.localization import localize, parse_cover, write_cover
+from suploc.localization import Cover, localize, parse_cover, write_cover
 from suploc.rng import SplitMix64
 
 JUNK = (
@@ -98,6 +105,14 @@ def test_mutated_input_raises_only_format_errors_and_exits_2(tower_files, target
         "cover1": lambda text: parse_cover(text, base_sup),
         "mapping": lambda text: _parse_mapping(mutant_path, 2, 2),
     }[target]
+    # What the public constructor builds from an accepted mutant's parts.
+    rebuild = {
+        "sup": lambda a: Automaton(
+            a.states, a.alphabet, a.iter_transitions(), a.initial, a.marked
+        ),
+        "cover1": lambda c: Cover.from_cells(c.cells(), base_sup.n_states),
+        "mapping": lambda mapping: mapping,
+    }[target]
     argv = tsl_argv({**paths, target: mutant_path}, out)
     rng = SplitMix64(20261019)
     rejected = 0
@@ -106,12 +121,15 @@ def test_mutated_input_raises_only_format_errors_and_exits_2(tower_files, target
         text = mutate(rng, files[target])
         mutant_path.write_text(text, encoding="utf-8")
         try:
-            parse(text)
+            parsed = parse(text)
         except FormatError as exc:
             error = str(exc)
             rejected += 1
         else:
             error = None
+            assert rebuild(parsed) == parsed
+            if target == "sup":  # == compares rows as dicts, so not their order
+                assert all(list(row) == sorted(row) for row in parsed.succ_maps)
         # the CLI runs on every accepted mutant and on every tenth rejected one
         if error is not None and rejected % 10:
             continue
