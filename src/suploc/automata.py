@@ -199,13 +199,16 @@ class Automaton:
             self._moving = moving
         return self._moving
 
-    def index_of(self, name: str) -> int:
-        """The position of the state named ``name``; the name index is built
-        on first use and kept."""
+    def _index(self) -> dict[str, int]:
+        """The name index ``{state name: position}``, built on first use and kept."""
         if self._name_index is None:
             self._name_index = {state: pos for pos, state in enumerate(self.states)}
+        return self._name_index
+
+    def index_of(self, name: str) -> int:
+        """The position of the state named ``name``."""
         try:
-            return self._name_index[name]
+            return self._index()[name]
         except KeyError:
             raise ValueError(f"unknown state {name!r}") from None
 
@@ -345,11 +348,8 @@ def parse_automaton(text: str) -> Automaton:
     if gaps:
         lineno = next(at for at, k in zip(ev_line, ev_agent) if k > min(gaps))
         raise FormatError("agent indices must be contiguous from 1", lineno)
-    try:
-        table = EventTable(tuple(ev_names), tuple(ev_ctrl), tuple(ev_agent))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-    # Every name, reference and repeat was checked above, line by line.
+    # Every name, reference, repeat and event-table rule was checked above.
+    table = EventTable(tuple(ev_names), tuple(ev_ctrl), tuple(ev_agent))
     return Automaton.__new__(Automaton)._from_rows(
         st_names, table, _ascending(rows), initial, marked
     )
@@ -440,7 +440,11 @@ def _product(automata: Sequence[Automaton]):
     def rows():
         for t in order:  # grows while it is walked: breadth-first order
             row: dict[int, int] = {}
-            for ev in _mask_events(reduce(and_, map(getitem, masks, t))):
+            m = reduce(and_, map(getitem, masks, t))
+            while m:  # the set bits of m, ascending, as in _mask_events
+                low = m & -m
+                m ^= low
+                ev = low.bit_length() - 1
                 moved = list(t)
                 for i, succ in movers[ev]:
                     moved[i] = succ[t[i]][ev]

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Automaton, EventTable, project_state_names
-from .context import agents_from_table, synthesize_monolithic
+from .automata import Automaton, EventTable
+from .context import _synthesize, agents_from_table
 
 VARIANTS = ("base", "v1", "v2", "v3", "v4", "v5")
 
@@ -251,9 +251,9 @@ def _top_floor_monitor(cfg, ev_meta, table) -> Automaton:
 
 
 def synthesize_cmt(system: CmtSystem) -> Automaton:
-    """Synthesize the monolithic supervisor and rename its states to the
-    animal configuration (the monitor components add no information, so the
-    projection is injective on reachable supervisor states). Configuration
-    names are stable across variants, which is what lets covers carry over."""
-    sup = synthesize_monolithic(system.plants, system.requirements)
-    return project_state_names(sup, len(system.plants))
+    """Synthesize the monolithic supervisor with each state named after its
+    animal configuration, the plant components of its tuple (the monitor
+    components add no information, so this naming is injective on reachable
+    supervisor states). Configuration names are stable across variants,
+    which is what lets covers carry over."""
+    return _synthesize(system.plants, system.requirements, len(system.plants))

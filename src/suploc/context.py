@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from operator import and_, getitem
 
 from .automata import (
@@ -84,10 +85,21 @@ def build_context(plant: Automaton, sup: Automaton, agents) -> ControlContext:
     ``sup`` must be a sub-behavior of ``plant``: every trace of the
     supervisor is executable in the plant. A supervisor transition that the
     plant cannot take at a jointly reached state pair raises ``ValueError``
-    naming the supervisor state, the plant state and the event.
+    naming the supervisor state, the plant state and the event, and so does
+    an agent that lists an event out of range, uncontrollable or another's.
     """
-    if plant.alphabet != sup.alphabet:
+    table = sup.alphabet
+    if plant.alphabet != table:
         raise ValueError("plant and supervisor must share one event table")
+    for spec in agents:
+        k = spec.agent_index
+        for ev in sorted(spec.controllable):
+            if not 0 <= ev < table.n_events:
+                raise ValueError(f"agent {k} lists event index {ev}, which is out of range")
+            owner = table.agent_of[ev]
+            if not table.controllable[ev] or owner != k:
+                why = f"owned by agent {owner}" if owner != k else "uncontrollable"
+                raise ValueError(f"agent {k} lists event {table.events[ev]!r}, which is {why}")
     n = sup.n_states
     enabled = sup.event_masks()
     plant_masks = plant.event_masks()
@@ -113,7 +125,7 @@ def build_context(plant: Automaton, sup: Automaton, agents) -> ControlContext:
             if p is None:
                 raise ValueError(
                     f"supervisor is not a sub-behavior of the plant: supervisor state "
-                    f"{sup.states[x]!r} takes {sup.alphabet.events[ev]!r}, which plant "
+                    f"{sup.states[x]!r} takes {table.events[ev]!r}, which plant "
                     f"state {plant.states[q]!r} lacks"
                 )
             pair = (y, p)
@@ -151,6 +163,12 @@ def synthesize_monolithic(plants, requirements=()) -> Automaton:
     tuples, named by joining component state names with ``|``. Raises
     :class:`SynthesisEmptyError` when nothing survives.
     """
+    return _synthesize(plants, requirements, None)
+
+
+def _synthesize(plants, requirements, named: int | None) -> Automaton:
+    """:func:`synthesize_monolithic` naming each kept tuple by its first
+    ``named`` components (all when None); a non-injective naming raises."""
     plants = list(plants)
     requirements = list(requirements)
     if not plants:
@@ -166,27 +184,27 @@ def synthesize_monolithic(plants, requirements=()) -> Automaton:
     bad = [[name == FORBIDDEN_STATE for name in a.states] for a in requirements]
     all_marked = _tuple_marked(comps, order)
 
+    # Removed are the states a requirement forbids or where the plants can
+    # execute an uncontrollable event the product lacks, found in the pass
+    # that fills the predecessor lists; then, backwards over uncontrollable
+    # transitions, every state that can be forced into a removed one, and
+    # every state that cannot reach a marked one.
     preds: list[list[int]] = [[] for _ in order]
     unc_preds: list[list[int]] = [[] for _ in order]
-    unc_out = [0] * n
-    for src, row in enumerate(succ):
+    removed = []
+    for src, (t, row) in enumerate(zip(order, succ)):
+        unc_out = 0
         for ev, tgt in row.items():
             preds[tgt].append(src)
             if unc >> ev & 1:
                 unc_preds[tgt].append(src)
-                unc_out[src] |= 1 << ev
+                unc_out |= 1 << ev
+        if reduce(and_, map(getitem, plant_masks, t), unc) & ~unc_out or any(
+            map(getitem, bad, t[n_plants:])
+        ):
+            removed.append(src)
 
-    # Removed are the states a requirement forbids or where the plants can
-    # execute an uncontrollable event the product lacks; then, backwards over
-    # uncontrollable transitions, every state that can be forced into a
-    # removed one, and every state that cannot reach a marked one.
     good = [True] * n
-    removed = [
-        x
-        for x, t in enumerate(order)
-        if reduce(and_, map(getitem, plant_masks, t), unc) & ~unc_out[x]
-        or any(map(getitem, bad, t[n_plants:]))
-    ]
     while True:
         for x in removed:
             good[x] = False
@@ -195,33 +213,35 @@ def synthesize_monolithic(plants, requirements=()) -> Automaton:
                 if good[x]:
                     good[x] = False
                     removed.append(x)
-        co = {x for x in range(n) if good[x] and all_marked[x]}
-        frontier = list(co)
+        co = list(map(and_, good, all_marked))
+        frontier = list(compress(range(n), co))
         while frontier:
             for x in preds[frontier.pop()]:
-                if good[x] and x not in co:
-                    co.add(x)
+                if good[x] and not co[x]:
+                    co[x] = True
                     frontier.append(x)
-        removed = [x for x in range(n) if good[x] and x not in co]
+        removed = [x for x in range(n) if good[x] and not co[x]]
         if not removed:
             break
 
     if not good[0]:
         raise SynthesisEmptyError("synthesis removed all behavior; no supervisor exists")
 
-    reach = {0}
+    reach = [True] + [False] * (n - 1)
     frontier = [0]
     while frontier:
         for tgt in succ[frontier.pop()].values():
-            if good[tgt] and tgt not in reach:
-                reach.add(tgt)
+            if good[tgt] and not reach[tgt]:
+                reach[tgt] = True
                 frontier.append(tgt)
-    keep = sorted(reach)
+    keep = list(compress(range(n), reach))
     remap = [0] * n
     for new, old in enumerate(keep):
         remap[old] = new
     # ``reach`` holds every good successor of its states.
     rows = [{ev: remap[tgt] for ev, tgt in succ[src].items() if good[tgt]} for src in keep]
-    names = _tuple_names(comps, [order[i] for i in keep])
+    names = _tuple_names(comps[:named], [order[i] for i in keep])
+    if named is not None and len(set(names)) != len(names):
+        raise ValueError("state-name projection is not injective")
     marked = [remap[i] for i in keep if all_marked[i]]
     return Automaton.__new__(Automaton)._from_rows(names, table, rows, 0, marked)

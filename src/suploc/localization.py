@@ -449,16 +449,21 @@ def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> Automato
     """
     if len(cover.cell_of) != sup.n_states:
         raise ValueError("cover size does not match the supervisor")
-    # Quotient state k is cell k of the cover; its leader is its least member.
+    # Quotient state k is cell k of the cover. Its leader, its least member,
+    # is met first in state order and starts its row. splits names, for each
+    # cell whose members step into two cells on one event, the first such
+    # event met.
     cell_pos = cover.cell_of
-    leaders = [cell[0] for cell in cover.cells()]
-    # Rows are filled in state order; splits names, for each cell whose
-    # members step into two cells on one event, the first such event met.
-    rows: list[dict[int, int]] = [{} for _ in leaders]
+    leaders: list[int] = []
+    rows: list[dict[int, int]] = []
     splits: dict[int, int] = {}
-    for x, pos in enumerate(cell_pos):
+    for x, (pos, out) in enumerate(zip(cell_pos, sup.succ_maps)):
+        if pos == len(leaders):
+            leaders.append(x)
+            rows.append({ev: cell_pos[y] for ev, y in out.items()})
+            continue
         row = rows[pos]
-        for ev, y in sup.succ_maps[x].items():
+        for ev, y in out.items():
             tgt = cell_pos[y]
             if row.setdefault(ev, tgt) != tgt:
                 splits.setdefault(pos, ev)

@@ -36,9 +36,10 @@ def carry_over_cover(base_cover: Cover, base: Automaton, variant: Automaton) -> 
     """
     if len(base_cover.cell_of) != base.n_states:
         raise ValueError("base cover size does not match the base supervisor")
-    base_cell = dict(zip(base.states, base_cover.cell_of))
+    index = base._index()
+    cell = base_cover.cell_of
     fresh = count(base_cover.n_cells)
-    return Cover(base_cell[name] if name in base_cell else next(fresh) for name in variant.states)
+    return Cover(cell[index[name]] if name in index else next(fresh) for name in variant.states)
 
 
 def isolate(

@@ -12,11 +12,22 @@ state names, which is what the transformational tests rely on.
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
 from itertools import combinations
+from operator import and_, getitem
 
-from suploc.automata import Automaton, EventTable, reachable_trim, sync_product
+from suploc.automata import (
+    Automaton,
+    EventTable,
+    _event_mask,
+    _product,
+    _tuple_marked,
+    _tuple_names,
+    reachable_trim,
+    sync_product,
+)
 from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
-from suploc.context import agents_from_table
+from suploc.context import FORBIDDEN_STATE, SynthesisEmptyError, agents_from_table
 from suploc.equivalence import EquivalenceVerdict
 from suploc.localization import Cover, CoverVerdict, _clash, _pair_clash, _summary
 from suploc.rng import SplitMix64
@@ -550,3 +561,97 @@ def reference_isolate(base_cover, base, variant, ctx, agent, *, carried=None):
                 members.append([x])
                 changed = True
     return Cover(cell_of)
+
+
+def reference_synthesize(plants, requirements=()) -> Automaton:
+    """The set-based two-pass synthesis ``synthesize_monolithic`` ran before
+    its bookkeeping became one pass, kept as its oracle: the supremal
+    controllable and nonblocking supervisor for plants under requirement
+    automata.
+
+    All automata share one event table. Requirements may express state-based
+    prohibitions through a dead sink state named ``bad`` (``FORBIDDEN_STATE``):
+    any product state whose requirement component sits in such a state is
+    removed. Language-based requirements must be complete with respect to
+    uncontrollable events; a requirement that withholds an uncontrollable
+    event the plants can execute renders the source state uncontrollable and
+    it is removed.
+
+    Returns a deterministic automaton whose states are the surviving product
+    tuples, named by joining component state names with ``|``. Raises
+    :class:`SynthesisEmptyError` when nothing survives.
+    """
+    plants = list(plants)
+    requirements = list(requirements)
+    if not plants:
+        raise ValueError("at least one plant automaton is required")
+    table = plants[0].alphabet
+    comps = plants + requirements
+    order, succ = _product(comps)
+    succ = list(succ)
+    n = len(order)
+    n_plants = len(plants)
+    unc = _event_mask(e for e in range(table.n_events) if not table.controllable[e])
+    plant_masks = [a.event_masks() for a in plants]
+    bad = [[name == FORBIDDEN_STATE for name in a.states] for a in requirements]
+    all_marked = _tuple_marked(comps, order)
+
+    preds: list[list[int]] = [[] for _ in order]
+    unc_preds: list[list[int]] = [[] for _ in order]
+    unc_out = [0] * n
+    for src, row in enumerate(succ):
+        for ev, tgt in row.items():
+            preds[tgt].append(src)
+            if unc >> ev & 1:
+                unc_preds[tgt].append(src)
+                unc_out[src] |= 1 << ev
+
+    # Removed are the states a requirement forbids or where the plants can
+    # execute an uncontrollable event the product lacks; then, backwards over
+    # uncontrollable transitions, every state that can be forced into a
+    # removed one, and every state that cannot reach a marked one.
+    good = [True] * n
+    removed = [
+        x
+        for x, t in enumerate(order)
+        if reduce(and_, map(getitem, plant_masks, t), unc) & ~unc_out[x]
+        or any(map(getitem, bad, t[n_plants:]))
+    ]
+    while True:
+        for x in removed:
+            good[x] = False
+        while removed:
+            for x in unc_preds[removed.pop()]:
+                if good[x]:
+                    good[x] = False
+                    removed.append(x)
+        co = {x for x in range(n) if good[x] and all_marked[x]}
+        frontier = list(co)
+        while frontier:
+            for x in preds[frontier.pop()]:
+                if good[x] and x not in co:
+                    co.add(x)
+                    frontier.append(x)
+        removed = [x for x in range(n) if good[x] and x not in co]
+        if not removed:
+            break
+
+    if not good[0]:
+        raise SynthesisEmptyError("synthesis removed all behavior; no supervisor exists")
+
+    reach = {0}
+    frontier = [0]
+    while frontier:
+        for tgt in succ[frontier.pop()].values():
+            if good[tgt] and tgt not in reach:
+                reach.add(tgt)
+                frontier.append(tgt)
+    keep = sorted(reach)
+    remap = [0] * n
+    for new, old in enumerate(keep):
+        remap[old] = new
+    # ``reach`` holds every good successor of its states.
+    rows = [{ev: remap[tgt] for ev, tgt in succ[src].items() if good[tgt]} for src in keep]
+    names = _tuple_names(comps, [order[i] for i in keep])
+    marked = [remap[i] for i in keep if all_marked[i]]
+    return Automaton.__new__(Automaton)._from_rows(names, table, rows, 0, marked)

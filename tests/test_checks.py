@@ -5,17 +5,26 @@ list of automata, and the generator."""
 import pytest
 
 from suploc.automata import Automaton, EventTable, FormatError, parse_automaton, sync_product
-from suploc.context import synthesize_monolithic
+from suploc.context import AgentSpec, build_context, synthesize_monolithic
 from suploc.localization import Cover, build_local_supervisor, is_control_congruence, localize
 from suploc.rng import SplitMix64
 from suploc.transform import carry_over_cover
 
 ONE_EVENT = EventTable(("a",), (True,), (1,))
 SHORT = Cover.singleton(4)  # the corpus supervisor has five states
+# Agent 1 owns a and the uncontrollable u, agent 2 owns b.
+SPLIT = EventTable(("a", "b", "u"), (True, True, False), (1, 2, 1))
 
 
 def automaton(states=("p", "q"), transitions=(), initial=0, marked=()):
     return Automaton(states, ONE_EVENT, transitions, initial, marked)
+
+
+def context_for(table, *controllable):
+    """``build_context`` of a one-state automaton over ``table`` against
+    itself, with agent 1 listing the ``controllable`` event indices."""
+    a = Automaton(("p",), table, (), 0)
+    return build_context(a, a, [AgentSpec(1, frozenset(controllable))])
 
 
 # Each case is a call on the five-state corpus supervisor and its context,
@@ -80,6 +89,21 @@ CASES = {
         lambda sup, ctx: synthesize_monolithic([]),
         ValueError,
         "at least one plant automaton is required",
+    ),
+    "context-agent-event-out-of-range": (
+        lambda sup, ctx: context_for(SPLIT, 0, 3),
+        ValueError,
+        "agent 1 lists event index 3, which is out of range",
+    ),
+    "context-agent-event-uncontrollable": (
+        lambda sup, ctx: context_for(SPLIT, 0, 2),
+        ValueError,
+        "agent 1 lists event 'u', which is uncontrollable",
+    ),
+    "context-agent-event-of-another-agent": (
+        lambda sup, ctx: context_for(SPLIT, 0, 1),
+        ValueError,
+        "agent 1 lists event 'b', which is owned by agent 2",
     ),
     "localize-init-size": (
         lambda sup, ctx: localize(sup, ctx, 1, SHORT),

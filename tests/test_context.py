@@ -2,16 +2,25 @@
 
 import pytest
 
-from suploc.automata import Automaton, EventTable, _event_mask, _mask_events, reachable_trim
+from suploc.automata import (
+    Automaton,
+    EventTable,
+    _event_mask,
+    _mask_events,
+    project_state_names,
+    reachable_trim,
+)
+from suploc.cmt import VARIANTS, CmtConfig, gen_cmt, synthesize_cmt
 from suploc.context import (
     SynthesisEmptyError,
+    _synthesize,
     agents_from_table,
     build_context,
     synthesize_monolithic,
 )
 from suploc.rng import SplitMix64
 
-from .instances import isomorphic
+from .instances import isomorphic, random_plant, random_table, reference_synthesize
 
 
 def names(table, mask):
@@ -258,3 +267,151 @@ def test_random_synthesized_supervisors_controllable_nonblocking():
                     co.add(x)
                     changed = True
         assert co == set(range(sup.n_states))
+
+
+def _marked_more(rng, plant):
+    """``plant`` with about 60% of its states marked, so that more generated
+    systems survive synthesis."""
+    marked = [x for x in range(plant.n_states) if rng.below(10) < 6]
+    return Automaton(plant.states, plant.alphabet, plant.iter_transitions(), 0, marked)
+
+
+def _random_requirement(rng, table):
+    """A few ordinary states and a ``bad`` one that is live half of the time;
+    transitions are drawn per (state, event), so uncontrollable events are
+    withheld too."""
+    n = 1 + rng.below(3)
+    live_bad = rng.below(2) == 0
+    triples = []
+    for x in range(n + 1 if live_bad else n):
+        for e in range(table.n_events):
+            if rng.below(10) < 7:
+                triples.append((x, e, n if rng.below(10) < 2 else rng.below(n)))
+    marked = [x for x in range(n) if rng.below(10) < 7]
+    return Automaton([f"r{x}" for x in range(n)] + ["bad"], table, triples, 0, marked)
+
+
+def _both_synthesize(plants, requirements=()):
+    """The change's and the reference's result, or None for each that finds
+    no supervisor."""
+    results = []
+    for synthesize in (synthesize_monolithic, reference_synthesize):
+        try:
+            results.append(synthesize(plants, requirements))
+        except SynthesisEmptyError:
+            results.append(None)
+    return results
+
+
+def test_synthesis_matches_reference_on_generated_systems():
+    rng = SplitMix64(21)
+    survived = 0
+    for _ in range(300):
+        table = random_table(rng)
+        plants = [
+            _marked_more(rng, random_plant(rng, table, max_states=6))
+            for _ in range(1 + rng.below(2))
+        ]
+        requirements = [_random_requirement(rng, table) for _ in range(rng.below(3))]
+        sup, ref = _both_synthesize(plants, requirements)
+        assert sup == ref
+        survived += sup is not None
+    assert 60 <= survived <= 240
+
+
+EVENTS = (("a", True), ("b", True), ("c", True), ("u", False))
+SMALL_TABLE = EventTable(tuple(e for e, _ in EVENTS), tuple(c for _, c in EVENTS), (1, 1, 1, 1))
+
+
+def _small(names, transitions, marked):
+    """An automaton over ``SMALL_TABLE`` from named transitions; the first
+    state is initial."""
+    index = {name: x for x, name in enumerate(names)}
+    ev = {e: i for i, (e, _) in enumerate(EVENTS)}
+    triples = [(index[s], ev[e], index[d]) for s, e, d in transitions]
+    return Automaton(names, SMALL_TABLE, triples, 0, [index[m] for m in marked])
+
+
+@pytest.mark.parametrize(
+    "plant, requirement, kept",
+    [
+        # A live bad state: q|bad could step back to the marked p|r, so only
+        # the bad rule removes it, and with it the controllable c into it.
+        (
+            (("p", "q"), [("p", "a", "q"), ("q", "b", "p"), ("q", "c", "q")], ("p", "q")),
+            (("r", "s", "bad"),
+             [("r", "a", "s"), ("s", "b", "r"), ("s", "c", "bad"), ("bad", "b", "r")],
+             ("r", "s")),
+            ["p|r", "q|s"],
+        ),
+        # A dead bad state that is marked, so again only the bad rule removes
+        # p|bad, and with it the controllable c into it.
+        (
+            (("p", "q"), [("p", "a", "q"), ("p", "c", "p"), ("q", "b", "p")], ("p",)),
+            (("r", "bad"), [("r", "a", "r"), ("r", "b", "r"), ("r", "c", "bad")], ("r", "bad")),
+            ["p|r", "q|r"],
+        ),
+        # A requirement that withholds the uncontrollable u where the plant
+        # can take it: q goes, and with it the controllable a into q.
+        (
+            (("p", "q"), [("p", "a", "q"), ("q", "u", "p"), ("p", "b", "p")], ("p", "q")),
+            (("r",), [("r", "a", "r"), ("r", "b", "r")], ("r",)),
+            ["p|r"],
+        ),
+        # Two fixpoint rounds: the blocking dead end d goes first, then s that
+        # u forces into d, and only in the next round t, whose one way back
+        # ran through s.
+        (
+            (("p", "t", "s", "d"),
+             [("p", "a", "t"), ("t", "b", "s"), ("s", "c", "p"), ("s", "u", "d"), ("p", "b", "p")],
+             ("p",)),
+            (("r",), [("r", e, "r") for e in "abcu"], ("r",)),
+            ["p|r"],
+        ),
+        # Nothing survives: u from the initial state is forced into bad.
+        (
+            (("p", "q"), [("p", "u", "q"), ("q", "a", "p")], ("p", "q")),
+            (("r", "bad"), [("r", "u", "bad"), ("r", "a", "r")], ("r",)),
+            None,
+        ),
+    ],
+    ids=["live-bad", "dead-bad", "withheld-uncontrollable", "two-rounds", "empty"],
+)
+def test_synthesis_matches_reference_on_named_cases(plant, requirement, kept):
+    sup, ref = _both_synthesize([_small(*plant)], [_small(*requirement)])
+    assert sup == ref
+    assert (sup and list(sup.states)) == kept
+
+
+def _assert_cmt_synthesis(system, cmt_sup=None):
+    """The one-pass synthesis equals the reference on a tower system, and
+    ``synthesize_cmt``'s plant-component names are the projection of the
+    monolithic supervisor's, with no plant state name holding ``|``."""
+    assert not any("|" in name for plant in system.plants for name in plant.states)
+    sup = synthesize_monolithic(system.plants, system.requirements)
+    assert sup == reference_synthesize(system.plants, system.requirements)
+    if cmt_sup is None:
+        cmt_sup = synthesize_cmt(system)
+    assert cmt_sup == project_state_names(sup, len(system.plants))
+
+
+@pytest.mark.parametrize("levels, animals", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_cmt_synthesis_matches_reference(levels, animals, variant):
+    _assert_cmt_synthesis(gen_cmt(CmtConfig(levels, animals, variant)))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_four_level_cmt_synthesis_matches_reference(cmt_systems, cmt_supervisors, variant):
+    _assert_cmt_synthesis(cmt_systems[variant], cmt_supervisors[variant])
+
+
+def test_three_level_two_animal_synthesis_matches_reference():
+    _assert_cmt_synthesis(gen_cmt(CmtConfig(3, 2)))
+
+
+def test_cmt_naming_that_is_not_injective_raises():
+    # Named by the cat alone, two supervisor states share a name.
+    system = gen_cmt(CmtConfig(1, 1))
+    with pytest.raises(ValueError, match="state-name projection is not injective"):
+        _synthesize(system.plants, system.requirements, 1)
