@@ -59,6 +59,8 @@ class CmtConfig:
             raise ValueError("animals must be at least 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        if self.variant == "v4" and self.levels == 1:
+            raise ValueError("variant 'v4' removes the mice's start room L1R5 when levels is 1")
 
 
 @dataclass(frozen=True)
@@ -74,15 +76,11 @@ def room_name(level: int, room: int) -> str:
 
 
 def _rooms(cfg: CmtConfig) -> list[tuple[int, int]]:
-    rooms = []
-    for level in range(1, cfg.levels + 1):
-        top = 5
-        for room in range(1, top + 1):
-            if cfg.variant == "v4" and (level, room) == (1, 5):
-                continue
-            rooms.append((level, room))
-        if cfg.variant == "v5" and level == 1:
-            rooms.append((1, 6))
+    rooms = [(level, room) for level in range(1, cfg.levels + 1) for room in range(1, 6)]
+    if cfg.variant == "v4":
+        rooms.remove((1, 5))
+    elif cfg.variant == "v5":
+        rooms.insert(5, (1, 6))  # after the rooms of floor 1
     return rooms
 
 
@@ -132,7 +130,9 @@ def gen_cmt(cfg: CmtConfig) -> CmtSystem:
     door traversals named ``<tag><src-level>_<src-room>__<dst-level>_<dst-room>``,
     each owned by the agent of its source level), plus one occupancy monitor
     per room whose dead ``bad`` state forbids cat and mouse meeting there,
-    plus the extra top-floor monitor under v3.
+    plus the extra top-floor monitor under v3. Every row is filled in
+    ascending event order and valid by construction, so each automaton is
+    handed to the trusted constructor.
     """
     tags = _animal_tags(cfg)
     doors_of_kind = {"cat": _doors(cfg, "cat"), "mouse": _doors(cfg, "mouse")}
@@ -152,28 +152,41 @@ def gen_cmt(cfg: CmtConfig) -> CmtSystem:
 
     rooms = _rooms(cfg)
     room_index = {r: i for i, r in enumerate(rooms)}
+    names = tuple(room_name(*r) for r in rooms)
     start_of_kind = {
-        "cat": (1, CAT_START_ROOM),
-        "mouse": (cfg.levels, MOUSE_START_ROOM),
+        "cat": room_index[(1, CAT_START_ROOM)],
+        "mouse": room_index[(cfg.levels, MOUSE_START_ROOM)],
     }
+    moves = [(owner, room_index[src], room_index[dst]) for owner, _, src, dst in ev_meta]
 
     plants = []
-    for pos, (tag, kind) in enumerate(tags):
-        triples = []
-        for ev, (owner, _, src, dst) in enumerate(ev_meta):
-            if owner == pos:
-                triples.append((room_index[src], ev, room_index[dst]))
-            else:
-                for x in range(len(rooms)):
-                    triples.append((x, ev, x))
-        start = room_index[start_of_kind[kind]]
+    for pos, (_, kind) in enumerate(tags):
+        # In room x the animal takes its own doors out of x; every other
+        # animal's event self-loops.
+        rows = [
+            {
+                ev: dst if owner == pos else x
+                for ev, (owner, src, dst) in enumerate(moves)
+                if owner != pos or src == x
+            }
+            for x in range(len(rooms))
+        ]
+        start = start_of_kind[kind]
         plants.append(
-            Automaton([room_name(*r) for r in rooms], table, triples, start, [start])
+            Automaton.__new__(Automaton)._from_rows(names, table, rows, start, [start])
         )
 
-    requirements = [_room_monitor(cfg, room, ev_meta, table) for room in rooms]
+    requirements = _room_monitors(cfg, rooms, ev_meta, table)
     if cfg.variant == "v3":
-        requirements.append(_top_floor_monitor(cfg, ev_meta, table))
+        # A cat move onto the top floor from below leads to bad.
+        top = cfg.levels
+        row = {
+            ev: int(kind == "cat" and dst[0] == top and src[0] != top)
+            for ev, (_, kind, src, dst) in enumerate(ev_meta)
+        }
+        requirements.append(
+            Automaton.__new__(Automaton)._from_rows(("ok", "bad"), table, [row, {}], 0, [0])
+        )
 
     return CmtSystem(
         plants=tuple(plants),
@@ -183,71 +196,50 @@ def gen_cmt(cfg: CmtConfig) -> CmtSystem:
     )
 
 
-def _room_monitor(cfg, room, ev_meta, table) -> Automaton:
-    """Occupancy monitor for one room: counts cats and mice present and falls
-    into the dead ``bad`` state when both kinds would be inside at once."""
+def _room_monitors(cfg, rooms, ev_meta, table) -> list[Automaton]:
+    """One occupancy monitor per room: it counts the cats and mice present
+    and falls into the dead ``bad`` state when both kinds would be inside
+    at once."""
     k = cfg.animals
-    states = [f"c{c}m{m}" for c, m in _occ_states(k)] + ["bad"]
-    index = {name: i for i, name in enumerate(states)}
-
-    def occ_name(cats, mice):
-        return f"c{cats}m{mice}"
-
-    if room == (1, CAT_START_ROOM):
-        start = occ_name(k, 0)
-    elif room == (cfg.levels, MOUSE_START_ROOM):
-        start = occ_name(0, k)
-    else:
-        start = occ_name(0, 0)
-
-    triples = []
-    for ev, (_, kind, src, dst) in enumerate(ev_meta):
-        entering = dst == room
-        leaving = src == room
-        for cats, mice in _occ_states(k):
-            here = index[occ_name(cats, mice)]
-            if entering:
-                if kind == "cat":
-                    if mice > 0:
-                        triples.append((here, ev, index["bad"]))
-                    elif cats < k:
-                        triples.append((here, ev, index[occ_name(cats + 1, 0)]))
-                else:
-                    if cats > 0:
-                        triples.append((here, ev, index["bad"]))
-                    elif mice < k:
-                        triples.append((here, ev, index[occ_name(0, mice + 1)]))
-            elif leaving:
-                if kind == "cat" and cats > 0:
-                    triples.append((here, ev, index[occ_name(cats - 1, 0)]))
-                elif kind == "mouse" and mice > 0:
-                    triples.append((here, ev, index[occ_name(0, mice - 1)]))
-            else:
-                triples.append((here, ev, here))
-    marked = [index[occ_name(c, m)] for c, m in _occ_states(k)]
-    return Automaton(states, table, triples, index[start], marked)
-
-
-def _occ_states(k: int):
-    """Valid occupancy counts for one room: never both kinds at once."""
-    yield (0, 0)
-    for c in range(1, k + 1):
-        yield (c, 0)
-    for m in range(1, k + 1):
-        yield (0, m)
-
-
-def _top_floor_monitor(cfg, ev_meta, table) -> Automaton:
-    """Monitor forbidding any cat move that enters the top floor."""
-    top = cfg.levels
-    states = ["ok", "bad"]
-    triples = []
-    for ev, (_, kind, src, dst) in enumerate(ev_meta):
-        if kind == "cat" and dst[0] == top and src[0] != top:
-            triples.append((0, ev, 1))
-        else:
-            triples.append((0, ev, 0))
-    return Automaton(states, table, triples, 0, [0])
+    # The valid occupancies (never both kinds at once), then bad.
+    occ = [(0, 0)] + [(c, 0) for c in range(1, k + 1)] + [(0, m) for m in range(1, k + 1)]
+    index = {o: x for x, o in enumerate(occ)}
+    bad = len(occ)
+    states = tuple(f"c{c}m{m}" for c, m in occ) + ("bad",)
+    # Each occupancy's target when (0) a cat enters, (1) a mouse enters,
+    # (2) a cat leaves, (3) a mouse leaves or (4) the room is untouched;
+    # None where the move is disabled.
+    targets = [
+        (
+            bad if m else index.get((c + 1, 0)),
+            bad if c else index.get((0, m + 1)),
+            index.get((c - 1, m)),
+            index.get((c, m - 1)),
+            x,
+        )
+        for x, (c, m) in enumerate(occ)
+    ]
+    start_of_room = {
+        (1, CAT_START_ROOM): index[(k, 0)],
+        (cfg.levels, MOUSE_START_ROOM): index[(0, k)],
+    }
+    steps = [(src, dst, kind == "mouse") for _, kind, src, dst in ev_meta]
+    monitors = []
+    for room in rooms:
+        classes = [
+            mouse + (0 if dst == room else 2) if room in (src, dst) else 4
+            for src, dst, mouse in steps
+        ]
+        rows = [
+            {ev: t for ev, t in enumerate(map(target.__getitem__, classes)) if t is not None}
+            for target in targets
+        ]
+        rows.append({})
+        start = start_of_room.get(room, 0)
+        monitors.append(
+            Automaton.__new__(Automaton)._from_rows(states, table, rows, start, range(bad))
+        )
+    return monitors
 
 
 def synthesize_cmt(system: CmtSystem) -> Automaton:

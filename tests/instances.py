@@ -26,7 +26,19 @@ from suploc.automata import (
     reachable_trim,
     sync_product,
 )
-from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
+from suploc.cmt import (
+    CAT_DOORS,
+    CAT_DOORS_UNCONTROLLABLE,
+    CAT_START_ROOM,
+    MOUSE_DOORS,
+    MOUSE_START_ROOM,
+    CmtConfig,
+    CmtSystem,
+    _animal_tags,
+    gen_cmt,
+    room_name,
+    synthesize_cmt,
+)
 from suploc.context import FORBIDDEN_STATE, SynthesisEmptyError, agents_from_table
 from suploc.equivalence import EquivalenceVerdict
 from suploc.localization import Cover, CoverVerdict, _clash, _pair_clash, _summary
@@ -655,3 +667,178 @@ def reference_synthesize(plants, requirements=()) -> Automaton:
     names = _tuple_names(comps, [order[i] for i in keep])
     marked = [remap[i] for i in keep if all_marked[i]]
     return Automaton.__new__(Automaton)._from_rows(names, table, rows, 0, marked)
+
+
+def reference_gen_cmt(cfg: CmtConfig) -> CmtSystem:
+    """The triple-building tower generator ``gen_cmt`` ran before it filled
+    rows for the trusted constructor, kept as its oracle: plants,
+    requirements, agent partition and event table.
+
+    One position automaton per animal (states are rooms, events are directed
+    door traversals named ``<tag><src-level>_<src-room>__<dst-level>_<dst-room>``,
+    each owned by the agent of its source level), plus one occupancy monitor
+    per room whose dead ``bad`` state forbids cat and mouse meeting there,
+    plus the extra top-floor monitor under v3.
+    """
+    tags = _animal_tags(cfg)
+    doors_of_kind = {
+        "cat": _reference_doors(cfg, "cat"),
+        "mouse": _reference_doors(cfg, "mouse"),
+    }
+
+    ev_names: list[str] = []
+    ev_ctrl: list[bool] = []
+    ev_agent: list[int] = []
+    # (owner position in tags, kind, src, dst) per event
+    ev_meta: list[tuple[int, str, tuple[int, int], tuple[int, int]]] = []
+    for pos, (tag, kind) in enumerate(tags):
+        for src, dst, controllable in doors_of_kind[kind]:
+            ev_names.append(f"{tag}{src[0]}_{src[1]}__{dst[0]}_{dst[1]}")
+            ev_ctrl.append(controllable)
+            ev_agent.append(src[0])
+            ev_meta.append((pos, kind, src, dst))
+    table = EventTable(tuple(ev_names), tuple(ev_ctrl), tuple(ev_agent))
+
+    rooms = _reference_rooms(cfg)
+    room_index = {r: i for i, r in enumerate(rooms)}
+    start_of_kind = {
+        "cat": (1, CAT_START_ROOM),
+        "mouse": (cfg.levels, MOUSE_START_ROOM),
+    }
+
+    plants = []
+    for pos, (tag, kind) in enumerate(tags):
+        triples = []
+        for ev, (owner, _, src, dst) in enumerate(ev_meta):
+            if owner == pos:
+                triples.append((room_index[src], ev, room_index[dst]))
+            else:
+                for x in range(len(rooms)):
+                    triples.append((x, ev, x))
+        start = room_index[start_of_kind[kind]]
+        plants.append(
+            Automaton([room_name(*r) for r in rooms], table, triples, start, [start])
+        )
+
+    requirements = [_reference_room_monitor(cfg, room, ev_meta, table) for room in rooms]
+    if cfg.variant == "v3":
+        requirements.append(_reference_top_floor_monitor(cfg, ev_meta, table))
+
+    return CmtSystem(
+        plants=tuple(plants),
+        requirements=tuple(requirements),
+        agents=agents_from_table(table),
+        table=table,
+    )
+
+
+def _reference_room_monitor(cfg, room, ev_meta, table) -> Automaton:
+    """Occupancy monitor for one room: counts cats and mice present and falls
+    into the dead ``bad`` state when both kinds would be inside at once."""
+    k = cfg.animals
+    states = [f"c{c}m{m}" for c, m in _reference_occ_states(k)] + ["bad"]
+    index = {name: i for i, name in enumerate(states)}
+
+    def occ_name(cats, mice):
+        return f"c{cats}m{mice}"
+
+    if room == (1, CAT_START_ROOM):
+        start = occ_name(k, 0)
+    elif room == (cfg.levels, MOUSE_START_ROOM):
+        start = occ_name(0, k)
+    else:
+        start = occ_name(0, 0)
+
+    triples = []
+    for ev, (_, kind, src, dst) in enumerate(ev_meta):
+        entering = dst == room
+        leaving = src == room
+        for cats, mice in _reference_occ_states(k):
+            here = index[occ_name(cats, mice)]
+            if entering:
+                if kind == "cat":
+                    if mice > 0:
+                        triples.append((here, ev, index["bad"]))
+                    elif cats < k:
+                        triples.append((here, ev, index[occ_name(cats + 1, 0)]))
+                else:
+                    if cats > 0:
+                        triples.append((here, ev, index["bad"]))
+                    elif mice < k:
+                        triples.append((here, ev, index[occ_name(0, mice + 1)]))
+            elif leaving:
+                if kind == "cat" and cats > 0:
+                    triples.append((here, ev, index[occ_name(cats - 1, 0)]))
+                elif kind == "mouse" and mice > 0:
+                    triples.append((here, ev, index[occ_name(0, mice - 1)]))
+            else:
+                triples.append((here, ev, here))
+    marked = [index[occ_name(c, m)] for c, m in _reference_occ_states(k)]
+    return Automaton(states, table, triples, index[start], marked)
+
+
+def _reference_occ_states(k: int):
+    """Valid occupancy counts for one room: never both kinds at once."""
+    yield (0, 0)
+    for c in range(1, k + 1):
+        yield (c, 0)
+    for m in range(1, k + 1):
+        yield (0, m)
+
+
+def _reference_top_floor_monitor(cfg, ev_meta, table) -> Automaton:
+    """Monitor forbidding any cat move that enters the top floor."""
+    top = cfg.levels
+    states = ["ok", "bad"]
+    triples = []
+    for ev, (_, kind, src, dst) in enumerate(ev_meta):
+        if kind == "cat" and dst[0] == top and src[0] != top:
+            triples.append((0, ev, 1))
+        else:
+            triples.append((0, ev, 0))
+    return Automaton(states, table, triples, 0, [0])
+
+
+def _reference_rooms(cfg: CmtConfig) -> list[tuple[int, int]]:
+    rooms = []
+    for level in range(1, cfg.levels + 1):
+        top = 5
+        for room in range(1, top + 1):
+            if cfg.variant == "v4" and (level, room) == (1, 5):
+                continue
+            rooms.append((level, room))
+        if cfg.variant == "v5" and level == 1:
+            rooms.append((1, 6))
+    return rooms
+
+
+def _reference_doors(
+    cfg: CmtConfig, kind: str
+) -> list[tuple[tuple[int, int], tuple[int, int], bool]]:
+    """Directed doors for one animal kind: (src, dst, controllable)."""
+    existing = set(_reference_rooms(cfg))
+    doors = []
+
+    def add(src, dst, controllable):
+        if src in existing and dst in existing:
+            doors.append((src, dst, controllable))
+
+    for level in range(1, cfg.levels + 1):
+        if kind == "cat":
+            for a, b in CAT_DOORS:
+                if cfg.variant == "v1" and level == 2 and (a, b) == (3, 4):
+                    continue
+                add((level, a), (level, b), True)
+            for a, b in CAT_DOORS_UNCONTROLLABLE:
+                add((level, a), (level, b), cfg.variant == "v2")
+        else:
+            for a, b in MOUSE_DOORS:
+                add((level, a), (level, b), True)
+    for level in range(1, cfg.levels):
+        j = (level - 1) % 5 + 1
+        add((level, j), (level + 1, j), True)
+        add((level + 1, j), (level, j), True)
+    if cfg.variant == "v5":
+        add((1, 5), (1, 6), True)
+        add((1, 6), (1, 5), True)
+    return doors

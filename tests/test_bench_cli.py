@@ -525,6 +525,15 @@ def test_cli_gen_cmt_files_parse_and_synthesize(tmp_path):
         assert sup.states[sup.initial] == "|".join(["L1R1"] * animals + ["L2R5"] * animals)
 
 
+def test_cli_gen_cmt_rejects_v4_on_one_level(tmp_path, capsys):
+    code = run_cli("gen-cmt", "--levels", "1", "--variant", "v4", "--out", str(tmp_path / "d"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: variant 'v4' removes the mice's start room L1R5 when levels is 1\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("count", ["-1", "-12"])
 def test_cli_synthesize_rejects_negative_name_components(tmp_path, capsys, count):
     out = tmp_path / "sup.aut"

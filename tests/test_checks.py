@@ -5,6 +5,7 @@ list of automata, and the generator."""
 import pytest
 
 from suploc.automata import Automaton, EventTable, FormatError, parse_automaton, sync_product
+from suploc.cmt import CmtConfig
 from suploc.context import AgentSpec, build_context, synthesize_monolithic
 from suploc.localization import Cover, build_local_supervisor, is_control_congruence, localize
 from suploc.rng import SplitMix64
@@ -129,6 +130,11 @@ CASES = {
         lambda sup, ctx: Cover.from_cells([[0, 1], [5]], 5),
         ValueError,
         "state index 5 out of range",
+    ),
+    "cmt-v4-on-one-level": (
+        lambda sup, ctx: CmtConfig(levels=1, variant="v4"),
+        ValueError,
+        "variant 'v4' removes the mice's start room L1R5 when levels is 1",
     ),
     "rng-below-zero": (
         lambda sup, ctx: SplitMix64(1).below(0),

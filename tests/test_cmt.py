@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from suploc.automata import reachable_trim, sync_product, write_automaton
-from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
+from suploc.automata import Automaton, reachable_trim, sync_product, write_automaton
+from suploc.cmt import VARIANTS, CmtConfig, gen_cmt, synthesize_cmt
+
+from .instances import reference_gen_cmt
 
 DATA = Path(__file__).parent / "data"
 
@@ -197,3 +199,37 @@ def test_bad_configs_rejected():
         CmtConfig(animals=0)
     with pytest.raises(ValueError):
         CmtConfig(variant="v9")
+    with pytest.raises(ValueError):
+        CmtConfig(levels=1, variant="v4")  # it would remove the mice's start room
+
+
+def fields(a):
+    """Every field of an automaton, its rows with their key order (``==``
+    compares rows as dicts)."""
+    return a.states, a.alphabet, a.initial, a.marked, [list(row.items()) for row in a.succ_maps]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_generator_matches_reference(variant):
+    for levels in range(1, 6):
+        for animals in range(1, 4):
+            if (variant, levels) == ("v4", 1):
+                continue  # rejected by CmtConfig
+            cfg = CmtConfig(levels, animals, variant)
+            got, want = gen_cmt(cfg), reference_gen_cmt(cfg)
+            assert got.table == want.table
+            assert got.agents == want.agents
+            assert list(map(fields, got.plants)) == list(map(fields, want.plants))
+            assert list(map(fields, got.requirements)) == list(map(fields, want.requirements))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_generated_automata_pass_the_public_constructor(variant):
+    # gen_cmt hands its rows to the trusted constructor, which checks only
+    # name uniqueness; the public one checks names, indices and determinism.
+    for levels in range(2 if variant == "v4" else 1, 4):
+        for animals in range(1, 4):
+            system = gen_cmt(CmtConfig(levels, animals, variant))
+            for a in system.plants + system.requirements:
+                rebuilt = Automaton(a.states, a.alphabet, a.iter_transitions(), a.initial, a.marked)
+                assert fields(rebuilt) == fields(a)

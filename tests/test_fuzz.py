@@ -1,7 +1,8 @@
-"""Seeded line-mutation fuzz of the input files: automata, covers and agent
-mappings. A malformed file raises only ``FormatError`` from its parser, and
-the CLI reports it on one line and exits 2. What a parser accepts passes the
-public constructor's checks, which the parsers do not run again."""
+"""Seeded line-mutation fuzz of the input files of ``tsl`` and
+``synthesize``: automata, covers and agent mappings. A malformed file raises
+only ``FormatError`` from its parser, and the CLI reports it on one line and
+exits 2. What a parser accepts passes the public constructor's checks, which
+the parsers do not run again."""
 
 import pytest
 
@@ -143,3 +144,51 @@ def test_mutated_input_raises_only_format_errors_and_exits_2(tower_files, target
         else:
             assert (code, err) == (2, f"error: {error}\n")
     assert rejected >= 300 and accepted >= 20, (rejected, accepted)
+
+
+@pytest.fixture(scope="module")
+def one_level_files(tmp_path_factory):
+    """The files ``gen-cmt --levels 1`` writes: two plants and five room
+    monitors."""
+    out = tmp_path_factory.mktemp("cmt")
+    assert main(["gen-cmt", "--levels", "1", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("target", ["cat.aut", "req_004.aut"])
+def test_mutated_synthesis_input_exits_0_1_or_2(one_level_files, target, tmp_path, capsys):
+    mutant_path = tmp_path / target
+    paths = {p.name: p for p in sorted(one_level_files.glob("*.aut"))}
+    paths[target] = mutant_path
+    argv = ["synthesize", "--out", str(tmp_path / "sup.aut")]
+    for name, path in paths.items():
+        argv += ["--req" if name.startswith("req_") else "--plant", str(path)]
+    text = (one_level_files / target).read_text(encoding="utf-8")
+    rng = SplitMix64(20261020)
+    rejected = 0
+    codes = []
+    for _ in range(500):
+        mutant = mutate(rng, text)
+        mutant_path.write_text(mutant, encoding="utf-8")
+        try:
+            parse_automaton(mutant)
+        except FormatError as exc:
+            error = str(exc)
+            rejected += 1
+        else:
+            error = None
+        # the CLI runs on every accepted mutant and on every fifth rejected one
+        if error is not None and rejected % 5:
+            continue
+        capsys.readouterr()
+        code = main(argv)  # an exception that main lets through fails the test
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if error is None:
+            assert code in (0, 1, 2)
+            # an accepted file exits 2 only over an event table of its own
+            assert code != 2 or "event table differs" in err, err
+            codes.append(code)
+        else:
+            assert (code, err) == (2, f"error: {error}\n")
+    assert rejected >= 300 and len(codes) >= 20, (rejected, codes)
