@@ -133,38 +133,50 @@ def save_cover(cover: Cover, automaton: Automaton, path) -> None:
 
 
 class _Cells:
-    """Cells of a control congruence under merging, for one agent.
+    """Cells of a partition under merging, for one agent.
 
-    ``_cell[x]`` is the slot of state x's cell, and each slot keeps its
-    cell's member list, least member, control :func:`_summary` and row
-    ``{event: the successor of one member}``. The cells form a congruence,
-    so every member's successor on an event lies in the cell of the row's;
-    a cover that is not one raises :class:`InvalidCoverError` with the
-    witness of :func:`is_control_congruence`. A union relabels the members
-    of the smaller cell, so a state is relabeled at most log2(n) times.
+    ``_cell[x]`` is the slot of state x's cell; each slot keeps its cell's
+    member list, least member, control :func:`_summary` and row ``{event:
+    the successor of its first member that enables it}``, filled in one pass
+    over the states. Only a cell whose summary clashes with itself, or whose
+    member steps outside the cell of the row's successor, can hold a pair
+    that fails :func:`_pair_clash`. Those cells are scanned in id order, and
+    the first failing pair is the ``witness`` that the partition is not a
+    control congruence, None when it is one; only then may cells be merged.
+    A union relabels the members of the smaller cell, so a state is
+    relabeled at most log2(n) times.
     """
 
-    __slots__ = ("_cell", "_min", "_members", "_sum", "_row")
+    __slots__ = ("_cell", "_min", "_members", "_sum", "_row", "witness")
 
     def __init__(self, sup: Automaton, ctx: ControlContext, agent: int, cover: Cover):
-        cell = self._cell = list(cover.cell_of)
-        self._members = cover.cells()
-        self._min = [members[0] for members in self._members]
-        self._sum = [_summary(ctx, agent, members) for members in self._members]
-        rows = self._row = [None] * len(self._members)
-        split = False
+        enabled, dis = ctx.enabled, ctx.disabled[agent]
+        marked, plant_marked = ctx.marked, ctx.plant_marked
+        cell_of = self._cell = list(cover.cell_of)
+        members, sums, rows = ([None] * cover.n_cells for _ in range(3))
+        flawed = set()
         for x, out in enumerate(sup.succ_maps):
-            row = rows[cell[x]]
+            c = cell_of[x]
+            row = rows[c]
             if row is None:
-                rows[cell[x]] = dict(out)
+                members[c] = [x]
+                sums[c] = (enabled[x], dis[x], 1 << (2 * plant_marked[x] + marked[x]))
+                rows[c] = dict(out)
                 continue
+            members[c].append(x)
             for ev, y in out.items():
-                if cell[row.setdefault(ev, y)] != cell[y]:
-                    split = True
-        if split or any(len(m) > 1 and _clash(s, s) for m, s in zip(self._members, self._sum)):
-            verdict = is_control_congruence(sup, ctx, agent, cover)
-            if not verdict:
-                raise InvalidCoverError(f"cover is not a control congruence: {verdict.witness}")
+                if cell_of[row.setdefault(ev, y)] != cell_of[y]:
+                    flawed.add(c)
+        for c, cell in enumerate(members):
+            if len(cell) > 1:
+                s = sums[c] = _summary(ctx, agent, cell)
+                if _clash(s, s):
+                    flawed.add(c)
+        self._members, self._sum, self._row = members, sums, rows
+        self._min = [cell[0] for cell in members]
+        pairs = (pair for c in sorted(flawed) for pair in combinations(members[c], 2))
+        witnesses = (_pair_clash(sup, ctx, agent, cell_of, x, y) for x, y in pairs)
+        self.witness = next(filter(None, witnesses), None)
 
     def union(self, a: int, b: int, floor: int, pending: list[tuple[int, int]]):
         """Unite the cells in slots a and b, and append to ``pending`` the
@@ -348,12 +360,13 @@ def localize(
     ``ValueError``.
     """
     _check_agent(ctx, agent, sup)
-    n = sup.n_states
     if init is None:
-        init = Cover.singleton(n)
-    if len(init.cell_of) != n:
+        init = Cover.singleton(sup.n_states)
+    if len(init.cell_of) != sup.n_states:
         raise ValueError("init cover size does not match the supervisor")
     cells = _Cells(sup, ctx, agent, init)
+    if cells.witness:
+        raise InvalidCoverError(f"cover is not a control congruence: {cells.witness}")
     cell = cells._cell
     cell_min = cells._min
     leaders = cell_min[:]
@@ -364,75 +377,6 @@ def localize(
             if j == cell_min[cell[j]]:
                 _check_merge(i, j, i, cells)
     return cells.to_cover()
-
-
-class _Counts:
-    """The counters of one cell of two or more states: how many members
-    step into each cell on each event, and the mask ``split`` of the events
-    on which they step into two or more cells.
-
-    A cell whose control summary clashes with itself also keeps that
-    ``summary`` and its member list; other cells keep None. The cell is
-    flawed, and may hold a pair of states that may not share it, iff
-    ``split`` is nonzero or it keeps a summary. Each removal re-summarizes
-    the members left, and once their summary stops clashing both are
-    dropped. Members only leave, and :func:`_clash` is monotone, so the
-    summary of any other cell can never clash and is not kept."""
-
-    __slots__ = ("steps", "split", "summary", "members")
-
-    def __init__(self, cell, succ, cell_of, ctx: ControlContext, agent: int):
-        steps: dict[int, dict[int, int]] = {}
-        for x in cell:
-            for ev, t in succ[x].items():
-                t = cell_of[t]
-                targets = steps.get(ev)
-                if targets is None:
-                    steps[ev] = {t: 1}
-                else:
-                    targets[t] = targets.get(t, 0) + 1
-        self.steps = steps
-        self.split = sum(1 << ev for ev, targets in steps.items() if len(targets) > 1)
-        summary = _summary(ctx, agent, cell)
-        if _clash(summary, summary):
-            self.summary, self.members = summary, cell
-        else:
-            self.summary = self.members = None
-
-    def remove(self, x, row, cell_of, ctx, agent) -> None:
-        """Take out member ``x``, whose successor row is ``row``."""
-        steps = self.steps
-        for ev, t in row.items():
-            targets = steps[ev]
-            t = cell_of[t]
-            if targets[t] > 1:
-                targets[t] -= 1
-                continue
-            del targets[t]
-            if len(targets) == 1:
-                self.split &= ~(1 << ev)
-            elif not targets:
-                del steps[ev]
-        if self.members is not None:
-            self.members.remove(x)
-            summary = _summary(ctx, agent, self.members)
-            if _clash(summary, summary):
-                self.summary = summary
-            else:
-                self.summary = self.members = None
-
-    def move(self, ev: int, old: int, new: int) -> None:
-        """One member's successor on ``ev`` moved from cell old to cell new."""
-        targets = self.steps[ev]
-        if targets[old] > 1:
-            targets[old] -= 1
-        else:
-            del targets[old]
-        targets[new] = targets.get(new, 0) + 1
-        if len(targets) > 1:
-            self.split |= 1 << ev
-        else:
-            self.split &= ~(1 << ev)
 
 
 def build_local_supervisor(sup: Automaton, cover: Cover, agent: int) -> Automaton:
@@ -501,24 +445,12 @@ class CoverVerdict:
 def is_control_congruence(
     sup: Automaton, ctx: ControlContext, agent: int, cover: Cover
 ) -> CoverVerdict:
-    """Check both congruence conditions in O(states + transitions).
-
-    Cellmates must be pairwise control consistent and step into one cell on
-    each event both enable. Each cell of two or more states gets
-    :class:`_Counts`; only the cells they show flawed can hold a failing
-    pair, and only those are scanned pair by pair, in id order; the first
-    failing pair is the witness. An agent ``ctx`` lacks, or a ``ctx`` built
-    for a supervisor with another number of states, raises ``ValueError``."""
+    """Check both congruence conditions in O(states + transitions) by the
+    pass that fills :class:`_Cells`: cellmates must be pairwise control
+    consistent and step into one cell on each event both enable. An agent
+    ``ctx`` lacks, or a ``ctx`` for another number of states, raises ``ValueError``."""
     _check_agent(ctx, agent, sup)
     if len(cover.cell_of) != sup.n_states:
         return CoverVerdict(False, "cover size does not match the supervisor")
-    for cell in cover.cells():
-        if len(cell) < 2:
-            continue
-        counts = _Counts(cell, sup.succ_maps, cover.cell_of, ctx, agent)
-        if counts.split or counts.summary:
-            for x, y in combinations(cell, 2):
-                witness = _pair_clash(sup, ctx, agent, cover.cell_of, x, y)
-                if witness is not None:
-                    return CoverVerdict(False, witness)
-    return CoverVerdict(True)
+    witness = _Cells(sup, ctx, agent, cover).witness
+    return CoverVerdict(witness is None, witness)

@@ -21,11 +21,79 @@ from .localization import (
     Cover,
     _check_agent,
     _clash,
-    _Counts,
     _summary,
     build_local_supervisor,
     localize,
 )
+
+
+class _Counts:
+    """The counters of one cell of two or more states: how many members
+    step into each cell on each event, and the mask ``split`` of the events
+    on which they step into two or more cells.
+
+    A cell whose control summary clashes with itself also keeps that
+    ``summary`` and its member list; other cells keep None. The cell is
+    flawed, and may hold a pair of states that may not share it, iff
+    ``split`` is nonzero or it keeps a summary. Each removal re-summarizes
+    the members left, and once their summary stops clashing both are
+    dropped. Members only leave, and :func:`_clash` is monotone, so the
+    summary of any other cell can never clash and is not kept."""
+
+    __slots__ = ("steps", "split", "summary", "members")
+
+    def __init__(self, cell, succ, cell_of, ctx: ControlContext, agent: int):
+        steps: dict[int, dict[int, int]] = {}
+        for x in cell:
+            for ev, t in succ[x].items():
+                t = cell_of[t]
+                targets = steps.get(ev)
+                if targets is None:
+                    steps[ev] = {t: 1}
+                else:
+                    targets[t] = targets.get(t, 0) + 1
+        self.steps = steps
+        self.split = sum(1 << ev for ev, targets in steps.items() if len(targets) > 1)
+        summary = _summary(ctx, agent, cell)
+        if _clash(summary, summary):
+            self.summary, self.members = summary, cell
+        else:
+            self.summary = self.members = None
+
+    def remove(self, x, row, cell_of, ctx, agent) -> None:
+        """Take out member ``x``, whose successor row is ``row``."""
+        steps = self.steps
+        for ev, t in row.items():
+            targets = steps[ev]
+            t = cell_of[t]
+            if targets[t] > 1:
+                targets[t] -= 1
+                continue
+            del targets[t]
+            if len(targets) == 1:
+                self.split &= ~(1 << ev)
+            elif not targets:
+                del steps[ev]
+        if self.members is not None:
+            self.members.remove(x)
+            summary = _summary(ctx, agent, self.members)
+            if _clash(summary, summary):
+                self.summary = summary
+            else:
+                self.summary = self.members = None
+
+    def move(self, ev: int, old: int, new: int) -> None:
+        """One member's successor on ``ev`` moved from cell old to cell new."""
+        targets = self.steps[ev]
+        if targets[old] > 1:
+            targets[old] -= 1
+        else:
+            del targets[old]
+        targets[new] = targets.get(new, 0) + 1
+        if len(targets) > 1:
+            self.split |= 1 << ev
+        else:
+            self.split &= ~(1 << ev)
 
 
 def carry_over_cover(base_cover: Cover, base: Automaton, variant: Automaton) -> Cover:

@@ -1,5 +1,6 @@
-"""Seeded line-mutation fuzz of the input files of ``tsl`` and
-``synthesize``: automata, covers and agent mappings. A malformed file raises
+"""Seeded line-mutation fuzz of the input files of ``tsl``, ``synthesize``,
+``check-equiv``, ``localize`` and ``isolate``: automata, covers and agent
+mappings. A malformed file raises
 only ``FormatError`` from its parser, and the CLI reports it on one line and
 exits 2. What a parser accepts passes the public constructor's checks, which
 the parsers do not run again."""
@@ -16,7 +17,13 @@ from suploc.automata import (
 from suploc.cli import _parse_mapping, main
 from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
 from suploc.context import agents_from_table, build_context
-from suploc.localization import Cover, localize, parse_cover, write_cover
+from suploc.localization import (
+    Cover,
+    build_local_supervisor,
+    localize,
+    parse_cover,
+    write_cover,
+)
 from suploc.rng import SplitMix64
 
 JUNK = (
@@ -61,22 +68,28 @@ def mutate(rng, text):
 
 @pytest.fixture(scope="module")
 def tower_files(tmp_path_factory):
-    """The two-level tower's base supervisor and covers and its v1 plant and
-    supervisor, written as the CLI reads them, with an identity mapping."""
+    """The two-level tower's base supervisor and covers and its v1 plant,
+    supervisor and local supervisors, written as the CLI reads them, with an
+    identity mapping."""
     out = tmp_path_factory.mktemp("fuzz")
     base = gen_cmt(CmtConfig(2, 1, "base"))
     variant = gen_cmt(CmtConfig(2, 1, "v1"))
     base_sup = synthesize_cmt(base)
     agents = agents_from_table(base_sup.alphabet)
     base_ctx = build_context(sync_product(base.plants), base_sup, agents)
+    plant = sync_product(variant.plants)
+    sup = synthesize_cmt(variant)
+    ctx = build_context(plant, sup, agents_from_table(sup.alphabet))
     files = {
         "base_sup": write_automaton(base_sup),
-        "plant": write_automaton(sync_product(variant.plants)),
-        "sup": write_automaton(synthesize_cmt(variant)),
+        "plant": write_automaton(plant),
+        "sup": write_automaton(sup),
         "mapping": "# variant agent, base agent\n1 1\n2 2\n",
     }
     for k in sorted(base_ctx.disabled):
         files[f"cover{k}"] = write_cover(localize(base_sup, base_ctx, k), base_sup)
+        loc = build_local_supervisor(sup, localize(sup, ctx, k), k)
+        files[f"loc{k}"] = write_automaton(loc)
     paths = {}
     for name, text in files.items():
         paths[name] = out / name
@@ -192,3 +205,67 @@ def test_mutated_synthesis_input_exits_0_1_or_2(one_level_files, target, tmp_pat
         else:
             assert (code, err) == (2, f"error: {error}\n")
     assert rejected >= 300 and len(codes) >= 20, (rejected, codes)
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [("check-equiv", "loc1"), ("localize", "sup"), ("isolate", "cover1"), ("isolate", "sup")],
+)
+def test_mutated_input_of_check_equiv_localize_and_isolate_exits_0_1_or_2(
+    tower_files, command, target, capsys
+):
+    out, files, paths, base_sup = tower_files
+    mutant_path = out / f"mutant-{command}-{target}"
+    p = {name: str(path) for name, path in {**paths, target: mutant_path}.items()}
+    argv = {
+        "check-equiv": [
+            "check-equiv", "--plant", p["plant"], "--sup", p["sup"],
+            "--loc", p["loc1"], "--loc", p["loc2"],
+        ],
+        "localize": [
+            "localize", "--plant", p["plant"], "--sup", p["sup"], "--agent", "1",
+            "--out-prefix", str(out / "fuzz"),
+        ],
+        "isolate": [
+            "isolate", "--base-cover", p["cover1"], "--base-sup", p["base_sup"],
+            "--plant", p["plant"], "--sup", p["sup"], "--agent", "1",
+            "--out", str(out / "fuzz.cover"),
+        ],
+    }[command]
+    parse = (lambda text: parse_cover(text, base_sup)) if target == "cover1" else parse_automaton
+    # Why an accepted mutant may still exit 2: an automaton over another
+    # event table, or a supervisor with a transition the plant lacks.
+    other_table = f" {mutant_path}: event table differs from the plant's\n"
+    not_sub = "error: supervisor is not a sub-behavior of the plant: "
+    refusals = {
+        "loc1": ("error: --loc" + other_table,),
+        "sup": ("error: --sup" + other_table, not_sub),
+        "cover1": (),
+    }[target]
+    rng = SplitMix64(20261021)
+    rejected = 0
+    codes = []
+    for _ in range(200):
+        text = mutate(rng, files[target])
+        mutant_path.write_text(text, encoding="utf-8")
+        try:
+            parse(text)
+        except FormatError as exc:
+            error = str(exc)
+            rejected += 1
+        else:
+            error = None
+        # the CLI runs on every accepted mutant and on every fourth rejected one
+        if error is not None and rejected % 4:
+            continue
+        capsys.readouterr()
+        code = main(argv)  # an exception that main lets through fails the test
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if error is None:
+            assert code in (0, 1, 2)
+            assert code != 2 or err.startswith(refusals), err
+            codes.append(code)
+        else:
+            assert (code, err) == (2, f"error: {error}\n")
+    assert rejected >= 150 and len(codes) >= 5 and 0 in codes, (rejected, codes)

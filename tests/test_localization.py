@@ -661,10 +661,17 @@ def test_singleton_maximally_reduced_when_nothing_consistent():
 
 def same_verdict(sup, ctx, agent, cover, outcomes):
     """Assert that the linear check and the pair scan give one verdict and
-    one witness; count the verdict by kind."""
+    one witness, and that ``localize`` refuses the cover as its seed exactly
+    when the pair scan does, with that witness; count the verdict by kind."""
     got = is_control_congruence(sup, ctx, agent, cover)
     want = reference_is_control_congruence(sup, ctx, agent, cover)
     assert (got.valid, got.witness) == (want.valid, want.witness)
+    if want:
+        localize(sup, ctx, agent, cover)
+    else:
+        with pytest.raises(InvalidCoverError) as info:
+            localize(sup, ctx, agent, cover)
+        assert str(info.value) == f"cover is not a control congruence: {want.witness}"
     if want:
         outcomes["valid"] += 1
     elif "not control consistent" in want.witness:
