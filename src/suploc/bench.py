@@ -32,9 +32,9 @@ from .automata import Automaton, apply_state_order, sync_product
 from .cmt import CmtConfig, CmtSystem, VARIANTS, gen_cmt, synthesize_cmt
 from .context import build_context
 from .equivalence import check_control_equivalence
-from .localization import Cover, build_local_supervisor, localize
+from .localization import Cover, _Cells, _merge_cells, build_local_supervisor, localize
 from .rng import SplitMix64
-from .transform import carry_over_cover, isolate
+from .transform import _isolate, carry_over_cover
 
 BENCH_VARIANTS = tuple(v for v in VARIANTS if v != "base")
 
@@ -243,11 +243,11 @@ def run_bench(
 ) -> BenchReport:
     """Run the full protocol and aggregate means per (variant, agent).
 
-    Agent pipelines run one after another so wall-clock numbers are
-    uncontaminated. Each row also counts, per timed section, the
-    generation-2 garbage collections that started inside it, since their
-    pauses are part of that section's time. An empty variant list, or an unknown or repeated
-    variant, raises ``ValueError`` before any system is generated.
+    Agent pipelines run one after another so wall-clock numbers are uncontaminated,
+    and each run collects garbage before its timed sections. Each row counts, per
+    timed section, the generation-2 collections that started inside it, since their
+    pauses are part of that section's time. An empty variant list, or an unknown or
+    repeated variant, raises ``ValueError`` before any system is generated.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -291,9 +291,8 @@ def run_bench(
             order = rng.permutation(base.sup.n_states)
             base_sup = apply_state_order(base.sup, order)
             base_ctx = build_context(base.plant, base_sup, base.system.agents)
-            base_covers = [
-                localize(base_sup, base_ctx, k) for k in range(1, n_agents + 1)
-            ]
+            base_covers = [localize(base_sup, base_ctx, k) for k in range(1, n_agents + 1)]
+            gc.collect()
             for item in prepared:
                 variant_sup = apply_state_order(
                     item.sup, _variant_order(base_sup, item.sup, rng)
@@ -307,11 +306,13 @@ def run_bench(
                     cover_sl = localize(variant_sup, ctx, k)
                     n1, t1 = gen2_started[0], time.perf_counter()
                     carried = carry_over_cover(base_covers[k - 1], base_sup, variant_sup)
-                    cover_iso = isolate(
-                        base_covers[k - 1], base_sup, variant_sup, ctx, k, carried=carried
+                    cover_iso, cells = _isolate(
+                        base_covers[k - 1], base_sup, variant_sup, ctx, k, carried
                     )
                     n2, t2 = gen2_started[0], time.perf_counter()
-                    cover_tsl = localize(variant_sup, ctx, k, cover_iso)
+                    if cells is None:
+                        cells = _Cells(variant_sup, ctx, k, cover_iso)
+                    cover_tsl = _merge_cells(variant_sup, ctx, k, cells)
                     n3, t3 = gen2_started[0], time.perf_counter()
                     rows.append(
                         BenchRow(

@@ -140,14 +140,14 @@ class _Cells:
     the successor of its first member that enables it}``, filled in one pass
     over the states. Only a cell whose summary clashes with itself, or whose
     member steps outside the cell of the row's successor, can hold a pair
-    that fails :func:`_pair_clash`. Those cells are scanned in id order, and
-    the first failing pair is the ``witness`` that the partition is not a
-    control congruence, None when it is one; only then may cells be merged.
-    A union relabels the members of the smaller cell, so a state is
-    relabeled at most log2(n) times.
+    that fails :func:`_pair_clash`; ``flawed`` lists their slots ascending.
+    (A state whose summary clashes with itself, which ``build_context`` never
+    builds, flags its cell even when every pair there passes.) A union
+    relabels the members of the smaller cell, so a state is relabeled at
+    most log2(n) times.
     """
 
-    __slots__ = ("_cell", "_min", "_members", "_sum", "_row", "witness")
+    __slots__ = ("_cell", "_min", "_members", "_sum", "_row", "flawed")
 
     def __init__(self, sup: Automaton, ctx: ControlContext, agent: int, cover: Cover):
         enabled, dis = ctx.enabled, ctx.disabled[agent]
@@ -174,9 +174,7 @@ class _Cells:
                     flawed.add(c)
         self._members, self._sum, self._row = members, sums, rows
         self._min = [cell[0] for cell in members]
-        pairs = (pair for c in sorted(flawed) for pair in combinations(members[c], 2))
-        witnesses = (_pair_clash(sup, ctx, agent, cell_of, x, y) for x, y in pairs)
-        self.witness = next(filter(None, witnesses), None)
+        self.flawed = sorted(flawed)
 
     def union(self, a: int, b: int, floor: int, pending: list[tuple[int, int]]):
         """Unite the cells in slots a and b, and append to ``pending`` the
@@ -238,6 +236,15 @@ class _Cells:
 
     def to_cover(self) -> Cover:
         return Cover(self._cell)
+
+
+def _witness(sup: Automaton, ctx: ControlContext, agent: int, cells: _Cells) -> str | None:
+    """The witness of the first pair in the flagged cells of unmerged ``cells``,
+    in id order, that fails :func:`_pair_clash`; None for a congruence."""
+    members, cell_of = cells._members, cells._cell
+    pairs = (pair for c in cells.flawed for pair in combinations(members[c], 2))
+    witnesses = (_pair_clash(sup, ctx, agent, cell_of, x, y) for x, y in pairs)
+    return next(filter(None, witnesses), None)
 
 
 def _pair_clash(
@@ -350,25 +357,29 @@ def localize(
 
     ``init`` must itself be a control congruence for the current system (the
     singleton partition, the default, always is); one that is not raises
-    :class:`InvalidCoverError` naming a pair of cellmates that fails. The
-    loop scans candidate state pairs in ascending index order, skipping
-    states that are not the least member of their cell, and asks the merge
-    engine to merge the cells of each pair in place. Cells only grow, so a
-    state that is not the least of its cell in ``init`` never becomes so,
-    and only those of ``init`` are scanned. An agent ``ctx`` lacks, or a
-    ``ctx`` built for a supervisor with another number of states, raises
-    ``ValueError``.
+    :class:`InvalidCoverError` naming a pair of cellmates that fails. An
+    agent ``ctx`` lacks, or a ``ctx`` built for a supervisor with another
+    number of states, raises ``ValueError``. The loop is :func:`_merge_cells`.
     """
     _check_agent(ctx, agent, sup)
     if init is None:
         init = Cover.singleton(sup.n_states)
     if len(init.cell_of) != sup.n_states:
         raise ValueError("init cover size does not match the supervisor")
-    cells = _Cells(sup, ctx, agent, init)
-    if cells.witness:
-        raise InvalidCoverError(f"cover is not a control congruence: {cells.witness}")
-    cell = cells._cell
-    cell_min = cells._min
+    return _merge_cells(sup, ctx, agent, _Cells(sup, ctx, agent, init))
+
+
+def _merge_cells(sup: Automaton, ctx: ControlContext, agent: int, cells: _Cells) -> Cover:
+    """:func:`localize`'s loop, which merges the unmerged ``cells`` in place
+    once :func:`_witness` finds no failing pair. It scans candidate state
+    pairs in ascending index order, skipping states that are not the least
+    member of their cell, and asks the merge engine to merge the cells of
+    each pair. Cells only grow, so only the least members of ``cells`` are
+    scanned."""
+    witness = _witness(sup, ctx, agent, cells)
+    if witness:
+        raise InvalidCoverError(f"cover is not a control congruence: {witness}")
+    cell, cell_min = cells._cell, cells._min
     leaders = cell_min[:]
     for pos, i in enumerate(leaders):
         if i > cell_min[cell[i]]:
@@ -452,5 +463,5 @@ def is_control_congruence(
     _check_agent(ctx, agent, sup)
     if len(cover.cell_of) != sup.n_states:
         return CoverVerdict(False, "cover size does not match the supervisor")
-    witness = _Cells(sup, ctx, agent, cover).witness
+    witness = _witness(sup, ctx, agent, _Cells(sup, ctx, agent, cover))
     return CoverVerdict(witness is None, witness)

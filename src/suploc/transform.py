@@ -12,6 +12,7 @@ still allows.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import compress, count
 from operator import and_
 
@@ -19,8 +20,10 @@ from .automata import Automaton
 from .context import ControlContext
 from .localization import (
     Cover,
+    _Cells,
     _check_agent,
     _clash,
+    _merge_cells,
     _summary,
     build_local_supervisor,
     localize,
@@ -30,38 +33,22 @@ from .localization import (
 class _Counts:
     """The counters of one cell of two or more states: how many members
     step into each cell on each event, and the mask ``split`` of the events
-    on which they step into two or more cells.
+    on which they step into two or more cells."""
 
-    A cell whose control summary clashes with itself also keeps that
-    ``summary`` and its member list; other cells keep None. The cell is
-    flawed, and may hold a pair of states that may not share it, iff
-    ``split`` is nonzero or it keeps a summary. Each removal re-summarizes
-    the members left, and once their summary stops clashing both are
-    dropped. Members only leave, and :func:`_clash` is monotone, so the
-    summary of any other cell can never clash and is not kept."""
+    __slots__ = ("steps", "split")
 
-    __slots__ = ("steps", "split", "summary", "members")
-
-    def __init__(self, cell, succ, cell_of, ctx: ControlContext, agent: int):
-        steps: dict[int, dict[int, int]] = {}
+    def __init__(self, cell, succ, cell_of):
+        steps: dict[int, dict[int, int]] = defaultdict(dict)
         for x in cell:
             for ev, t in succ[x].items():
                 t = cell_of[t]
-                targets = steps.get(ev)
-                if targets is None:
-                    steps[ev] = {t: 1}
-                else:
-                    targets[t] = targets.get(t, 0) + 1
+                targets = steps[ev]
+                targets[t] = targets.get(t, 0) + 1
         self.steps = steps
         self.split = sum(1 << ev for ev, targets in steps.items() if len(targets) > 1)
-        summary = _summary(ctx, agent, cell)
-        if _clash(summary, summary):
-            self.summary, self.members = summary, cell
-        else:
-            self.summary = self.members = None
 
-    def remove(self, x, row, cell_of, ctx, agent) -> None:
-        """Take out member ``x``, whose successor row is ``row``."""
+    def remove(self, row, cell_of) -> None:
+        """Take out the member whose successor row is ``row``."""
         steps = self.steps
         for ev, t in row.items():
             targets = steps[ev]
@@ -72,15 +59,6 @@ class _Counts:
             del targets[t]
             if len(targets) == 1:
                 self.split &= ~(1 << ev)
-            elif not targets:
-                del steps[ev]
-        if self.members is not None:
-            self.members.remove(x)
-            summary = _summary(ctx, agent, self.members)
-            if _clash(summary, summary):
-                self.summary = summary
-            else:
-                self.summary = self.members = None
 
     def move(self, ev: int, old: int, new: int) -> None:
         """One member's successor on ``ev`` moved from cell old to cell new."""
@@ -135,15 +113,17 @@ def isolate(
     :func:`~suploc.context.build_context` never builds) raises
     ``ValueError``.
 
-    Each carried cell of two or more states gets :class:`_Counts` before
-    the sweep, and when none is flawed the carried cover is returned as it
-    is. A state clashes with a cellmate iff its summary clashes with its
-    cell's or it enables an event on which the members step into two cells.
-    An eviction takes the state out of its cell's counters and moves each
-    predecessor's count on that event to the state's new cell. New
-    singletons get no counters, since isolation never merges, and a
-    counted cell left with one member is clean.
+    The carried cover is walked into the store that ``localize`` merges and,
+    if no cell is flagged, returned as it is. Otherwise cells of two or more
+    states get :class:`_Counts`; a state is evicted when it enables an event
+    its cellmates step on into two cells, or its summary clashes with its
+    flagged cell's, and its predecessors' counts move to its new cell.
     """
+    return _isolate(base_cover, base, variant, ctx, agent, carried)[0]
+
+
+def _isolate(base_cover, base, variant, ctx, agent, carried=None) -> tuple[Cover, _Cells | None]:
+    """:func:`isolate`, with the store over the carried cover if none evicted."""
     _check_agent(ctx, agent, variant)
     x = next(compress(count(), map(and_, ctx.enabled, ctx.disabled[agent])), None)
     if x is not None:
@@ -154,14 +134,14 @@ def isolate(
         carried = carry_over_cover(base_cover, base, variant)
     elif len(carried.cell_of) != variant.n_states:
         raise ValueError("carried cover size does not match the variant supervisor")
+    cells = _Cells(variant, ctx, agent, carried)
+    if not cells.flawed:
+        return carried, cells
+    # The store is dropped after an eviction, so the sweep works on its lists.
+    cell_of, members, sums = cells._cell, cells._members, cells._sum
+    clashing = {c for c in cells.flawed if _clash(sums[c], sums[c])}
     succ = variant.succ_maps
-    cell_of = list(carried.cell_of)
-    counts = [
-        _Counts(cell, succ, cell_of, ctx, agent) if len(cell) > 1 else None
-        for cell in carried.cells()
-    ]
-    if not any(c.split or c.summary for c in counts if c):
-        return carried
+    counts = [_Counts(cell, succ, cell_of) if len(cell) > 1 else None for cell in members]
     preds = variant.predecessors()
     enabled = ctx.enabled
 
@@ -169,14 +149,19 @@ def isolate(
     while changed:
         changed = False
         for x, row in enumerate(succ):
-            home = counts[cell_of[x]]
+            old = cell_of[x]
+            home = counts[old]
             if home is None:
                 continue
-            mine = home.summary and _summary(ctx, agent, (x,))
-            if not (enabled[x] & home.split or mine and _clash(mine, home.summary)):
+            mine = old in clashing and _summary(ctx, agent, (x,))
+            if not (enabled[x] & home.split or mine and _clash(mine, sums[old])):
                 continue
-            home.remove(x, row, cell_of, ctx, agent)
-            old = cell_of[x]
+            home.remove(row, cell_of)
+            if mine:
+                members[old].remove(x)
+                s = sums[old] = _summary(ctx, agent, members[old])
+                if not _clash(s, s):
+                    clashing.discard(old)
             new = len(counts)
             counts.append(None)
             # A self-loop of x left the counters with x.
@@ -186,7 +171,7 @@ def isolate(
                     kept.move(ev, old, new)
             cell_of[x] = new
             changed = True
-    return Cover(cell_of)
+    return Cover(cell_of), None
 
 
 def tsl(
@@ -217,10 +202,13 @@ def tsl(
     supervisors: list[Automaton] = []
     covers: list[Cover] = []
     for k, mapped in zip(agents, mapping):
-        init = None
+        init = cells = None
         if mapped:
-            init = isolate(base_covers[mapped - 1], base_sup, variant_sup, ctx, k)
-        cover = localize(variant_sup, ctx, k, init)
+            init, cells = _isolate(base_covers[mapped - 1], base_sup, variant_sup, ctx, k)
+        if cells is None:
+            cover = localize(variant_sup, ctx, k, init)
+        else:
+            cover = _merge_cells(variant_sup, ctx, k, cells)
         supervisors.append(build_local_supervisor(variant_sup, cover, k))
         covers.append(cover)
     return supervisors, covers

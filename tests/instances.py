@@ -481,6 +481,19 @@ def reference_control_consistent(ctx, agent, x, y):
     return True
 
 
+def snapshot(cells):
+    """Everything a ``_Cells`` holds: slots, member lists, least members,
+    summaries, rows and flawed slots."""
+    return (
+        list(cells._cell),
+        [list(m) for m in cells._members],
+        list(cells._min),
+        list(cells._sum),
+        [dict(row) for row in cells._row],
+        list(cells.flawed),
+    )
+
+
 def reference_merge_closure(x_i, x_j, floor, sup, ctx, agent, cover):
     """Merge by naive congruence closure: the same contract as
     ``suploc.localization._check_merge`` on the cells of ``cover``, which

@@ -158,20 +158,27 @@ def test_bench_counts_gen2_collections_per_timed_section(monkeypatch):
                 callback("start", {"generation": 0, "collected": 0, "uncollectable": 0})
                 callback("stop", {"generation": 2, "collected": 0, "uncollectable": 0})
 
-    real_localize, real_isolate = bench.localize, bench.isolate
+    real_localize, real_merge, real_isolate = bench.localize, bench._merge_cells, bench._isolate
 
     def localize(sup, ctx, agent, init=None):
         if agent == 1:
             announce()
         return real_localize(sup, ctx, agent, init)
 
-    def isolate(*args, **kwargs):
+    # the initialized localize is the merge loop over the store
+    def merge_cells(sup, ctx, agent, cells):
+        if agent == 1:
+            announce()
+        return real_merge(sup, ctx, agent, cells)
+
+    def isolate(*args):
         if args[4] == 2:
             announce()
-        return real_isolate(*args, **kwargs)
+        return real_isolate(*args)
 
     monkeypatch.setattr(bench, "localize", localize)
-    monkeypatch.setattr(bench, "isolate", isolate)
+    monkeypatch.setattr(bench, "_merge_cells", merge_cells)
+    monkeypatch.setattr(bench, "_isolate", isolate)
     callbacks = list(gc.callbacks)
     report = run_bench(variants=("v1", "v3"), levels=2, runs=2, seed=5)
     assert gc.callbacks == callbacks
@@ -450,7 +457,9 @@ def test_cli_tsl_exits_1_when_its_quotient_refuses_the_cover(tmp_path, capsys, m
     # {x1,x2} step to two cells on c while x3 and x4 stay apart, so tsl's
     # own quotient raises before the CLI checks the cover
     monkeypatch.setattr(
-        transform, "localize", lambda sup, ctx, k, init: Cover.from_cells([[0], [1, 2], [3], [4]], 5)
+        transform,
+        "_merge_cells",
+        lambda sup, ctx, k, cells: Cover.from_cells([[0], [1, 2], [3], [4]], 5),
     )
     base_cover = tmp_path / "base.cover"
     base_cover.write_text("cell 0: x0 x3 x4\ncell 1: x1 x2\n", encoding="utf-8")

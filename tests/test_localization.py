@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suploc import localization
+from suploc import localization, transform
 from suploc.automata import (
     Automaton,
     EventTable,
@@ -39,6 +39,7 @@ from .instances import (
     reference_merge_closure,
     reference_control_consistent,
     reference_is_control_congruence,
+    snapshot,
     systems_corpus,
     tower3,
 )
@@ -46,18 +47,6 @@ from .instances import (
 
 def named_cells(cover, aut):
     return [[aut.states[x] for x in cell] for cell in cover.cells()]
-
-
-def snapshot(cells):
-    """Everything a ``_Cells`` holds: slots, member lists, least members,
-    summaries and rows."""
-    return (
-        list(cells._cell),
-        [list(m) for m in cells._members],
-        list(cells._min),
-        list(cells._sum),
-        [dict(row) for row in cells._row],
-    )
 
 
 def checked_merge(engine, x_i, x_j, floor, sup, ctx, cells, agent):
@@ -316,8 +305,9 @@ def engine_outcomes(monkeypatch):
     # every engine call made while the fixture is active must agree with the
     # naive congruence closure on the same cells: both reject, or both commit
     # the same cover. The engine takes no supervisor, context or agent, so
-    # each ``_Cells`` made meanwhile is recorded with the ones it was built
-    # for; holding it keeps its id from being reused.
+    # each ``_Cells`` made meanwhile, by localize or by isolate for tsl to
+    # merge, is recorded with the ones it was built for; holding it keeps its
+    # id from being reused.
     engine = localization._check_merge
     make_cells = localization._Cells
     built = {}
@@ -335,6 +325,7 @@ def engine_outcomes(monkeypatch):
         return got
 
     monkeypatch.setattr(localization, "_Cells", recorded)
+    monkeypatch.setattr(transform, "_Cells", recorded)
     monkeypatch.setattr(localization, "_check_merge", checked)
     return outcomes
 

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suploc import transform
+from suploc import localization, transform
 from suploc.automata import Automaton, EventTable, apply_state_order
 from suploc.context import ControlContext, agents_from_table, build_context
 from suploc.equivalence import check_control_equivalence
+from suploc.bench import BENCH_VARIANTS, _variant_order
 from suploc.localization import (
     Cover,
+    _Cells,
     build_local_supervisor,
     is_control_congruence,
     localize,
@@ -25,6 +27,7 @@ from .instances import (
     is_maximally_reduced,
     mutate_system,
     reference_isolate,
+    snapshot,
     systems_corpus,
     tower,
     tower3,
@@ -370,22 +373,20 @@ def test_isolate_rescans_a_clean_cell_met_before_the_move(counted):
 def test_isolate_of_an_edit_that_breaks_no_cell_returns_the_carried_cover_itself(
     cmt_plants, cmt_supervisors, counted
 ):
-    # four-level v1: every carried cell is still a congruence cell, so each
-    # cell of two or more states is counted once and the carried cover
-    # itself comes back
+    # four-level v1: every carried cell is still a congruence cell, so the
+    # store over the carried cover flags none, no cell is counted and the
+    # carried cover itself comes back
     base_sup, sup = cmt_supervisors["base"], cmt_supervisors["v1"]
     base_ctx = build_context(cmt_plants["base"], base_sup, agents_from_table(base_sup.alphabet))
     agents = agents_from_table(sup.alphabet)
     ctx = build_context(cmt_plants["v1"], sup, agents)
-    want = []
     for spec in agents:
         k = spec.agent_index
         base_cover = localize(base_sup, base_ctx, k)
         carried = carry_over_cover(base_cover, base_sup, sup)
-        assert carried.n_cells > 1
+        assert max(map(len, carried.cells())) > 1
         assert isolate(base_cover, base_sup, sup, ctx, k, carried=carried) is carried
-        want += [cell for cell in carried.cells() if len(cell) > 1]
-    assert counted == want
+    assert counted == []
 
 
 @pytest.mark.parametrize("variant", sorted(TOWER3_COVER_SHA256))
@@ -412,6 +413,20 @@ def tower2_systems():
     return systems
 
 
+@pytest.fixture(scope="module")
+def tower4_systems(cmt_systems, cmt_supervisors, cmt_plants):
+    """(plant, supervisor, context) of the four-level tower's base and
+    variants."""
+    return {
+        variant: (
+            cmt_plants[variant],
+            sup,
+            build_context(cmt_plants[variant], sup, cmt_systems[variant].agents),
+        )
+        for variant, sup in cmt_supervisors.items()
+    }
+
+
 @pytest.mark.parametrize(
     "chain",
     [
@@ -419,15 +434,17 @@ def tower2_systems():
         ("base", "v5", "v1", "v2", "v4", "v3", "base"),
     ],
 )
-def test_tsl_edit_chain_on_two_level_tower(tower2_systems, chain):
+@pytest.mark.parametrize("levels", [2, 4])
+def test_tsl_edit_chain_on_tower(request, levels, chain):
     # the system is edited round after round, and each round relocalizes the
     # previous round's covers with the identity mapping, so the merge engine
     # starts from cells that earlier rounds merged
-    plant, sup, ctx = tower2_systems[chain[0]]
+    systems = request.getfixturevalue(f"tower{levels}_systems")
+    plant, sup, ctx = systems[chain[0]]
     covers = [localize(sup, ctx, k) for k in sorted(ctx.disabled)]
     for variant in chain[1:]:
         base_sup = sup
-        plant, sup, ctx = tower2_systems[variant]
+        plant, sup, ctx = systems[variant]
         agents = sorted(ctx.disabled)
         mapping = tuple(k if k <= len(covers) else 0 for k in agents)
         locs, covers = tsl(covers, base_sup, sup, ctx, mapping)
@@ -437,6 +454,124 @@ def test_tsl_edit_chain_on_two_level_tower(tower2_systems, chain):
             assert is_maximally_reduced(sup, ctx, k, cover), (variant, k)
         verdict = check_control_equivalence(plant, sup, locs)
         assert verdict, (variant, verdict.direction, verdict.counterexample)
+
+
+@pytest.fixture
+def merge_log(monkeypatch):
+    """In order, every store built, as ("built",), every store the merge
+    loop is handed, as ("merged", agent, its snapshot then), and every pair
+    test, as ("pair",)."""
+    log = []
+    make, merge = localization._Cells, localization._merge_cells
+    pair_clash = localization._pair_clash
+
+    def built(*args):
+        log.append(("built",))
+        return make(*args)
+
+    def merged(sup, ctx, agent, cells):
+        log.append(("merged", agent, snapshot(cells)))
+        return merge(sup, ctx, agent, cells)
+
+    def paired(*args):
+        log.append(("pair",))
+        return pair_clash(*args)
+
+    for module in (localization, transform):
+        monkeypatch.setattr(module, "_Cells", built)
+        monkeypatch.setattr(module, "_merge_cells", merged)
+    monkeypatch.setattr(localization, "_pair_clash", paired)
+    return log
+
+
+def check_handoff(base_covers, base_sup, sup, ctx, mapping, log):
+    """Check that ``tsl`` hands its merge loop, per agent, the store that
+    ``_Cells`` builds over ``isolate``'s cover, that it walks the variant
+    into a store once after a clean carry-over and twice after an eviction,
+    that its covers are ``localize``'s from that cover, and that nothing in
+    either path tests a pair. Returns the agents whose carried cover is
+    clean."""
+    agents = sorted(ctx.disabled)
+    want, clean = [], []
+    for k, mapped in zip(agents, mapping):
+        iso, walks = Cover.singleton(sup.n_states), 1
+        if mapped:
+            carried = carry_over_cover(base_covers[mapped - 1], base_sup, sup)
+            iso = isolate(base_covers[mapped - 1], base_sup, sup, ctx, k, carried=carried)
+            if iso is carried:
+                clean.append(k)
+            else:
+                walks = 2
+        want.append((k, walks, snapshot(_Cells(sup, ctx, k, iso)), localize(sup, ctx, k, iso)))
+    assert ("pair",) not in log
+    log.clear()
+    covers = tsl(base_covers, base_sup, sup, ctx, mapping)[1]
+    assert ("pair",) not in log
+    got, walks = [], 0
+    for entry in log:
+        if entry[0] == "built":
+            walks += 1
+        else:
+            _, k, store = entry
+            got.append((k, walks, store))
+            walks = 0
+    assert [(k, n, store) for k, n, store, _ in want] == got
+    assert [cover for *_, cover in want] == covers
+    return clean
+
+
+@pytest.fixture(scope="module")
+def tower4_bench_order(cmt_systems, cmt_supervisors, cmt_plants):
+    """Run 1 of the four-level benchmark at seed 7: the base supervisor in
+    its drawn order and its covers, and each benchmark variant's supervisor
+    in the order the benchmark gives it, with its context."""
+    rng = SplitMix64(7)
+    base_sup = cmt_supervisors["base"]
+    base_sup = apply_state_order(base_sup, rng.permutation(base_sup.n_states))
+    agents = cmt_systems["base"].agents
+    base_ctx = build_context(cmt_plants["base"], base_sup, agents)
+    base_covers = [localize(base_sup, base_ctx, s.agent_index) for s in agents]
+    variants = {}
+    for variant in BENCH_VARIANTS:
+        sup = cmt_supervisors[variant]
+        sup = apply_state_order(sup, _variant_order(base_sup, sup, rng))
+        agents = cmt_systems[variant].agents
+        variants[variant] = sup, build_context(cmt_plants[variant], sup, agents)
+    return base_sup, base_covers, variants
+
+
+def test_tsl_merges_the_store_isolate_walked_on_the_tower(tower4_bench_order, merge_log):
+    # 11 of the 20 agents carry a cover with no flawed cell, and tsl merges
+    # the store isolate walked over it. Every v2 and v5 agent is evicted
+    # from, and isolate finds its evictions without a pair test.
+    base_sup, base_covers, variants = tower4_bench_order
+    clean = []
+    for variant, (sup, ctx) in variants.items():
+        mapping = tuple(sorted(ctx.disabled))
+        kept = check_handoff(base_covers, base_sup, sup, ctx, mapping, merge_log)
+        clean += [(variant, k) for k in kept]
+    every = (1, 2, 3, 4)
+    assert clean == [("v1", k) for k in every] + [("v3", 1), ("v3", 2), ("v3", 4)] + [
+        ("v4", k) for k in every
+    ]
+
+
+def test_tsl_merges_the_store_isolate_walked_on_corpus_edits(merge_log):
+    # identity-mapped edits, and the same edits with agent 1 unmapped
+    rng = SplitMix64(24)
+    counts = {"clean": 0, "evicted": 0}
+    for seed in (2024, 2025, 2026):
+        for plant, sup, agents in systems_corpus(seed, 200):
+            variant_plant, variant_sup = mutate_system(rng, plant, sup)
+            ctx = build_context(plant, sup, agents)
+            covers = [localize(sup, ctx, s.agent_index) for s in agents]
+            variant_ctx = build_context(variant_plant, variant_sup, agents)
+            identity = tuple(s.agent_index for s in agents)
+            for mapping in (identity, (0,) + identity[1:]):
+                clean = check_handoff(covers, sup, variant_sup, variant_ctx, mapping, merge_log)
+                counts["clean"] += len(clean)
+                counts["evicted"] += sum(map(bool, mapping)) - len(clean)
+    assert min(counts.values()) > 100, counts
 
 
 @pytest.mark.parametrize("variant", ["base", "v1", "v2", "v3", "v4", "v5"])
