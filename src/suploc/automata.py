@@ -258,12 +258,10 @@ def parse_automaton(text: str) -> Automaton:
     """
     sections = ("[EVENTS]", "[STATES]", "[TRANS]")
     section = -1
-    ev_names: list[str] = []
     ev_ctrl: list[bool] = []
     ev_agent: list[int] = []
     ev_line: list[int] = []
     ev_seen: dict[str, int] = {}
-    st_names: list[str] = []
     st_seen: dict[str, int] = {}
     initial: int | None = None
     marked: list[int] = []
@@ -298,8 +296,7 @@ def parse_automaton(text: str) -> Automaton:
                 raise FormatError(f"agent must be an integer, got {agent!r}", lineno) from None
             if agent_ix < 1:
                 raise FormatError("agent indices start at 1", lineno)
-            ev_seen[name] = len(ev_names)
-            ev_names.append(name)
+            ev_seen[name] = len(ev_seen)
             ev_ctrl.append(flag == "c")
             ev_agent.append(agent_ix)
             ev_line.append(lineno)
@@ -311,8 +308,7 @@ def parse_automaton(text: str) -> Automaton:
                 raise FormatError(str(exc), lineno) from None
             if name in st_seen:
                 raise FormatError(f"duplicate state name {name!r}", lineno)
-            st_seen[name] = len(st_names)
-            st_names.append(name)
+            st_seen[name] = len(st_seen)
             rows.append({})
             flags = tokens[1:]
             if any(f not in ("initial", "marked") for f in flags) or len(set(flags)) != len(flags):
@@ -349,9 +345,9 @@ def parse_automaton(text: str) -> Automaton:
         lineno = next(at for at, k in zip(ev_line, ev_agent) if k > min(gaps))
         raise FormatError("agent indices must be contiguous from 1", lineno)
     # Every name, reference, repeat and event-table rule was checked above.
-    table = EventTable(tuple(ev_names), tuple(ev_ctrl), tuple(ev_agent))
+    table = EventTable(tuple(ev_seen), tuple(ev_ctrl), tuple(ev_agent))
     return Automaton.__new__(Automaton)._from_rows(
-        st_names, table, _ascending(rows), initial, marked
+        st_seen, table, _ascending(rows), initial, marked
     )
 
 
@@ -504,18 +500,8 @@ def reachable_trim(a: Automaton) -> Automaton:
                 queue.append(y)
     if len(seen) == a.n_states:
         return a
-    keep = [x for x in range(a.n_states) if x in seen]
-    remap = [0] * a.n_states
-    for new, old in enumerate(keep):
-        remap[old] = new
     # ``seen`` is closed under successors: every target of a kept state is kept.
-    return Automaton.__new__(Automaton)._from_rows(
-        [a.states[x] for x in keep],
-        a.alphabet,
-        [{ev: remap[y] for ev, y in a.succ_maps[x].items()} for x in keep],
-        remap[a.initial],
-        [remap[x] for x in a.marked if x in seen],
-    )
+    return _renumber(a, [x for x in range(a.n_states) if x in seen])
 
 
 def apply_state_order(a: Automaton, order: Sequence[int]) -> Automaton:
@@ -527,15 +513,21 @@ def apply_state_order(a: Automaton, order: Sequence[int]) -> Automaton:
     n = a.n_states
     if len(order) != n or sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the state indices")
-    pos = [0] * n
-    for new, old in enumerate(order):
+    return _renumber(a, order)
+
+
+def _renumber(a: Automaton, keep: Sequence[int]) -> Automaton:
+    """Position ``i`` of the result holds old state ``keep[i]``. Every target
+    of a kept state must be kept; marked states that are not kept drop out."""
+    pos = [-1] * a.n_states
+    for new, old in enumerate(keep):
         pos[old] = new
     return Automaton.__new__(Automaton)._from_rows(
-        [a.states[old] for old in order],
+        [a.states[old] for old in keep],
         a.alphabet,
-        [{ev: pos[y] for ev, y in a.succ_maps[old].items()} for old in order],
+        [{ev: pos[y] for ev, y in a.succ_maps[old].items()} for old in keep],
         pos[a.initial],
-        [pos[x] for x in a.marked],
+        [pos[x] for x in a.marked if pos[x] >= 0],
     )
 
 

@@ -310,9 +310,9 @@ def run_bench(
                         base_covers[k - 1], base_sup, variant_sup, ctx, k, carried
                     )
                     n2, t2 = gen2_started[0], time.perf_counter()
-                    if cells is None:
-                        cells = _Cells(variant_sup, ctx, k, cover_iso)
-                    cover_tsl = _merge_cells(variant_sup, ctx, k, cells)
+                    cover_tsl = _merge_cells(
+                        variant_sup, ctx, k, cells or _Cells(variant_sup, ctx, k, cover_iso)
+                    )
                     n3, t3 = gen2_started[0], time.perf_counter()
                     rows.append(
                         BenchRow(

@@ -98,13 +98,19 @@ def write_cover(cover: Cover, automaton: Automaton) -> str:
 def parse_cover(text: str, automaton: Automaton) -> Cover:
     # cell_of[x] is the line of x's cell, -1 until x is placed.
     cell_of = [-1] * automaton.n_states
+    ids: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, body = line.partition(":")
-        if not head.startswith("cell") or not _:
+        head, colon, body = line.partition(":")
+        tag = head.split()
+        if not colon or len(tag) != 2 or tag[0] != "cell" or not tag[1].isdecimal():
             raise FormatError("cover line needs: cell <id>: <state-name>...", lineno)
+        ident = int(tag[1])
+        if ident in ids:
+            raise FormatError(f"duplicate cell id {ident}", lineno)
+        ids.add(ident)
         try:
             members = [automaton.index_of(name) for name in body.split()]
         except ValueError as exc:

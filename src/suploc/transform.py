@@ -188,9 +188,11 @@ def tsl(
     variant agent, the initial partition is either the isolated carry-over
     of the mapped base congruence or, when the mapping is 0, the singleton
     partition; the localization loop then merges cells, and the quotient
-    automaton becomes the agent's local supervisor. Returns the local
-    supervisors and the final covers (the covers seed the next round when
-    the system is edited again).
+    automaton becomes the agent's local supervisor. A mapped agent's loop
+    merges the store :func:`isolate` walked over the carried cover, or after
+    an eviction a new store over the isolated cover, as ``run_bench`` does.
+    Returns the local supervisors and the final covers (the covers seed the
+    next round when the system is edited again).
     """
     base_covers = list(base_covers)
     agents = sorted(ctx.disabled)
@@ -202,13 +204,11 @@ def tsl(
     supervisors: list[Automaton] = []
     covers: list[Cover] = []
     for k, mapped in zip(agents, mapping):
-        init = cells = None
         if mapped:
             init, cells = _isolate(base_covers[mapped - 1], base_sup, variant_sup, ctx, k)
-        if cells is None:
-            cover = localize(variant_sup, ctx, k, init)
+            cover = _merge_cells(variant_sup, ctx, k, cells or _Cells(variant_sup, ctx, k, init))
         else:
-            cover = _merge_cells(variant_sup, ctx, k, cells)
+            cover = localize(variant_sup, ctx, k)
         supervisors.append(build_local_supervisor(variant_sup, cover, k))
         covers.append(cover)
     return supervisors, covers

@@ -18,10 +18,15 @@ Criteria, in test order:
 7. cell-count structure: variant 1 isolates and merges nothing; variant 2
    isolates heavily and ends with at least as many cells as from scratch.
 8. with an unchanged system, isolation is a fixed point across the corpus.
+
+Beside the criteria, the seed-7 benchmark's per-row cell counts are pinned
+to ``data/bench_seed7_cells.csv``: a given seed always gives the same cells.
 """
 
+import csv
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +49,7 @@ from .instances import (
 
 BENCH_SEED = 7
 BENCH_RUNS = 10
+DATA = Path(__file__).parent / "data"
 
 
 def report(criterion: int, detail: str) -> None:
@@ -257,6 +263,15 @@ def test_criterion_7_cell_count_structure(bench_report):
         assert v2.cells_tsl >= v2.cells_sl
     report(7, "variant 1 isolates and merges nothing; variant 2 isolates "
               "heavily and keeps at least as many cells as from scratch")
+
+
+def test_bench_seed7_cells_match_the_pinned_file(bench_report):
+    with open(DATA / "bench_seed7_cells.csv", encoding="utf-8", newline="") as f:
+        pinned = list(csv.DictReader(f))
+    columns = list(pinned[0])
+    got = [{c: str(getattr(row, c)) for c in columns} for row in bench_report.rows]
+    assert len(pinned) == 5 * 4 * BENCH_RUNS
+    assert got == pinned
 
 
 def test_criterion_8_isolation_fixed_point(random_corpus):

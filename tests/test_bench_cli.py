@@ -16,17 +16,26 @@ import pytest
 
 import suploc
 
+from suploc.automata import apply_state_order
 from suploc.bench import (
+    BENCH_VARIANTS,
     CSV_COLUMNS,
     JSON_COLUMNS,
     TIMED_COLUMNS,
     BenchReport,
     EquivalenceGateError,
     _git_commit,
+    _prepare,
+    _variant_order,
     run_bench,
 )
 from suploc.cli import main
+from suploc.cmt import CmtConfig
+from suploc.context import build_context
 from suploc.equivalence import EquivalenceVerdict
+from suploc.localization import localize
+from suploc.rng import SplitMix64
+from suploc.transform import carry_over_cover, isolate, tsl
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,6 +60,29 @@ def test_report_schema_and_arithmetic(small_report):
         assert abs(agg.tsl_seconds - (agg.isolate_seconds + agg.init_localize_seconds)) < 1e-9
         want = (agg.tsl_seconds - agg.sl_seconds) / agg.sl_seconds * 100.0
         assert abs(agg.pct_change - want) < 1e-9
+
+
+def test_report_cells_are_the_library_covers(small_report):
+    # small_report's ordered systems, drawn from seed 9 as run_bench draws run 1
+    rng = SplitMix64(9)
+    base = _prepare(CmtConfig(levels=2, animals=1, variant="base"))
+    base_sup = apply_state_order(base.sup, rng.permutation(base.sup.n_states))
+    base_ctx = build_context(base.plant, base_sup, base.system.agents)
+    agents = range(1, base.system.table.n_agents + 1)
+    base_covers = [localize(base_sup, base_ctx, k) for k in agents]
+    rows = {(r.variant, r.agent): r for r in small_report.rows}
+    assert len(rows) == len(BENCH_VARIANTS) * len(agents)
+    for v in BENCH_VARIANTS:
+        item = _prepare(CmtConfig(levels=2, animals=1, variant=v))
+        sup = apply_state_order(item.sup, _variant_order(base_sup, item.sup, rng))
+        ctx = build_context(item.plant, sup, item.system.agents)
+        _, covers = tsl(base_covers, base_sup, sup, ctx, list(agents))
+        for k, cover in zip(agents, covers):
+            base_cover, row = base_covers[k - 1], rows[v, k]
+            assert row.cells_sl == localize(sup, ctx, k).n_cells
+            assert row.cells_initial_guess == carry_over_cover(base_cover, base_sup, sup).n_cells
+            assert row.cells_isolated == isolate(base_cover, base_sup, sup, ctx, k).n_cells
+            assert row.cells_tsl == cover.n_cells
 
 
 def test_report_json_schema(small_report):
@@ -501,6 +533,34 @@ def test_cli_isolate_refuses_non_congruence(tmp_path, capsys, monkeypatch):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("verification failure: agent 1: states ")
+    assert list(tmp_path.iterdir()) == [base_cover]
+
+
+@pytest.mark.parametrize("command", ["isolate", "tsl"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("cellar: x0 x3 x4\ncell 1: x1 x2\n",
+         "line 1: cover line needs: cell <id>: <state-name>..."),
+        ("cell 0: x0 x3 x4\ncell 0: x1 x2\n", "line 2: duplicate cell id 0"),
+    ],
+)
+def test_cli_rejects_malformed_cover_header(tmp_path, capsys, command, text, message):
+    base_cover = tmp_path / "base.cover"
+    base_cover.write_text(text, encoding="utf-8")
+    argv = [
+        command,
+        "--base-cover", str(base_cover),
+        "--base-sup", str(DATA / "example1.aut"),
+        "--plant", str(DATA / "example1_variant_plant.aut"),
+        "--sup", str(DATA / "example1.aut"),
+    ]
+    if command == "isolate":
+        argv += ["--agent", "1", "--out", str(tmp_path / "iso.cover")]
+    else:
+        argv += ["--out-prefix", str(tmp_path / "variant")]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [base_cover]
 
 

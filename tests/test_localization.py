@@ -143,6 +143,16 @@ def test_cover_serialization_roundtrip(corpus_sup):
          "line 3: state 'x3' appears in two cells"),
         ("cell 0: x0 x3 x4 x0\ncell 1: x1 x2\n", 1,
          "line 1: state 'x0' appears twice in one cell"),
+        ("cellar: x0 x3 x4\ncell 1: x1 x2\n", 1,
+         "line 1: cover line needs: cell <id>: <state-name>..."),
+        ("cell 0: x0 x3 x4\ncell: x1 x2\n", 2,
+         "line 2: cover line needs: cell <id>: <state-name>..."),
+        ("cell 0 junk: x0 x3 x4\ncell 1: x1 x2\n", 1,
+         "line 1: cover line needs: cell <id>: <state-name>..."),
+        ("cell -1: x0 x3 x4\ncell 1: x1 x2\n", 1,
+         "line 1: cover line needs: cell <id>: <state-name>..."),
+        ("cell 0: x0 x3 x4\ncell 0: x1 x2\n", 2, "line 2: duplicate cell id 0"),
+        ("cell 1: x0 x3 x4\ncell 01: x1 x2\n", 2, "line 2: duplicate cell id 1"),
     ],
 )
 def test_parse_cover_names_repeated_state_and_line(corpus_sup, text, line, message):
