@@ -25,7 +25,7 @@ import platform
 import statistics
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .automata import Automaton, apply_state_order, sync_product
@@ -37,26 +37,6 @@ from .rng import SplitMix64
 from .transform import _isolate, carry_over_cover
 
 BENCH_VARIANTS = tuple(v for v in VARIANTS if v != "base")
-
-CSV_COLUMNS = (
-    "variant",
-    "agent",
-    "run",
-    "sl_seconds",
-    "isolate_seconds",
-    "init_localize_seconds",
-    "tsl_seconds",
-    "cells_sl",
-    "cells_initial_guess",
-    "cells_isolated",
-    "cells_tsl",
-)
-
-# The CSV columns that ``BenchReport.to_json`` summarizes per (variant, agent).
-JSON_COLUMNS = CSV_COLUMNS[3:]
-
-# The timed sections of one agent's pipeline, by the column holding their time.
-TIMED_COLUMNS = ("sl_seconds", "isolate_seconds", "init_localize_seconds")
 
 
 class EquivalenceGateError(RuntimeError):
@@ -79,6 +59,14 @@ class BenchRow:
     # Per section of ``TIMED_COLUMNS``, the generation-2 garbage collections
     # that started inside it; a collection's pause counts in that section's time.
     gen2_collections: tuple[int, int, int]
+
+
+# The CSV columns are the row's fields before ``gen2_collections``;
+# ``BenchReport.to_json`` summarizes those after the first three per
+# (variant, agent), and the timed sections are the three before ``tsl_seconds``.
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))[:-1]
+JSON_COLUMNS = CSV_COLUMNS[3:]
+TIMED_COLUMNS = CSV_COLUMNS[3:6]
 
 
 @dataclass(frozen=True)
@@ -225,7 +213,7 @@ def _prepare(cfg: CmtConfig) -> _Prepared:
 def _variant_order(base_sup: Automaton, variant_sup: Automaton, rng: SplitMix64) -> list[int]:
     """Indices for the variant supervisor: retained states sorted by their
     base index, new states appended in shuffled order."""
-    base_pos = {name: i for i, name in enumerate(base_sup.states)}
+    base_pos = base_sup._index()
     retained = [x for x in range(variant_sup.n_states) if variant_sup.states[x] in base_pos]
     retained.sort(key=lambda x: base_pos[variant_sup.states[x]])
     added = [x for x in range(variant_sup.n_states) if variant_sup.states[x] not in base_pos]
@@ -306,9 +294,7 @@ def run_bench(
                     cover_sl = localize(variant_sup, ctx, k)
                     n1, t1 = gen2_started[0], time.perf_counter()
                     carried = carry_over_cover(base_covers[k - 1], base_sup, variant_sup)
-                    cover_iso, cells = _isolate(
-                        base_covers[k - 1], base_sup, variant_sup, ctx, k, carried
-                    )
+                    cover_iso, cells = _isolate(carried, variant_sup, ctx, k)
                     n2, t2 = gen2_started[0], time.perf_counter()
                     cover_tsl = _merge_cells(
                         variant_sup, ctx, k, cells or _Cells(variant_sup, ctx, k, cover_iso)

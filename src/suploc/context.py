@@ -55,6 +55,7 @@ def agents_from_table(table: EventTable) -> tuple[AgentSpec, ...]:
     )
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ControlContext:
     """Immutable control-information tables for a supervisor against a plant.
 
@@ -67,16 +68,13 @@ class ControlContext:
     ``plant_marked[x]`` records whether some jointly reachable plant partner
     of x is marked. Supervisor states never reached in the joint traversal
     keep their enabled masks, have empty (zero) disabled masks and
-    plant_marked False.
+    plant_marked False. Two contexts are equal only when they are one object.
     """
 
-    __slots__ = ("enabled", "disabled", "marked", "plant_marked")
-
-    def __init__(self, enabled, disabled, marked, plant_marked):
-        self.enabled = enabled
-        self.disabled = disabled
-        self.marked = marked
-        self.plant_marked = plant_marked
+    enabled: tuple[int, ...]
+    disabled: dict[int, tuple[int, ...]]
+    marked: tuple[bool, ...]
+    plant_marked: tuple[bool, ...]
 
 
 def build_context(plant: Automaton, sup: Automaton, agents) -> ControlContext:

@@ -26,7 +26,6 @@ from .localization import (
     _merge_cells,
     _summary,
     build_local_supervisor,
-    localize,
 )
 
 
@@ -119,21 +118,21 @@ def isolate(
     its cellmates step on into two cells, or its summary clashes with its
     flagged cell's, and its predecessors' counts move to its new cell.
     """
-    return _isolate(base_cover, base, variant, ctx, agent, carried)[0]
+    if carried is None:
+        carried = carry_over_cover(base_cover, base, variant)
+    elif len(carried.cell_of) != variant.n_states:
+        raise ValueError("carried cover size does not match the variant supervisor")
+    return _isolate(carried, variant, ctx, agent)[0]
 
 
-def _isolate(base_cover, base, variant, ctx, agent, carried=None) -> tuple[Cover, _Cells | None]:
-    """:func:`isolate`, with the store over the carried cover if none evicted."""
+def _isolate(carried: Cover, variant, ctx, agent) -> tuple[Cover, _Cells | None]:
+    """:func:`isolate` of ``carried``, with the store over it if none evicted."""
     _check_agent(ctx, agent, variant)
     x = next(compress(count(), map(and_, ctx.enabled, ctx.disabled[agent])), None)
     if x is not None:
         raise ValueError(
             f"state {variant.states[x]!r} enables an event the context withholds from agent {agent}"
         )
-    if carried is None:
-        carried = carry_over_cover(base_cover, base, variant)
-    elif len(carried.cell_of) != variant.n_states:
-        raise ValueError("carried cover size does not match the variant supervisor")
     cells = _Cells(variant, ctx, agent, carried)
     if not cells.flawed:
         return carried, cells
@@ -184,15 +183,15 @@ def tsl(
     """Transformational localization of the variant system.
 
     The variant agents are those ``ctx`` has tables for, ascending;
-    ``mapping[k-1]`` is variant agent k's base agent, or 0 for none. For each
-    variant agent, the initial partition is either the isolated carry-over
-    of the mapped base congruence or, when the mapping is 0, the singleton
-    partition; the localization loop then merges cells, and the quotient
-    automaton becomes the agent's local supervisor. A mapped agent's loop
-    merges the store :func:`isolate` walked over the carried cover, or after
-    an eviction a new store over the isolated cover, as ``run_bench`` does.
-    Returns the local supervisors and the final covers (the covers seed the
-    next round when the system is edited again).
+    ``mapping[k-1]`` is variant agent k's base agent, or 0 for none. Each
+    variant agent's carry-over of the mapped base congruence, or the
+    singleton partition when the mapping is 0, is isolated; the localization
+    loop then merges cells, and the quotient automaton becomes the agent's
+    local supervisor. The loop merges the store :func:`isolate` walked over
+    that partition, or after an eviction a new store over the isolated
+    cover, as ``run_bench`` does; a ``ctx`` that :func:`isolate` refuses
+    raises its ``ValueError``. Returns the local supervisors and the final
+    covers (the covers seed the next round when the system is edited again).
     """
     base_covers = list(base_covers)
     agents = sorted(ctx.disabled)
@@ -205,10 +204,11 @@ def tsl(
     covers: list[Cover] = []
     for k, mapped in zip(agents, mapping):
         if mapped:
-            init, cells = _isolate(base_covers[mapped - 1], base_sup, variant_sup, ctx, k)
-            cover = _merge_cells(variant_sup, ctx, k, cells or _Cells(variant_sup, ctx, k, init))
+            carried = carry_over_cover(base_covers[mapped - 1], base_sup, variant_sup)
         else:
-            cover = localize(variant_sup, ctx, k)
+            carried = Cover.singleton(variant_sup.n_states)
+        init, cells = _isolate(carried, variant_sup, ctx, k)
+        cover = _merge_cells(variant_sup, ctx, k, cells or _Cells(variant_sup, ctx, k, init))
         supervisors.append(build_local_supervisor(variant_sup, cover, k))
         covers.append(cover)
     return supervisors, covers

@@ -556,6 +556,19 @@ def reference_merge_closure(x_i, x_j, floor, sup, ctx, agent, cover):
     return Cover([find(x) for x in range(sup.n_states)])
 
 
+def is_closure_maximal(sup: Automaton, ctx, agent: int, cover) -> bool:
+    """Whether a control congruence admits no merge at all: for every pair
+    of cell leaders (least members), :func:`reference_merge_closure` with
+    floor 0 refuses to merge their cells. :func:`is_maximally_reduced` only
+    tries the union of two cells; this also tries every merge whose closure
+    unites further cells, and it uses the reference, not the merge engine."""
+    leaders = [cell[0] for cell in cover.cells()]
+    return all(
+        reference_merge_closure(a, b, 0, sup, ctx, agent, cover) is None
+        for a, b in combinations(leaders, 2)
+    )
+
+
 def reference_isolate(base_cover, base, variant, ctx, agent, *, carried=None):
     """Conflict isolation by pairwise tests: the same contract as
     ``suploc.transform.isolate``, kept as its oracle. Each scan visits the

@@ -40,6 +40,7 @@ from suploc.transform import carry_over_cover, isolate, tsl
 
 from .instances import (
     controlled_behavior,
+    is_closure_maximal,
     is_maximally_reduced,
     language_upto,
     marked_language_upto,
@@ -147,14 +148,21 @@ def test_criterion_2_maximal_reducedness(random_corpus, corpus_sup, corpus_ctx,
         for spec in inst.agents:
             k = spec.agent_index
             assert is_maximally_reduced(inst.sup, inst.base_ctx, k, inst.base_covers[k])
+            assert is_closure_maximal(inst.sup, inst.base_ctx, k, inst.base_covers[k])
             assert is_maximally_reduced(
+                inst.variant_sup, inst.variant_ctx, k, inst.tsl_covers[k - 1]
+            )
+            assert is_closure_maximal(
                 inst.variant_sup, inst.variant_ctx, k, inst.tsl_covers[k - 1]
             )
     base_cover, isolated, final = corpus_results
     assert is_maximally_reduced(corpus_sup, corpus_ctx, 1, base_cover)
+    assert is_closure_maximal(corpus_sup, corpus_ctx, 1, base_cover)
     assert is_maximally_reduced(corpus_sup, corpus_variant_ctx, 1, final)
+    assert is_closure_maximal(corpus_sup, corpus_variant_ctx, 1, final)
     # the isolated cover still allows one merge, so it must fail
     assert not is_maximally_reduced(corpus_sup, corpus_variant_ctx, 1, isolated)
+    assert not is_closure_maximal(corpus_sup, corpus_variant_ctx, 1, isolated)
     report(2, "localize and transformational outputs maximally reduced; "
               "the corpus isolate output correctly is not")
 

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import inspect
 import io
 import json
 import os
@@ -204,7 +205,7 @@ def test_bench_counts_gen2_collections_per_timed_section(monkeypatch):
         return real_merge(sup, ctx, agent, cells)
 
     def isolate(*args):
-        if args[4] == 2:
+        if args[3] == 2:
             announce()
         return real_isolate(*args)
 
@@ -762,3 +763,18 @@ def test_python_dash_m_suploc_help():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: suploc ")
+
+
+def test_perfbench_imports_and_call_shapes_bind():
+    # perfbench's own suite is slow; this fails at once when a name it
+    # imports from suploc is gone or a call it makes no longer binds
+    from perfbench import workloads
+
+    shapes = {
+        workloads.isolate: (("base_cover", "base_sup", "sup", "ctx", 1), {"carried": "carried"}),
+        workloads.localize: (("sup", "ctx", 1, "init"), {}),
+        workloads.build_local_supervisor: (("sup", "cover", 1), {}),
+        workloads.build_context: (("plant", "sup", "agents"), {}),
+    }
+    for func, (args, kwargs) in shapes.items():
+        inspect.signature(func).bind(*args, **kwargs)

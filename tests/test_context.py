@@ -1,5 +1,7 @@
 """Control-information tables and monolithic synthesis."""
 
+import dataclasses
+
 import pytest
 
 from suploc.automata import (
@@ -59,6 +61,17 @@ def test_variant_adds_one_disablement(corpus_variant_ctx, corpus_sup):
 def test_enabled_comes_from_supervisor(corpus_ctx, corpus_sup):
     for x in range(corpus_sup.n_states):
         assert corpus_ctx.enabled[x] == _event_mask(e for e, _ in corpus_sup.succ_maps[x].items())
+
+
+def test_context_is_frozen_and_equal_only_to_itself(corpus_plant, corpus_sup, corpus_agents):
+    ctx = build_context(corpus_plant, corpus_sup, corpus_agents)
+    for field in ("enabled", "disabled", "marked", "plant_marked"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ctx, field, getattr(ctx, field))
+    again = build_context(corpus_plant, corpus_sup, corpus_agents)
+    assert dataclasses.astuple(again) == dataclasses.astuple(ctx)
+    assert again != ctx and ctx == ctx
+    assert len({ctx, again}) == 2
 
 
 def test_tables_are_int_masks(corpus_ctx, corpus_variant_ctx):

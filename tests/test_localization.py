@@ -33,6 +33,7 @@ from suploc.transform import carry_over_cover, isolate, tsl
 
 from .instances import (
     control_consistent,
+    is_closure_maximal,
     is_maximally_reduced,
     isomorphic,
     mutate_system,
@@ -491,6 +492,7 @@ def test_localize_outputs_valid_and_maximally_reduced():
             verdict = is_control_congruence(sup, ctx, k, cover)
             assert verdict, verdict.witness
             assert is_maximally_reduced(sup, ctx, k, cover)
+            assert is_closure_maximal(sup, ctx, k, cover)
 
 
 # On these systems a wait list used to link cells through a third cell whose

@@ -24,6 +24,7 @@ from suploc.rng import SplitMix64
 from suploc.transform import carry_over_cover, isolate, tsl
 
 from .instances import (
+    is_closure_maximal,
     is_maximally_reduced,
     mutate_system,
     reference_isolate,
@@ -156,6 +157,7 @@ def test_tsl_outputs_reduced_and_equivalent_on_random_edits():
             verdict = is_control_congruence(variant_sup, ctx, k, cover)
             assert verdict, verdict.witness
             assert is_maximally_reduced(variant_sup, ctx, k, cover)
+            assert is_closure_maximal(variant_sup, ctx, k, cover)
         verdict = check_control_equivalence(variant_plant, variant_sup, sups)
         assert verdict, verdict.counterexample
         done += 1
@@ -336,6 +338,15 @@ def test_isolate_refuses_a_context_that_withholds_an_enabled_event():
         isolate(cover, sup, sup, ctx, 1)
 
 
+def test_tsl_refuses_a_context_that_withholds_an_enabled_event_from_an_unmapped_agent():
+    # an unmapped agent starts from singletons, which go through isolation
+    # like a carried cover, so the context is refused rather than localized
+    sup, ctx = hand_system(3, [(1, B, 0)], {1: 1 << B})
+    message = "^state 's1' enables an event the context withholds from agent 1$"
+    with pytest.raises(ValueError, match=message):
+        tsl([], sup, sup, ctx, (0,))
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """The cells ``isolate`` builds counters for, in the order it does."""
@@ -452,6 +463,8 @@ def test_tsl_edit_chain_on_tower(request, levels, chain):
             verdict = is_control_congruence(sup, ctx, k, cover)
             assert verdict, (variant, k, verdict.witness)
             assert is_maximally_reduced(sup, ctx, k, cover), (variant, k)
+            # the reference closure takes about 4 s per four-level chain on two CPUs
+            assert levels == 4 or is_closure_maximal(sup, ctx, k, cover), (variant, k)
         verdict = check_control_equivalence(plant, sup, locs)
         assert verdict, (variant, verdict.direction, verdict.counterexample)
 
