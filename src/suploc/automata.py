@@ -401,6 +401,13 @@ def _mask_events(mask: int) -> tuple[int, ...]:
     return tuple(events)
 
 
+def _check_alphabet(automata: Sequence[Automaton]) -> None:
+    """Raise ``ValueError`` unless every automaton has the first one's alphabet."""
+    first = automata[0].alphabet
+    if any(a.alphabet != first for a in automata[1:]):
+        raise ValueError("alphabet mismatch between product components")
+
+
 def _product(automata: Sequence[Automaton]):
     """Breadth-first reachable synchronous product over one shared alphabet.
 
@@ -420,10 +427,8 @@ def _product(automata: Sequence[Automaton]):
     move on ``ev``, and a target tuple is the source tuple with only those
     positions stepped.
     """
+    _check_alphabet(automata)
     first = automata[0]
-    for a in automata[1:]:
-        if a.alphabet != first.alphabet:
-            raise ValueError("alphabet mismatch between product components")
     masks = [a.event_masks() for a in automata]
     movers = [[] for _ in range(first.alphabet.n_events)]
     for i, a in enumerate(automata):

@@ -12,7 +12,9 @@ is verified control equivalent to its monolithic supervisor; a failure
 aborts the benchmark because it can only mean an implementation bug.
 
 Context-table construction is excluded from all timings (it is identical
-work for both procedures), as is quotient-automaton construction.
+work for both procedures), as is the equivalence gate; each gate's quotient
+construction and check are timed on their own (``GateRow``) and reported
+only in the JSON summary.
 """
 
 from __future__ import annotations
@@ -61,12 +63,26 @@ class BenchRow:
     gen2_collections: tuple[int, int, int]
 
 
+@dataclass(frozen=True)
+class GateRow:
+    """One run's equivalence gate on one side ("from-scratch" or
+    "transformational") of a variant: the time to build the quotients, then
+    the time of the check."""
+
+    variant: str
+    side: str
+    run: int
+    quotient_seconds: float
+    check_seconds: float
+
+
 # The CSV columns are the row's fields before ``gen2_collections``;
 # ``BenchReport.to_json`` summarizes those after the first three per
 # (variant, agent), and the timed sections are the three before ``tsl_seconds``.
 CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))[:-1]
 JSON_COLUMNS = CSV_COLUMNS[3:]
 TIMED_COLUMNS = CSV_COLUMNS[3:6]
+GATE_COLUMNS = tuple(f.name for f in fields(GateRow))[3:]
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,7 @@ class BenchReport:
     levels: int
     animals: int
     variants: tuple[str, ...]
+    gates: tuple[GateRow, ...] = ()
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -110,23 +127,22 @@ class BenchReport:
         """The environment, the protocol and, per (variant, agent), the
         median, min and max over the runs of each column of ``JSON_COLUMNS``
         and, per timed column, the total over the runs of generation-2
-        collections that started in that section (``gen2_collections``).
-        The environment names the commit of the code, as :func:`_git_commit`
+        collections that started in that section (``gen2_collections``);
+        and, per (variant, side) of the equivalence gate, the median, min
+        and max over the runs of each column of ``GATE_COLUMNS``. The
+        environment names the commit of the code, as :func:`_git_commit`
         finds it."""
         results = []
         for (variant, agent), sub in _groups(self.rows).items():
-            entry: dict = {"variant": variant, "agent": agent}
-            for column in JSON_COLUMNS:
-                values = [getattr(r, column) for r in sub]
-                entry[column] = {
-                    "median": statistics.median(values),
-                    "min": min(values),
-                    "max": max(values),
-                }
+            entry: dict = {"variant": variant, "agent": agent, **_spreads(sub, JSON_COLUMNS)}
             entry["gen2_collections"] = dict(
                 zip(TIMED_COLUMNS, map(sum, zip(*(r.gen2_collections for r in sub))))
             )
             results.append(entry)
+        gates = [
+            {"variant": variant, "side": side, **_spreads(sub, GATE_COLUMNS)}
+            for (variant, side), sub in _groups(self.gates, "side").items()
+        ]
         document = {
             "environment": {
                 "python": platform.python_version(),
@@ -142,6 +158,7 @@ class BenchReport:
                 "variants": list(self.variants),
             },
             "results": results,
+            "gates": gates,
         }
         return json.dumps(document, indent=2) + "\n"
 
@@ -166,12 +183,25 @@ class BenchReport:
         return sum(a.pct_change for a in self.aggregates) / len(self.aggregates)
 
 
-def _groups(rows) -> dict[tuple[str, int], list[BenchRow]]:
-    """``rows`` grouped by (variant, agent), in order of first appearance."""
-    groups: dict[tuple[str, int], list[BenchRow]] = {}
+def _groups(rows, by: str = "agent") -> dict[tuple, list]:
+    """``rows`` grouped by (variant, ``by``), in order of first appearance."""
+    groups: dict[tuple, list] = {}
     for r in rows:
-        groups.setdefault((r.variant, r.agent), []).append(r)
+        groups.setdefault((r.variant, getattr(r, by)), []).append(r)
     return groups
+
+
+def _spreads(rows, columns) -> dict[str, dict]:
+    """Per column, the median, min and max of its values over ``rows``."""
+    spreads = {}
+    for column in columns:
+        values = [getattr(r, column) for r in rows]
+        spreads[column] = {
+            "median": statistics.median(values),
+            "min": min(values),
+            "max": max(values),
+        }
+    return spreads
 
 
 def _git_commit() -> str | None:
@@ -264,6 +294,7 @@ def run_bench(
     rng = SplitMix64(seed)
     n_agents = base.system.table.n_agents
     rows: list[BenchRow] = []
+    gates: list[GateRow] = []
 
     # How many generation-2 collections have started; read at each section
     # boundary, its differences count the collections inside each section.
@@ -323,16 +354,20 @@ def run_bench(
                     ("from-scratch", covers_sl),
                     ("transformational", covers_tsl),
                 ):
+                    t0 = time.perf_counter()
                     locs = [
                         build_local_supervisor(variant_sup, cover, k)
                         for k, cover in enumerate(covers, start=1)
                     ]
+                    t1 = time.perf_counter()
                     verdict = check_control_equivalence(item.plant, variant_sup, locs)
+                    t2 = time.perf_counter()
                     if not verdict:
                         raise EquivalenceGateError(
                             f"{side} supervisors for {item.name} run {run} are not control "
                             f"equivalent: {verdict.direction}; trace {verdict.counterexample}"
                         )
+                    gates.append(GateRow(item.name, side, run, t1 - t0, t2 - t1))
                 say(f"run {run}/{runs} {item.name}: ok")
     finally:
         gc.callbacks.remove(note_gen2)
@@ -343,4 +378,6 @@ def run_bench(
         sl = means["sl_seconds"]
         pct_change = (means["tsl_seconds"] - sl) / sl * 100.0
         aggregates.append(BenchAggregate(variant, agent, pct_change=pct_change, **means))
-    return BenchReport(tuple(rows), tuple(aggregates), runs, seed, levels, animals, variants)
+    return BenchReport(
+        tuple(rows), tuple(aggregates), runs, seed, levels, animals, variants, tuple(gates)
+    )

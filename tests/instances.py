@@ -80,6 +80,38 @@ def supervisor_from(rng: SplitMix64, plant: Automaton) -> Automaton:
     return reachable_trim(sup)
 
 
+def reachable_plant(rng: SplitMix64, table: EventTable, max_states: int = 12) -> Automaton:
+    """A random plant whose states are all reachable by construction: each
+    state after the initial one is entered first from a random earlier state
+    on an event that state does not use yet, and every other (state, event)
+    gets a random target with probability 1/2, as in ``random_plant``."""
+    n = 2 + rng.below(max_states - 1)
+    n_ev = table.n_events
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for x in range(1, n):
+        open_ = [y for y in range(x) if len(rows[y]) < n_ev]
+        src = open_[rng.below(len(open_))]
+        free = [e for e in range(n_ev) if e not in rows[src]]
+        rows[src][free[rng.below(len(free))]] = x
+    for x, row in enumerate(rows):
+        for e in range(n_ev):
+            if e not in row and rng.below(2) < 1:
+                row[e] = rng.below(n)
+    triples = [(x, e, y) for x, row in enumerate(rows) for e, y in row.items()]
+    marked = [x for x in range(n) if rng.below(10) < 3]
+    return Automaton([f"s{x}" for x in range(n)], table, triples, 0, marked)
+
+
+def reachable_corpus(seed: int, count: int, max_states: int = 12):
+    """``count`` systems as in ``systems_corpus``, but on ``reachable_plant``
+    plants; the supervisor is still trimmed to its reachable part."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        table = random_table(rng)
+        plant = reachable_plant(rng, table, max_states)
+        yield plant, supervisor_from(rng, plant), agents_from_table(table)
+
+
 def random_system(rng: SplitMix64, max_states: int = 12):
     table = random_table(rng)
     plant = random_plant(rng, table, max_states)
@@ -319,6 +351,33 @@ def controlled_behavior(plant: Automaton, locs) -> Automaton:
     controlled system.
     """
     return sync_product([plant] + list(locs))
+
+
+def alternating(table: EventTable, ev: int) -> Automaton:
+    """Two marked states that enable every event and swap on ``ev``: a local
+    supervisor that restricts nothing, yet is no function of the supervisor
+    state wherever two paths to one state differ in the parity of ``ev``."""
+    triples = [(x, e, x ^ (e == ev)) for x in (0, 1) for e in range(table.n_events)]
+    return Automaton(["even", "odd"], table, triples, 0, [0, 1])
+
+
+def remarked(a: Automaton) -> Automaton:
+    """``a`` with every state's marking flipped."""
+    flipped = set(range(a.n_states)) - a.marked
+    return Automaton(a.states, a.alphabet, a.iter_transitions(), a.initial, flipped)
+
+
+def supervisor_maps_onto(sup: Automaton, comps) -> bool:
+    """Whether each automaton of ``comps`` is a homomorphic image of the
+    supervisor's reachable part: a map phi with phi(initial) = initial and
+    the component stepping from phi(s) to phi(y) on every supervisor
+    transition s -ev-> y. Read off the product of ``sup`` and ``comps``: it
+    holds iff no two reachable tuples share a supervisor state and each
+    tuple enables every event its supervisor state does."""
+    order, rows = reference_product([sup, *comps])
+    return len({t[0] for t in order}) == len(order) and all(
+        len(row) == len(sup.succ_maps[t[0]]) for t, row in zip(order, rows)
+    )
 
 
 def reference_check_control_equivalence(plant: Automaton, sup: Automaton, locs) -> EquivalenceVerdict:

@@ -29,11 +29,13 @@ from suploc.localization import Cover, build_local_supervisor, localize
 from suploc.rng import SplitMix64
 
 from .instances import (
+    alternating,
     isomorphic,
     language_upto,
     random_plant,
     random_table,
     reference_product,
+    supervisor_maps_onto,
     systems_corpus,
 )
 
@@ -276,6 +278,7 @@ def test_context_and_equivalence_check_compute_each_mask_once(monkeypatch):
 
     event_mask = automata._event_mask
     monkeypatch.setattr(automata, "_event_mask", counted)
+    walks = 0
     for plant, sup, agents in systems_corpus(23, 20):
         rows.clear()
         ctx = build_context(plant, sup, agents)
@@ -285,9 +288,20 @@ def test_context_and_equivalence_check_compute_each_mask_once(monkeypatch):
         ]
         assert ctx.enabled is sup.event_masks()
         assert len(rows) == sup.n_states + plant.n_states
-        for _ in range(2):
-            check_control_equivalence(plant, sup, locs)
-            assert len(rows) == sup.n_states + plant.n_states + sum(a.n_states for a in locs)
+        # the check reads the local supervisors' masks only when it walks the
+        # product: when the supervisor's maps cannot show the loops equivalent
+        masked = {}
+        for side in (locs, locs + [alternating(plant.alphabet, 0)], locs[:-1]):
+            for _ in range(2):
+                verdict = check_control_equivalence(plant, sup, side)
+                walked = not (verdict and supervisor_maps_onto(sup, [plant, *side]))
+                if walked:
+                    masked.update((id(a), a) for a in side)
+                walks += walked
+                assert len(rows) == sup.n_states + plant.n_states + sum(
+                    a.n_states for a in masked.values()
+                )
+    assert 0 < walks < 120, walks  # both branches, of 20 systems x 3 sides x 2
 
 
 def test_sync_product_neutral_element(corpus_sup):

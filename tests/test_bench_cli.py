@@ -21,6 +21,7 @@ from suploc.automata import apply_state_order
 from suploc.bench import (
     BENCH_VARIANTS,
     CSV_COLUMNS,
+    GATE_COLUMNS,
     JSON_COLUMNS,
     TIMED_COLUMNS,
     BenchReport,
@@ -88,7 +89,7 @@ def test_report_cells_are_the_library_covers(small_report):
 
 def test_report_json_schema(small_report):
     doc = json.loads(small_report.to_json())
-    assert set(doc) == {"environment", "protocol", "results"}
+    assert set(doc) == {"environment", "protocol", "results", "gates"}
     assert doc["environment"] == {
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
@@ -125,6 +126,20 @@ def test_report_json_schema(small_report):
             column: sum(r.gen2_collections[i] for r in rows)
             for i, column in enumerate(TIMED_COLUMNS)
         }
+    # one gate per (variant, side), each run timing the quotients, then the check
+    assert GATE_COLUMNS == ("quotient_seconds", "check_seconds")
+    sides = ("from-scratch", "transformational")
+    assert [(e["variant"], e["side"]) for e in doc["gates"]] == [
+        (v, side) for v in ("v1", "v2", "v3", "v4", "v5") for side in sides
+    ]
+    assert len(small_report.gates) == 5 * 2
+    for entry, gate in zip(doc["gates"], small_report.gates):
+        assert set(entry) == {"variant", "side", *GATE_COLUMNS}
+        assert (gate.variant, gate.side, gate.run) == (entry["variant"], entry["side"], 1)
+        for column in GATE_COLUMNS:
+            value = getattr(gate, column)
+            assert value > 0
+            assert entry[column] == {"median": value, "min": value, "max": value}
 
 
 def test_report_json_spreads_over_runs():
@@ -136,6 +151,11 @@ def test_report_json_spreads_over_runs():
             r.sl_seconds for r in report.rows if r.agent == entry["agent"]
         )
         assert entry["sl_seconds"] == {"median": times[1], "min": times[0], "max": times[2]}
+    assert [e["side"] for e in doc["gates"]] == ["from-scratch", "transformational"]
+    for entry in doc["gates"]:
+        for column in GATE_COLUMNS:
+            times = sorted(getattr(g, column) for g in report.gates if g.side == entry["side"])
+            assert entry[column] == {"median": times[1], "min": times[0], "max": times[2]}
 
 
 def test_report_json_names_the_commit_or_null(tmp_path):
