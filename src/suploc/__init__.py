@@ -12,7 +12,6 @@ from .automata import (
     apply_state_order,
     load_automaton,
     parse_automaton,
-    project_state_names,
     reachable_trim,
     save_automaton,
     sync_product,
@@ -76,7 +75,6 @@ __all__ = [
     "localize",
     "parse_automaton",
     "parse_cover",
-    "project_state_names",
     "reachable_trim",
     "run_bench",
     "save_automaton",

@@ -184,18 +184,13 @@ class Automaton:
     def moving_mask(self) -> int:
         """The mask of the events on which some state leaves itself; on every
         other event each state that enables it self-loops. Built on first use
-        and kept. The row scan reads only rows that enable an event not yet
-        known to move, and stops once every event of the alphabet is known to."""
+        and kept."""
         if self._moving is None:
-            every = (1 << self.alphabet.n_events) - 1
             moving = 0
-            for x, (row, mask) in enumerate(zip(self.succ_maps, self.event_masks())):
-                if mask & ~moving:
-                    for ev, y in row.items():
-                        if y != x:
-                            moving |= 1 << ev
-                    if moving == every:
-                        break
+            for x, row in enumerate(self.succ_maps):
+                for ev, y in row.items():
+                    if y != x:
+                        moving |= 1 << ev
             self._moving = moving
         return self._moving
 
@@ -533,22 +528,4 @@ def _renumber(a: Automaton, keep: Sequence[int]) -> Automaton:
         [{ev: pos[y] for ev, y in a.succ_maps[old].items()} for old in keep],
         pos[a.initial],
         [pos[x] for x in a.marked if pos[x] >= 0],
-    )
-
-
-def project_state_names(a: Automaton, keep: int) -> Automaton:
-    """Rename every state to its first ``keep`` ``|``-joined name components.
-
-    Useful after a synchronous product when trailing components (for example
-    monitor automata) add no identifying information. Raises ``ValueError``
-    if the projection is not injective on the state set.
-    """
-    names = ["|".join(name.split("|")[:keep]) for name in a.states]
-    if len(set(names)) != len(names):
-        raise ValueError("state-name projection is not injective")
-    # A projected name is a prefix of a valid name, so it is valid unless empty.
-    if not all(names):
-        raise ValueError("state name must be non-empty")
-    return Automaton.__new__(Automaton)._from_rows(
-        names, a.alphabet, a.succ_maps, a.initial, a.marked
     )

@@ -111,7 +111,7 @@ class BenchReport:
     levels: int
     animals: int
     variants: tuple[str, ...]
-    gates: tuple[GateRow, ...] = ()
+    gates: tuple[GateRow, ...]
 
     def to_csv(self) -> str:
         out = io.StringIO()

@@ -13,16 +13,10 @@ import os
 import sys
 from pathlib import Path
 
-from .automata import (
-    FormatError,
-    load_automaton,
-    project_state_names,
-    save_automaton,
-    sync_product,
-)
+from .automata import FormatError, load_automaton, save_automaton, sync_product
 from .bench import BENCH_VARIANTS, EquivalenceGateError, run_bench
 from .cmt import VARIANTS, CmtConfig, _animal_tags, gen_cmt
-from .context import SynthesisEmptyError, agents_from_table, build_context, synthesize_monolithic
+from .context import SynthesisEmptyError, _synthesize, agents_from_table, build_context
 from .equivalence import check_control_equivalence
 from .localization import (
     InvalidCoverError,
@@ -81,9 +75,7 @@ def _cmd_synthesize(args) -> int:
         raise FormatError("--name-components must be at least 0")
     plants = _load_plants(args.plant)
     requirements = [_load_over(plants[0].alphabet, "--req", p) for p in args.req]
-    sup = synthesize_monolithic(plants, requirements)
-    if args.name_components:
-        sup = project_state_names(sup, args.name_components)
+    sup = _synthesize(plants, requirements, args.name_components or None)
     save_automaton(sup, args.out)
     print(f"supervisor: {sup.n_states} states, {sup.n_transitions} transitions -> {args.out}")
     return 0
@@ -248,7 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plant", action="append", required=True, help="plant file (repeatable)")
     p.add_argument("--req", action="append", default=[], help="requirement file (repeatable)")
     p.add_argument("--name-components", type=int, default=0,
-                   help="keep only this many leading name components per state")
+                   help="name each state by its first this many components, plants "
+                        "then requirements; 0 keeps all")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synthesize)
 

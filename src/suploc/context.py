@@ -166,7 +166,8 @@ def synthesize_monolithic(plants, requirements=()) -> Automaton:
 
 def _synthesize(plants, requirements, named: int | None) -> Automaton:
     """:func:`synthesize_monolithic` naming each kept tuple by its first
-    ``named`` components (all when None); a non-injective naming raises."""
+    ``named`` components, plants then requirements (all when None); a
+    non-injective naming raises."""
     plants = list(plants)
     requirements = list(requirements)
     if not plants:

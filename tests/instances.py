@@ -660,6 +660,12 @@ def reference_isolate(base_cover, base, variant, ctx, agent, *, carried=None):
     return Cover(cell_of)
 
 
+def split_names(a: Automaton, keep: int) -> Automaton:
+    """``a`` with every state renamed to its first ``keep`` ``|``-joined name parts."""
+    names = ["|".join(name.split("|")[:keep]) for name in a.states]
+    return Automaton(names, a.alphabet, a.iter_transitions(), a.initial, a.marked)
+
+
 def reference_synthesize(plants, requirements=()) -> Automaton:
     """The set-based two-pass synthesis ``synthesize_monolithic`` ran before
     its bookkeeping became one pass, kept as its oracle: the supremal

@@ -13,7 +13,6 @@ from suploc.automata import (
     _product,
     apply_state_order,
     parse_automaton,
-    project_state_names,
     reachable_trim,
     sync_product,
     write_automaton,
@@ -35,6 +34,7 @@ from .instances import (
     random_plant,
     random_table,
     reference_product,
+    split_names,
     supervisor_maps_onto,
     systems_corpus,
 )
@@ -416,16 +416,6 @@ def test_apply_state_order_rejects_bad_permutation(corpus_sup):
         apply_state_order(corpus_sup, [0, 0, 1, 2, 3])
 
 
-def test_project_state_names():
-    table = table_abc((1,))
-    aut = Automaton(["p|ok", "q|ok"], table, [(0, 0, 1)], 0, [1])
-    renamed = project_state_names(aut, 1)
-    assert renamed.states == ("p", "q")
-    collide = Automaton(["p|a", "p|b"], table, [(0, 0, 1)], 0)
-    with pytest.raises(ValueError, match="injective"):
-        project_state_names(collide, 1)
-
-
 # ---------------------------------------------------------------------------
 # trusted construction: every operation builds through ``_from_rows``
 
@@ -452,7 +442,6 @@ def trusted_outputs(plant, sup, agents, rng):
             Automaton(plant.states, plant.alphabet, plant.iter_transitions(), root, plant.marked)
         )
     yield apply_state_order(sup, rng.permutation(sup.n_states))
-    yield project_state_names(sync_product([sup, loops]), sup.states[0].count("|") + 1)
     try:
         yield synthesize_monolithic([plant], [sup])
     except SynthesisEmptyError:
@@ -492,7 +481,7 @@ def test_trusted_construction_matches_checked_on_tower(cmt_systems, cmt_plants, 
     plant = cmt_plants["base"]
     agents = agents_from_table(sup.alphabet)
     raw_sup = synthesize_monolithic(system.plants, system.requirements)
-    assert project_state_names(raw_sup, len(system.plants)) == sup
+    assert split_names(raw_sup, len(system.plants)) == sup
     for a in (sync_product(system.plants), plant, raw_sup, sup):
         assert_as_if_checked(a)
     for a in trusted_outputs(plant, sup, agents[:1], SplitMix64(7)):
@@ -506,13 +495,6 @@ def test_sync_product_rejects_colliding_joined_names():
     right = Automaton(["c", "b|c"], table, [(0, 0, 1), (1, 1, 0)], 0)
     with pytest.raises(ValueError, match=r"^duplicate state name 'a\|b\|c'$"):
         sync_product([left, right])
-
-
-def test_project_state_names_rejects_empty_name():
-    table = table_abc((1,))
-    aut = Automaton(["|p"], table, [], 0)
-    with pytest.raises(ValueError, match="non-empty"):
-        project_state_names(aut, 1)
 
 
 @st.composite

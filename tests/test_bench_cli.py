@@ -17,7 +17,7 @@ import pytest
 
 import suploc
 
-from suploc.automata import apply_state_order
+from suploc.automata import apply_state_order, write_automaton
 from suploc.bench import (
     BENCH_VARIANTS,
     CSV_COLUMNS,
@@ -32,7 +32,7 @@ from suploc.bench import (
     run_bench,
 )
 from suploc.cli import main
-from suploc.cmt import CmtConfig
+from suploc.cmt import CmtConfig, gen_cmt, synthesize_cmt
 from suploc.context import build_context
 from suploc.equivalence import EquivalenceVerdict
 from suploc.localization import localize
@@ -177,7 +177,7 @@ def test_report_json_names_the_commit_or_null(tmp_path):
     shutil.copytree(Path(suploc.__file__).parent, tmp_path / "suploc")
     script = (
         "import json; from suploc.bench import BenchReport; "
-        "print(json.loads(BenchReport((), (), 1, 1, 2, 1, ()).to_json())"
+        "print(json.loads(BenchReport((), (), 1, 1, 2, 1, (), ()).to_json())"
         "['environment']['commit'])"
     )
     env = {**os.environ, "PYTHONPATH": str(tmp_path), "GIT_CEILING_DIRECTORIES": str(tmp_path)}
@@ -186,7 +186,7 @@ def test_report_json_names_the_commit_or_null(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "None"
-    assert BenchReport((), (), 1, 1, 2, 1, ()).to_json()
+    assert BenchReport((), (), 1, 1, 2, 1, (), ()).to_json()
 
 
 def test_markdown_table_contains_all_rows(small_report):
@@ -434,7 +434,7 @@ def test_cli_names_file_over_other_events(tmp_path, capsys, monkeypatch, command
     def too_early(*args):
         raise AssertionError("a product or context was built before the event tables were checked")
 
-    for name in ["sync_product", "synthesize_monolithic", "build_context"]:
+    for name in ["sync_product", "_synthesize", "build_context"]:
         monkeypatch.setattr(cli, name, too_early)
     one_event = Automaton(["q"], EventTable(("z",), (True,), (1,)), [(0, 0, 0)], 0, [0])
     other = tmp_path / "one_event.aut"
@@ -613,6 +613,9 @@ def test_cli_gen_cmt_files_parse_and_synthesize(tmp_path):
         assert code == 0
         sup = load_automaton(sup_path)
         assert sup.states[sup.initial] == "|".join(["L1R1"] * animals + ["L2R5"] * animals)
+        # the plant files in name order are the cats, then the mice, as in gen_cmt
+        system = gen_cmt(CmtConfig(2, animals, "base"))
+        assert sup_path.read_text(encoding="utf-8") == write_automaton(synthesize_cmt(system))
 
 
 def test_cli_gen_cmt_rejects_v4_on_one_level(tmp_path, capsys):
@@ -622,6 +625,37 @@ def test_cli_gen_cmt_rejects_v4_on_one_level(tmp_path, capsys):
         "error: variant 'v4' removes the mice's start room L1R5 when levels is 1\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_synthesize_names_states_by_component(tmp_path, capsys):
+    # The plant's state names hold "|": each supervisor state is named by its
+    # first k components, not by the first k "|"-separated parts of its name.
+    from suploc.automata import Automaton, EventTable, load_automaton, save_automaton
+
+    table = EventTable(("e", "f"), (True, False), (1, 1))
+    plant = Automaton(["a|x", "a|y"], table, [(0, 0, 1), (1, 1, 0)], 0, [0, 1])
+    one = Automaton(["r"], table, [(0, 0, 0), (0, 1, 0)], 0, [0])
+    # r0 and r1 both meet each plant state, so naming by the plant repeats names
+    two = Automaton(["r0", "r1"], table, [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1)], 0, [0, 1])
+    for name, aut in [("plant", plant), ("one", one), ("two", two)]:
+        save_automaton(aut, tmp_path / f"{name}.aut")
+    out = tmp_path / "sup.aut"
+
+    def synthesize(req, count):
+        return run_cli(
+            "synthesize", "--plant", str(tmp_path / "plant.aut"), "--req", str(tmp_path / req),
+            "--name-components", count, "--out", str(out),
+        )
+
+    assert synthesize("one.aut", "1") == 0
+    assert load_automaton(out).states == ("a|x", "a|y")
+    assert synthesize("two.aut", "2") == 0
+    assert load_automaton(out).states == ("a|x|r0", "a|y|r1", "a|x|r1", "a|y|r0")
+    capsys.readouterr()
+    out.unlink()
+    assert synthesize("two.aut", "1") == 2
+    assert capsys.readouterr().err == "error: state-name projection is not injective\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", ["-1", "-12"])

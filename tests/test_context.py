@@ -9,7 +9,6 @@ from suploc.automata import (
     EventTable,
     _event_mask,
     _mask_events,
-    project_state_names,
     reachable_trim,
 )
 from suploc.cmt import VARIANTS, CmtConfig, gen_cmt, synthesize_cmt
@@ -22,7 +21,13 @@ from suploc.context import (
 )
 from suploc.rng import SplitMix64
 
-from .instances import isomorphic, random_plant, random_table, reference_synthesize
+from .instances import (
+    isomorphic,
+    random_plant,
+    random_table,
+    reference_synthesize,
+    split_names,
+)
 
 
 def names(table, mask):
@@ -398,14 +403,15 @@ def test_synthesis_matches_reference_on_named_cases(plant, requirement, kept):
 
 def _assert_cmt_synthesis(system, cmt_sup=None):
     """The one-pass synthesis equals the reference on a tower system, and
-    ``synthesize_cmt``'s plant-component names are the projection of the
-    monolithic supervisor's, with no plant state name holding ``|``."""
+    ``synthesize_cmt``'s plant-component names are the monolithic
+    supervisor's names cut after the plant parts, which is the same as long
+    as no plant state name holds ``|``."""
     assert not any("|" in name for plant in system.plants for name in plant.states)
     sup = synthesize_monolithic(system.plants, system.requirements)
     assert sup == reference_synthesize(system.plants, system.requirements)
     if cmt_sup is None:
         cmt_sup = synthesize_cmt(system)
-    assert cmt_sup == project_state_names(sup, len(system.plants))
+    assert cmt_sup == split_names(sup, len(system.plants))
 
 
 @pytest.mark.parametrize("levels, animals", [(2, 1), (3, 1), (2, 2)])
