@@ -16,7 +16,7 @@ from pathlib import Path
 from .automata import FormatError, load_automaton, save_automaton, sync_product
 from .bench import BENCH_VARIANTS, EquivalenceGateError, run_bench
 from .cmt import VARIANTS, CmtConfig, _animal_tags, gen_cmt
-from .context import SynthesisEmptyError, _synthesize, agents_from_table, build_context
+from .context import SynthesisEmptyError, agents_from_table, build_context, synthesize_monolithic
 from .equivalence import check_control_equivalence
 from .localization import (
     InvalidCoverError,
@@ -75,7 +75,7 @@ def _cmd_synthesize(args) -> int:
         raise FormatError("--name-components must be at least 0")
     plants = _load_plants(args.plant)
     requirements = [_load_over(plants[0].alphabet, "--req", p) for p in args.req]
-    sup = _synthesize(plants, requirements, args.name_components or None)
+    sup = synthesize_monolithic(plants, requirements, args.name_components)
     save_automaton(sup, args.out)
     print(f"supervisor: {sup.n_states} states, {sup.n_transitions} transitions -> {args.out}")
     return 0
@@ -203,6 +203,10 @@ def _cmd_bench(args) -> int:
             seed = int(env_seed)
         except ValueError:
             raise FormatError(f"DES_SEED must be an integer, got {env_seed!r}") from None
+    outputs = {flag: getattr(args, flag) for flag in ("csv", "md", "json") if getattr(args, flag)}
+    for flag, path in outputs.items():
+        if not Path(path).parent.is_dir():
+            raise FormatError(f"--{flag} {path}: directory does not exist")
     report = run_bench(
         variants=BENCH_VARIANTS if args.variant == "all" else args.variant.split(","),
         levels=args.levels,
@@ -213,12 +217,9 @@ def _cmd_bench(args) -> int:
     )
     print(report.to_markdown())
     print(f"overall mean change: {report.overall_pct_change:+.0f}%")
-    if args.csv:
-        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
-    if args.md:
-        Path(args.md).write_text(report.to_markdown(), encoding="utf-8")
-    if args.json:
-        Path(args.json).write_text(report.to_json(), encoding="utf-8")
+    render = {"csv": report.to_csv, "md": report.to_markdown, "json": report.to_json}
+    for flag, path in outputs.items():
+        Path(path).write_text(render[flag](), encoding="utf-8")
     return 0
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import Automaton, EventTable
-from .context import _synthesize, agents_from_table
+from .context import agents_from_table, synthesize_monolithic
 
 VARIANTS = ("base", "v1", "v2", "v3", "v4", "v5")
 
@@ -248,4 +248,4 @@ def synthesize_cmt(system: CmtSystem) -> Automaton:
     components add no information, so this naming is injective on reachable
     supervisor states). Configuration names are stable across variants,
     which is what lets covers carry over."""
-    return _synthesize(system.plants, system.requirements, len(system.plants))
+    return synthesize_monolithic(system.plants, system.requirements, len(system.plants))

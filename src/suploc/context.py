@@ -145,7 +145,7 @@ def build_context(plant: Automaton, sup: Automaton, agents) -> ControlContext:
     )
 
 
-def synthesize_monolithic(plants, requirements=()) -> Automaton:
+def synthesize_monolithic(plants, requirements=(), name_components=None) -> Automaton:
     """Supremal controllable and nonblocking supervisor for plants under
     requirement automata.
 
@@ -158,16 +158,13 @@ def synthesize_monolithic(plants, requirements=()) -> Automaton:
     it is removed.
 
     Returns a deterministic automaton whose states are the surviving product
-    tuples, named by joining component state names with ``|``. Raises
+    tuples, each named by joining with ``|`` the state names of its first
+    ``name_components`` components, plants then requirements (all when None
+    or 0); a repeated name or a negative count raises ``ValueError``. Raises
     :class:`SynthesisEmptyError` when nothing survives.
     """
-    return _synthesize(plants, requirements, None)
-
-
-def _synthesize(plants, requirements, named: int | None) -> Automaton:
-    """:func:`synthesize_monolithic` naming each kept tuple by its first
-    ``named`` components, plants then requirements (all when None); a
-    non-injective naming raises."""
+    if name_components is not None and name_components < 0:
+        raise ValueError("name_components must be at least 0")
     plants = list(plants)
     requirements = list(requirements)
     if not plants:
@@ -239,8 +236,6 @@ def _synthesize(plants, requirements, named: int | None) -> Automaton:
         remap[old] = new
     # ``reach`` holds every good successor of its states.
     rows = [{ev: remap[tgt] for ev, tgt in succ[src].items() if good[tgt]} for src in keep]
-    names = _tuple_names(comps[:named], [order[i] for i in keep])
-    if named is not None and len(set(names)) != len(names):
-        raise ValueError("state-name projection is not injective")
+    names = _tuple_names(comps[: name_components or None], [order[i] for i in keep])
     marked = [remap[i] for i in keep if all_marked[i]]
     return Automaton.__new__(Automaton)._from_rows(names, table, rows, 0, marked)

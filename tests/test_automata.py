@@ -64,6 +64,13 @@ def test_roundtrip_corpus_automaton(corpus_sup):
     assert again == corpus_sup
 
 
+def test_automaton_repr_and_comparison_with_other_types(corpus_sup):
+    assert repr(corpus_sup) == "<Automaton 5 states, 6 transitions, 5 events>"
+    text = write_automaton(corpus_sup)
+    assert corpus_sup.__eq__(text) is NotImplemented
+    assert corpus_sup != text
+
+
 def test_write_is_fixed_point(corpus_sup, corpus_plant):
     for aut in (corpus_sup, corpus_plant):
         once = write_automaton(aut)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import platform
+import runpy
 import shutil
 import statistics
 import subprocess
@@ -187,6 +188,17 @@ def test_report_json_names_the_commit_or_null(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "None"
     assert BenchReport((), (), 1, 1, 2, 1, (), ()).to_json()
+
+
+@pytest.mark.parametrize("failure", ["rev-parse fails", "git cannot run"])
+def test_git_commit_is_null_when_git_fails(monkeypatch, failure):
+    def run(argv, **kwargs):
+        if failure == "git cannot run":
+            raise OSError("no git")
+        return subprocess.CompletedProcess(argv, 128, "", "fatal: not a git repository")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    assert _git_commit() is None
 
 
 def test_markdown_table_contains_all_rows(small_report):
@@ -434,7 +446,7 @@ def test_cli_names_file_over_other_events(tmp_path, capsys, monkeypatch, command
     def too_early(*args):
         raise AssertionError("a product or context was built before the event tables were checked")
 
-    for name in ["sync_product", "_synthesize", "build_context"]:
+    for name in ["sync_product", "synthesize_monolithic", "build_context"]:
         monkeypatch.setattr(cli, name, too_early)
     one_event = Automaton(["q"], EventTable(("z",), (True,), (1,)), [(0, 0, 0)], 0, [0])
     other = tmp_path / "one_event.aut"
@@ -654,7 +666,7 @@ def test_cli_synthesize_names_states_by_component(tmp_path, capsys):
     capsys.readouterr()
     out.unlink()
     assert synthesize("two.aut", "1") == 2
-    assert capsys.readouterr().err == "error: state-name projection is not injective\n"
+    assert capsys.readouterr().err == "error: duplicate state name 'a|x'\n"
     assert not out.exists()
 
 
@@ -801,22 +813,56 @@ def test_cli_bench_rejects_non_integer_des_seed(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: variant 'v1' given twice\n"
 
 
+@pytest.mark.parametrize("flag", ["--csv", "--md", "--json"])
+def test_cli_bench_checks_output_paths_before_the_run(tmp_path, capsys, monkeypatch, flag):
+    from suploc import cli
+
+    def no_bench(*args, **kwargs):
+        raise AssertionError("bench work started")
+
+    monkeypatch.setattr(cli, "run_bench", no_bench)
+    written = tmp_path / "written.csv"
+    missing = tmp_path / "missing" / "out"
+    argv = ["bench", "--variant", "v1", "--levels", "2", "--runs", "1"]
+    # a valid output named before the missing one is not written either
+    assert run_cli(*argv, "--csv", str(written), flag, str(missing)) == 2
+    assert capsys.readouterr().err == f"error: {flag} {missing}: directory does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _run_module(*argv):
+    """``python -m`` in a child process that finds this package however the
+    tests found it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(suploc.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", *argv], env=env, capture_output=True, text=True)
+
+
 def test_console_script_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "suploc.cli", "--help"],
-        capture_output=True, text=True,
-    )
+    proc = _run_module("suploc.cli", "--help")
     assert proc.returncode == 0
     assert "gen-cmt" in proc.stdout and "bench" in proc.stdout
 
 
 def test_python_dash_m_suploc_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "suploc", "--help"],
-        capture_output=True, text=True,
-    )
+    proc = _run_module("suploc", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: suploc ")
+
+
+@pytest.mark.filterwarnings("ignore:'suploc.cli' found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize("module", ["suploc", "suploc.cli"])
+def test_python_dash_m_exits_with_the_input_error_code(tmp_path, capsys, monkeypatch, module):
+    # run in this process, as ``python -m`` runs it, so both entry points'
+    # lines are traced
+    out = tmp_path / "sup.aut"
+    argv = ["synthesize", "--plant", str(DATA / "example1_plant.aut"),
+            "--name-components", "-1", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", [module, *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module(module, run_name="__main__", alter_sys=True)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "error: --name-components must be at least 0\n"
+    assert not out.exists()
 
 
 def test_perfbench_imports_and_call_shapes_bind():

@@ -14,7 +14,6 @@ from suploc.automata import (
 from suploc.cmt import VARIANTS, CmtConfig, gen_cmt, synthesize_cmt
 from suploc.context import (
     SynthesisEmptyError,
-    _synthesize,
     agents_from_table,
     build_context,
     synthesize_monolithic,
@@ -432,5 +431,17 @@ def test_three_level_two_animal_synthesis_matches_reference():
 def test_cmt_naming_that_is_not_injective_raises():
     # Named by the cat alone, two supervisor states share a name.
     system = gen_cmt(CmtConfig(1, 1))
-    with pytest.raises(ValueError, match="state-name projection is not injective"):
-        _synthesize(system.plants, system.requirements, 1)
+    with pytest.raises(ValueError, match="^duplicate state name 'L1R1'$"):
+        synthesize_monolithic(system.plants, system.requirements, 1)
+
+
+@pytest.mark.parametrize("animals", [1, 2])
+def test_synthesis_names_states_by_their_first_components(animals):
+    system = gen_cmt(CmtConfig(2, animals))
+    plants, requirements = system.plants, system.requirements
+    assert synthesize_monolithic(plants, requirements, len(plants)) == synthesize_cmt(system)
+    full = synthesize_monolithic(plants, requirements)
+    assert synthesize_monolithic(plants, requirements, 0) == full
+    assert synthesize_monolithic(plants, requirements, None) == full
+    with pytest.raises(ValueError, match="^name_components must be at least 0$"):
+        synthesize_monolithic(plants, requirements, -1)

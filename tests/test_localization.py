@@ -93,6 +93,13 @@ def test_cover_from_cells_and_equality():
     assert Cover([9, 7, 7, 9, 9]).cells() == a.cells()
 
 
+def test_cover_repr_and_comparison_with_other_types():
+    cover = Cover([7, 9, 9, 7, 7])
+    assert repr(cover) == "Cover[{0,3,4}, {1,2}]"
+    assert cover.__eq__(cover.cell_of) is NotImplemented
+    assert cover != cover.cell_of
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(), max_size=30), st.data())
 def test_cover_ids_are_canonical(ids, data):
