@@ -9,7 +9,7 @@ while preserving the language.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, getitem
@@ -22,6 +22,15 @@ class FormatError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The 1-based number and the content of each line of ``text`` that is
+    not blank once its ``#`` comment and surrounding whitespace are cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def _check_token(name: str, what: str) -> None:
@@ -262,10 +271,7 @@ def parse_automaton(text: str) -> Automaton:
     marked: list[int] = []
     rows: list[dict[int, int]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if line in sections:
             want = sections.index(line)
             if want != section + 1:

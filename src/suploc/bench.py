@@ -105,13 +105,23 @@ class BenchAggregate:
 @dataclass(frozen=True)
 class BenchReport:
     rows: tuple[BenchRow, ...]
-    aggregates: tuple[BenchAggregate, ...]
     runs: int
     seed: int
     levels: int
     animals: int
     variants: tuple[str, ...]
     gates: tuple[GateRow, ...]
+
+    @property
+    def aggregates(self) -> tuple[BenchAggregate, ...]:
+        """The means of ``rows`` per (variant, agent), in order of first appearance."""
+        aggregates = []
+        for (variant, agent), sub in _groups(self.rows).items():
+            means = {c: sum(getattr(r, c) for r in sub) / len(sub) for c in JSON_COLUMNS}
+            sl = means["sl_seconds"]
+            pct_change = (means["tsl_seconds"] - sl) / sl * 100.0
+            aggregates.append(BenchAggregate(variant, agent, pct_change=pct_change, **means))
+        return tuple(aggregates)
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -251,6 +261,11 @@ def _variant_order(base_sup: Automaton, variant_sup: Automaton, rng: SplitMix64)
     return retained + added
 
 
+def _gen2_collections() -> int:
+    """How many generation-2 collections the collector has run so far."""
+    return gc.get_stats()[2]["collections"]
+
+
 def run_bench(
     variants=BENCH_VARIANTS,
     levels: int = 4,
@@ -263,18 +278,20 @@ def run_bench(
 
     Agent pipelines run one after another so wall-clock numbers are uncontaminated,
     and each run collects garbage before its timed sections. Each row counts, per
-    timed section, the generation-2 collections that started inside it, since their
-    pauses are part of that section's time. An empty variant list, or an unknown or
-    repeated variant, raises ``ValueError`` before any system is generated.
+    timed section, the generation-2 collections run inside it, since their pauses
+    are part of that section's time; the counts are read from the collector's
+    statistics at the section boundaries. An empty variant list, a repeated variant
+    or a (levels, animals, variant) that ``CmtConfig`` refuses raises ``ValueError``
+    before any system is generated.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     variants = tuple(variants)
     if not variants:
         raise ValueError("no variant given")
+    configs = [CmtConfig(levels=levels, animals=animals)]
     for pos, v in enumerate(variants):
-        if v not in VARIANTS:
-            raise ValueError(f"unknown variant {v!r}")
+        configs.append(CmtConfig(levels=levels, animals=animals, variant=v))
         if v in variants[:pos]:
             raise ValueError(f"variant {v!r} given twice")
 
@@ -282,10 +299,7 @@ def run_bench(
         if log is not None:
             log(msg)
 
-    base = _prepare(CmtConfig(levels=levels, animals=animals, variant="base"))
-    prepared = [
-        _prepare(CmtConfig(levels=levels, animals=animals, variant=v)) for v in variants
-    ]
+    base, *prepared = map(_prepare, configs)
     say(
         f"base supervisor: {base.sup.n_states} states, {base.sup.n_transitions} transitions; "
         + ", ".join(f"{p.name}: {p.sup.n_states}/{p.sup.n_transitions}" for p in prepared)
@@ -295,89 +309,62 @@ def run_bench(
     n_agents = base.system.table.n_agents
     rows: list[BenchRow] = []
     gates: list[GateRow] = []
+    for run in range(1, runs + 1):
+        order = rng.permutation(base.sup.n_states)
+        base_sup = apply_state_order(base.sup, order)
+        base_ctx = build_context(base.plant, base_sup, base.system.agents)
+        base_covers = [localize(base_sup, base_ctx, k) for k in range(1, n_agents + 1)]
+        gc.collect()
+        for item in prepared:
+            variant_sup = apply_state_order(item.sup, _variant_order(base_sup, item.sup, rng))
+            ctx = build_context(item.plant, variant_sup, item.system.agents)
 
-    # How many generation-2 collections have started; read at each section
-    # boundary, its differences count the collections inside each section.
-    gen2_started = [0]
-
-    def note_gen2(phase, info):
-        if phase == "start" and info["generation"] == 2:
-            gen2_started[0] += 1
-
-    gc.callbacks.append(note_gen2)
-    try:
-        for run in range(1, runs + 1):
-            order = rng.permutation(base.sup.n_states)
-            base_sup = apply_state_order(base.sup, order)
-            base_ctx = build_context(base.plant, base_sup, base.system.agents)
-            base_covers = [localize(base_sup, base_ctx, k) for k in range(1, n_agents + 1)]
-            gc.collect()
-            for item in prepared:
-                variant_sup = apply_state_order(
-                    item.sup, _variant_order(base_sup, item.sup, rng)
+            covers_sl: list[Cover] = []
+            covers_tsl: list[Cover] = []
+            for k in range(1, n_agents + 1):
+                n0, t0 = _gen2_collections(), time.perf_counter()
+                cover_sl = localize(variant_sup, ctx, k)
+                n1, t1 = _gen2_collections(), time.perf_counter()
+                carried = carry_over_cover(base_covers[k - 1], base_sup, variant_sup)
+                cover_iso, cells = _isolate(carried, variant_sup, ctx, k)
+                n2, t2 = _gen2_collections(), time.perf_counter()
+                cover_tsl = _merge_cells(
+                    variant_sup, ctx, k, cells or _Cells(variant_sup, ctx, k, cover_iso)
                 )
-                ctx = build_context(item.plant, variant_sup, item.system.agents)
-
-                covers_sl: list[Cover] = []
-                covers_tsl: list[Cover] = []
-                for k in range(1, n_agents + 1):
-                    n0, t0 = gen2_started[0], time.perf_counter()
-                    cover_sl = localize(variant_sup, ctx, k)
-                    n1, t1 = gen2_started[0], time.perf_counter()
-                    carried = carry_over_cover(base_covers[k - 1], base_sup, variant_sup)
-                    cover_iso, cells = _isolate(carried, variant_sup, ctx, k)
-                    n2, t2 = gen2_started[0], time.perf_counter()
-                    cover_tsl = _merge_cells(
-                        variant_sup, ctx, k, cells or _Cells(variant_sup, ctx, k, cover_iso)
+                n3, t3 = _gen2_collections(), time.perf_counter()
+                rows.append(
+                    BenchRow(
+                        variant=item.name,
+                        agent=k,
+                        run=run,
+                        sl_seconds=t1 - t0,
+                        isolate_seconds=t2 - t1,
+                        init_localize_seconds=t3 - t2,
+                        tsl_seconds=(t2 - t1) + (t3 - t2),
+                        cells_sl=cover_sl.n_cells,
+                        cells_initial_guess=carried.n_cells,
+                        cells_isolated=cover_iso.n_cells,
+                        cells_tsl=cover_tsl.n_cells,
+                        gen2_collections=(n1 - n0, n2 - n1, n3 - n2),
                     )
-                    n3, t3 = gen2_started[0], time.perf_counter()
-                    rows.append(
-                        BenchRow(
-                            variant=item.name,
-                            agent=k,
-                            run=run,
-                            sl_seconds=t1 - t0,
-                            isolate_seconds=t2 - t1,
-                            init_localize_seconds=t3 - t2,
-                            tsl_seconds=(t2 - t1) + (t3 - t2),
-                            cells_sl=cover_sl.n_cells,
-                            cells_initial_guess=carried.n_cells,
-                            cells_isolated=cover_iso.n_cells,
-                            cells_tsl=cover_tsl.n_cells,
-                            gen2_collections=(n1 - n0, n2 - n1, n3 - n2),
-                        )
+                )
+                covers_sl.append(cover_sl)
+                covers_tsl.append(cover_tsl)
+
+            for side, covers in (("from-scratch", covers_sl), ("transformational", covers_tsl)):
+                t0 = time.perf_counter()
+                locs = [
+                    build_local_supervisor(variant_sup, cover, k)
+                    for k, cover in enumerate(covers, start=1)
+                ]
+                t1 = time.perf_counter()
+                verdict = check_control_equivalence(item.plant, variant_sup, locs)
+                t2 = time.perf_counter()
+                if not verdict:
+                    raise EquivalenceGateError(
+                        f"{side} supervisors for {item.name} run {run} are not control "
+                        f"equivalent: {verdict.direction}; trace {verdict.counterexample}"
                     )
-                    covers_sl.append(cover_sl)
-                    covers_tsl.append(cover_tsl)
-
-                for side, covers in (
-                    ("from-scratch", covers_sl),
-                    ("transformational", covers_tsl),
-                ):
-                    t0 = time.perf_counter()
-                    locs = [
-                        build_local_supervisor(variant_sup, cover, k)
-                        for k, cover in enumerate(covers, start=1)
-                    ]
-                    t1 = time.perf_counter()
-                    verdict = check_control_equivalence(item.plant, variant_sup, locs)
-                    t2 = time.perf_counter()
-                    if not verdict:
-                        raise EquivalenceGateError(
-                            f"{side} supervisors for {item.name} run {run} are not control "
-                            f"equivalent: {verdict.direction}; trace {verdict.counterexample}"
-                        )
-                    gates.append(GateRow(item.name, side, run, t1 - t0, t2 - t1))
-                say(f"run {run}/{runs} {item.name}: ok")
-    finally:
-        gc.callbacks.remove(note_gen2)
-
-    aggregates = []
-    for (variant, agent), sub in _groups(rows).items():
-        means = {c: sum(getattr(r, c) for r in sub) / len(sub) for c in JSON_COLUMNS}
-        sl = means["sl_seconds"]
-        pct_change = (means["tsl_seconds"] - sl) / sl * 100.0
-        aggregates.append(BenchAggregate(variant, agent, pct_change=pct_change, **means))
-    return BenchReport(
-        tuple(rows), tuple(aggregates), runs, seed, levels, animals, variants, tuple(gates)
-    )
+                gates.append(GateRow(item.name, side, run, t1 - t0, t2 - t1))
+            say(f"run {run}/{runs} {item.name}: ok")
+    return BenchReport(tuple(rows), runs, seed, levels, animals, variants, tuple(gates))

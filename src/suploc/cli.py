@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .automata import FormatError, load_automaton, save_automaton, sync_product
+from .automata import FormatError, _content_lines, load_automaton, save_automaton, sync_product
 from .bench import BENCH_VARIANTS, EquivalenceGateError, run_bench
 from .cmt import VARIANTS, CmtConfig, _animal_tags, gen_cmt
 from .context import SynthesisEmptyError, agents_from_table, build_context, synthesize_monolithic
@@ -138,10 +138,7 @@ def _cmd_isolate(args) -> int:
 
 def _parse_mapping(path, n_variant: int, n_base: int) -> tuple[int, ...]:
     entries = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(Path(path).read_text(encoding="utf-8")):
         tokens = line.split()
         if len(tokens) != 2:
             raise FormatError("mapping line needs: <variant-agent> <base-agent-or-0>", lineno)

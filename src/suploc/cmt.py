@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import Automaton, EventTable
-from .context import agents_from_table, synthesize_monolithic
+from .context import FORBIDDEN_STATE, agents_from_table, synthesize_monolithic
 
 VARIANTS = ("base", "v1", "v2", "v3", "v4", "v5")
 
@@ -184,8 +184,9 @@ def gen_cmt(cfg: CmtConfig) -> CmtSystem:
             ev: int(kind == "cat" and dst[0] == top and src[0] != top)
             for ev, (_, kind, src, dst) in enumerate(ev_meta)
         }
+        states = ("ok", FORBIDDEN_STATE)
         requirements.append(
-            Automaton.__new__(Automaton)._from_rows(("ok", "bad"), table, [row, {}], 0, [0])
+            Automaton.__new__(Automaton)._from_rows(states, table, [row, {}], 0, [0])
         )
 
     return CmtSystem(
@@ -205,7 +206,7 @@ def _room_monitors(cfg, rooms, ev_meta, table) -> list[Automaton]:
     occ = [(0, 0)] + [(c, 0) for c in range(1, k + 1)] + [(0, m) for m in range(1, k + 1)]
     index = {o: x for x, o in enumerate(occ)}
     bad = len(occ)
-    states = tuple(f"c{c}m{m}" for c, m in occ) + ("bad",)
+    states = tuple(f"c{c}m{m}" for c, m in occ) + (FORBIDDEN_STATE,)
     # Each occupancy's target when (0) a cat enters, (1) a mouse enters,
     # (2) a cat leaves, (3) a mouse leaves or (4) the room is untouched;
     # None where the move is disabled.

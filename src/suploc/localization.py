@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from .automata import Automaton, FormatError
+from .automata import Automaton, FormatError, _content_lines
 from .context import ControlContext
 
 
@@ -99,10 +99,7 @@ def parse_cover(text: str, automaton: Automaton) -> Cover:
     # cell_of[x] is the line of x's cell, -1 until x is placed.
     cell_of = [-1] * automaton.n_states
     ids: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         head, colon, body = line.partition(":")
         tag = head.split()
         if not colon or len(tag) != 2 or tag[0] != "cell" or not tag[1].isdecimal():

@@ -178,7 +178,7 @@ def test_report_json_names_the_commit_or_null(tmp_path):
     shutil.copytree(Path(suploc.__file__).parent, tmp_path / "suploc")
     script = (
         "import json; from suploc.bench import BenchReport; "
-        "print(json.loads(BenchReport((), (), 1, 1, 2, 1, (), ()).to_json())"
+        "print(json.loads(BenchReport((), 1, 1, 2, 1, (), ()).to_json())"
         "['environment']['commit'])"
     )
     env = {**os.environ, "PYTHONPATH": str(tmp_path), "GIT_CEILING_DIRECTORIES": str(tmp_path)}
@@ -187,7 +187,7 @@ def test_report_json_names_the_commit_or_null(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "None"
-    assert BenchReport((), (), 1, 1, 2, 1, (), ()).to_json()
+    assert BenchReport((), 1, 1, 2, 1, (), ()).to_json()
 
 
 @pytest.mark.parametrize("failure", ["rev-parse fails", "git cannot run"])
@@ -209,19 +209,24 @@ def test_markdown_table_contains_all_rows(small_report):
 
 
 def test_bench_counts_gen2_collections_per_timed_section(monkeypatch):
-    # Each patched call announces 100 generation-2 starts to the collector's
-    # callbacks, and as many generation-0 starts and generation-2 stops,
-    # which must not count. A real collection in the run adds a few at most,
-    # so a section's count divided by 100 is the number of patched calls it
-    # saw. The base covers are localized outside every timed section.
+    # Each patched call makes the collector's statistics report 100 more
+    # generation-2 collections, and as many of generations 0 and 1, which
+    # must not count. A real collection in the run adds a few at most, so a
+    # section's count divided by 100 is the number of patched calls it saw.
+    # The base covers are localized outside every timed section.
     from suploc import bench
 
+    callbacks = list(gc.callbacks)
+    extra = [0]
+    real_get_stats = gc.get_stats
+
+    def get_stats():
+        return [{**s, "collections": s["collections"] + extra[0]} for s in real_get_stats()]
+
     def announce():
-        for callback in list(gc.callbacks):
-            for _ in range(100):
-                callback("start", {"generation": 2, "collected": 0, "uncollectable": 0})
-                callback("start", {"generation": 0, "collected": 0, "uncollectable": 0})
-                callback("stop", {"generation": 2, "collected": 0, "uncollectable": 0})
+        # the run reads the statistics and installs no collector hook
+        assert gc.callbacks == callbacks
+        extra[0] += 100
 
     real_localize, real_merge, real_isolate = bench.localize, bench._merge_cells, bench._isolate
 
@@ -241,12 +246,12 @@ def test_bench_counts_gen2_collections_per_timed_section(monkeypatch):
             announce()
         return real_isolate(*args)
 
+    monkeypatch.setattr(gc, "get_stats", get_stats)
     monkeypatch.setattr(bench, "localize", localize)
     monkeypatch.setattr(bench, "_merge_cells", merge_cells)
     monkeypatch.setattr(bench, "_isolate", isolate)
-    callbacks = list(gc.callbacks)
     report = run_bench(variants=("v1", "v3"), levels=2, runs=2, seed=5)
-    assert gc.callbacks == callbacks
+    assert extra[0] > 0
     expected = {1: (1, 0, 1), 2: (0, 1, 0)}
     for row in report.rows:
         assert tuple(n // 100 for n in row.gen2_collections) == expected[row.agent]
@@ -257,12 +262,30 @@ def test_bench_counts_gen2_collections_per_timed_section(monkeypatch):
         assert tuple(n // 100 for n in totals.values()) == tuple(
             2 * n for n in expected[entry["agent"]]
         )
-    # the callback is also removed when the run fails
+    # a failed gate aborts the run, and leaves the collector's hooks as they were
     failing = EquivalenceVerdict(False, ("a",), "language", "local supervisors forbid")
     monkeypatch.setattr(bench, "check_control_equivalence", lambda *args: failing)
     with pytest.raises(EquivalenceGateError):
         run_bench(variants=("v1",), levels=2, runs=1, seed=5)
     assert gc.callbacks == callbacks
+
+
+def test_bench_refuses_a_config_before_generating_any_system(monkeypatch, capsys, tmp_path):
+    # CmtConfig refuses v4 on one level; every configuration is built first,
+    # so neither the base nor v1 is generated and synthesized in vain
+    from suploc import bench
+
+    def prepare(cfg):
+        raise AssertionError(f"{cfg.variant} generated before the refusal")
+
+    monkeypatch.setattr(bench, "_prepare", prepare)
+    message = "variant 'v4' removes the mice's start room L1R5 when levels is 1"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_bench(variants=("v1", "v4"), levels=1)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("bench", "--levels", "1") == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_base_as_variant_is_a_fixed_point():
@@ -291,7 +314,7 @@ def test_bench_deterministic_cells_given_seed():
 def test_bench_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run_bench(runs=0)
-    with pytest.raises(ValueError, match="unknown variant 'v9'"):
+    with pytest.raises(ValueError, match="^unknown variant 'v9'; expected one of "):
         run_bench(variants=("v9",), levels=2)
     # an empty list used to localize the base system and return a report
     # whose overall_pct_change divides by zero
